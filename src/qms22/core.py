@@ -12,7 +12,7 @@ update of the affected member values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -274,6 +274,44 @@ def _initial_members(hp: HyperParams, p: int) -> tuple[MemberFunction, ...]:
                  for _ in range(hp.m))
 
 
+@dataclass(eq=False)
+class _ClassBlock:
+    """What the loss terms involving f_c read from the other classes,
+    gathered once per class c and reused by every trial on it.
+    """
+
+    c: int
+    alpha: float
+    guard: float
+    own: np.ndarray      # S_c
+    w_own: float
+    den: np.ndarray      # (m - 1, |S_c|), C order: f_j(x) + guard, x in S_c
+    num_at: np.ndarray   # S_j for each j != c, concatenated
+    num: np.ndarray      # f_j(x) along num_at
+    num_w: np.ndarray    # w_j along num_at
+    total: float = 0.0   # terms() of the cached f_c
+    tried: dict = field(default_factory=dict)  # (entry, delta) -> terms
+
+    def terms(self, fc: np.ndarray):
+        """Sum of the loss terms that involve f_c, for member values fc."""
+        over = fc.take(self.own) / self.den         # f_c on top
+        np.maximum(self.alpha, over, out=over)
+        under = (fc + self.guard).take(self.num_at)  # f_c below
+        np.divide(self.num, under, out=under)
+        np.maximum(self.alpha, under, out=under)
+        under *= self.num_w
+        return self.w_own * over.sum() + under.sum()
+
+
+def _moved(fc: np.ndarray, h, usq, delta: float) -> np.ndarray:
+    # f_c after one entry moves by delta; see ResidualCache
+    f_new = h * (2.0 * delta)
+    f_new += fc
+    f_new += usq * (delta * delta)
+    np.maximum(f_new, 0.0, out=f_new)
+    return f_new
+
+
 class ResidualCache:
     """Residuals r_i(x) = A_i x - b_i and member values for every class
     and pooled sample, kept consistent under single-entry updates.
@@ -284,7 +322,16 @@ class ResidualCache:
 
     (for b_i[k] the shift is -delta). Only loss terms involving f_i are
     revisited: the numerator terms of member set i and the terms where
-    f_i sits in a denominator. Cost per delta query is O(n * m).
+    f_i sits in a denominator.
+
+    Training perturbs one class c at a time, and meanwhile only f_c moves.
+    So the cache keeps a block for the class last queried, gathered once
+    per class: the denominators f_j(x) + guard over member set c as one
+    (m - 1, |S_c|) array, the other classes' numerators f_j(x), x in S_j,
+    with their weights, and the current sum of the terms involving f_c.
+    A trial then reads only the new f_c: one gather of it and O(m * n)
+    arithmetic. Applying a move the block has just evaluated makes that
+    trial's sum the block's sum; any other move drops the block.
     """
 
     def __init__(self, problem: TrainingProblem, model: QmsModel):
@@ -292,8 +339,6 @@ class ResidualCache:
             raise ValueError("model and problem shapes disagree")
         self.problem = problem
         self.hp = model.hyperparams
-        m = problem.m
-        n = problem.samples.shape[0]
         self._xt = np.ascontiguousarray(problem.samples.T)     # (p, n)
         self._xt_sq = self._xt * self._xt
         self._a = np.stack([f.a for f in model.members]).copy()  # (m, q, p)
@@ -302,30 +347,7 @@ class ResidualCache:
         self._r = np.einsum("mqp,pn->mqn", self._a, self._xt)
         self._r -= self._b[:, :, None]
         self._f = np.einsum("mqn,mqn->mn", self._r, self._r)     # (m, n)
-
-        # flat term tables per perturbed class c:
-        #   numerator side: terms (i=c, x in set c, j != c)
-        #   denominator side: terms (i=j != c, x in set j, denominator c)
-        self._num_sample = []
-        self._num_den = []
-        self._den_sample = []
-        self._den_num = []
-        self._den_w = []
-        w = np.asarray(problem.class_weights)
-        for c in range(m):
-            others = [j for j in range(m) if j != c]
-            own = problem.member_sets[c]
-            self._num_sample.append(np.tile(own, len(others)))
-            self._num_den.append(np.repeat(np.asarray(others, dtype=np.intp),
-                                           own.size))
-            ds = np.concatenate([problem.member_sets[j] for j in others])
-            dn = np.repeat(np.asarray(others, dtype=np.intp),
-                           [problem.member_sets[j].size for j in others])
-            self._den_sample.append(ds)
-            self._den_num.append(dn)
-            self._den_w.append(np.repeat(w[others],
-                                         [problem.member_sets[j].size
-                                          for j in others]))
+        self._block: _ClassBlock | None = None
         self._loss = self._terms_total()
 
     @property
@@ -337,11 +359,35 @@ class ResidualCache:
         hp = self.hp
         total = 0.0
         for c in range(self.problem.m):
-            fc = self._f[c]
-            den = self._f[self._num_den[c], self._num_sample[c]] + hp.denom_guard
-            ratios = np.maximum(hp.alpha, fc[self._num_sample[c]] / den)
+            ratios = np.maximum(hp.alpha, self._f[c, self.problem.member_sets[c]]
+                                / self._denominators(c))
             total += self.problem.class_weights[c] * float(ratios.sum())
         return total
+
+    def _denominators(self, c: int) -> np.ndarray:
+        # f_j(x) + guard for x in S_c, one row per j != c. take returns C
+        # order, so sums over it always run row by row.
+        others = [j for j in range(self.problem.m) if j != c]
+        return (self._f[others].take(self.problem.member_sets[c], axis=1)
+                + self.hp.denom_guard)
+
+    def _class_block(self, c: int) -> _ClassBlock:
+        block = self._block
+        if block is None or block.c != c:
+            problem = self.problem
+            others = [j for j in range(problem.m) if j != c]
+            sets = [problem.member_sets[j] for j in others]
+            block = _ClassBlock(
+                c=c, alpha=self.hp.alpha, guard=self.hp.denom_guard,
+                own=problem.member_sets[c], w_own=problem.class_weights[c],
+                den=self._denominators(c),
+                num_at=np.concatenate(sets),
+                num=np.concatenate([self._f[j, s] for j, s in zip(others, sets)]),
+                num_w=np.repeat([problem.class_weights[j] for j in others],
+                                [s.size for s in sets]))
+            block.total = block.terms(self._f[c])
+            self._block = block
+        return block
 
     def _perturbation(self, class_i: int, entry: EntryRef):
         # returns (k, h, usq): f_new = f + 2*delta*h + delta^2*usq
@@ -354,24 +400,14 @@ class ResidualCache:
         raise ValueError(f"unknown entry locator {entry!r}")
 
     def _deltas(self, class_i: int, entry: EntryRef, deltas):
-        hp = self.hp
+        block = self._class_block(class_i)
         _, h, usq = self._perturbation(class_i, entry)
         fc = self._f[class_i]
-        ns, nd = self._num_sample[class_i], self._num_den[class_i]
-        ds = self._den_sample[class_i]
-        den_vals = self._f[nd, ns] + hp.denom_guard
-        num_vals = self._f[self._den_num[class_i], ds]
-        w_own = self.problem.class_weights[class_i]
-        dw = self._den_w[class_i]
-        old = (w_own * np.maximum(hp.alpha, fc[ns] / den_vals).sum()
-               + (dw * np.maximum(hp.alpha, num_vals / (fc[ds] + hp.denom_guard))).sum())
+        block.tried = {}
         out = []
         for d in deltas:
-            f_new = fc + (2.0 * d) * h + (d * d) * usq
-            np.maximum(f_new, 0.0, out=f_new)
-            new = (w_own * np.maximum(hp.alpha, f_new[ns] / den_vals).sum()
-                   + (dw * np.maximum(hp.alpha, num_vals / (f_new[ds] + hp.denom_guard))).sum())
-            out.append(float(new - old))
+            new = block.tried[entry, d] = block.terms(_moved(fc, h, usq, d))
+            out.append(float(new - block.total))
         return out
 
     def loss_delta(self, class_i: int, entry: EntryRef, delta: float) -> float:
@@ -385,9 +421,7 @@ class ResidualCache:
         and the tracked loss.
         """
         k, h, usq = self._perturbation(class_i, entry)
-        f_new = self._f[class_i] + (2.0 * delta) * h + (delta * delta) * usq
-        np.maximum(f_new, 0.0, out=f_new)
-        self._f[class_i] = f_new
+        self._f[class_i] = _moved(self._f[class_i], h, usq, delta)
         if entry[0] == "a":
             self._a[class_i, k, entry[2]] += delta
             self._r[class_i, k] += delta * self._xt[entry[2]]
@@ -395,6 +429,14 @@ class ResidualCache:
             self._b[class_i, k] += delta
             self._r[class_i, k] -= delta
         self._loss += loss_delta
+        # a trial of this very move saw the same f_new, so its sum is the
+        # block's new sum; after any other move the block is stale
+        block, self._block = self._block, None
+        if block is not None and block.c == class_i:
+            total = block.tried.get((entry, delta))
+            if total is not None:
+                block.total, block.tried = total, {}
+                self._block = block
 
     def members(self) -> tuple[MemberFunction, ...]:
         """Snapshot of the current member functions."""
@@ -463,7 +505,9 @@ def _consider(cache: ResidualCache, sweep: int, class_i: int, entry: EntryRef,
     if d < 0.0:
         before = cache.loss
         cache.apply(class_i, entry, delta, d)
-        # accepted moves must strictly decrease the tracked loss
-        assert cache.loss < before, "accepted move did not decrease the loss"
+        if not cache.loss < before:
+            raise RuntimeError(f"accepted move {entry!r} of class {class_i} "
+                               f"did not decrease the loss ({before!r} -> "
+                               f"{cache.loss!r})")
         if on_accept is not None:
             on_accept(sweep, class_i, entry, delta, cache.loss)

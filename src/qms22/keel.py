@@ -9,6 +9,7 @@ comma-separated rows. Fold files are named ``<name>-5-<k>tra.dat`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,7 +129,8 @@ def _name_list(text: str) -> tuple[str, ...]:
 
 def parse_keel_text(text: str, source: str = "<string>") -> RawDataset:
     """Parse .dat content. Every malformed construct raises KeelParseError
-    with the offending line number; missing values ('?') are rejected.
+    with the offending line number; missing values ('?') and non-finite
+    numbers ('nan', 'inf', '1e400', ...) are rejected.
     """
     relation = ""
     attributes: list[Attribute] = []
@@ -174,12 +176,17 @@ def parse_keel_text(text: str, source: str = "<string>") -> RawDataset:
                                      f"missing value in attribute {attr.name!r}")
             if attr.is_numeric:
                 try:
-                    float(tok)
+                    value = float(tok)
                 except ValueError:
                     raise KeelParseError(
                         source, line_no,
                         f"non-numeric value {tok!r} for attribute "
                         f"{attr.name!r}") from None
+                if not math.isfinite(value):
+                    raise KeelParseError(
+                        source, line_no,
+                        f"non-finite value {tok!r} for attribute "
+                        f"{attr.name!r}")
             elif tok not in attr.domain:
                 raise KeelParseError(
                     source, line_no,

@@ -115,18 +115,23 @@ def _exact_tail_p(ranks: np.ndarray, r_plus: float, r_minus: float) -> float:
 
     Computed by dynamic programming over rank sums, which enumerates the
     same distribution as brute force. Averaged ranks are multiples of
-    0.5, so doubling makes them integers.
+    0.5, so doubling makes them integers. Each step halves the table, so
+    it holds probabilities rather than counts and cannot overflow. Halving
+    is exact while 2^-n is a normal float, so up to n = 1022 the result
+    is bitwise the count over 2^n.
     """
     doubled = np.rint(2.0 * ranks).astype(np.int64)
     total = int(doubled.sum())
-    ways = np.zeros(total + 1)
-    ways[0] = 1.0
+    prob = np.zeros(total + 1)
+    prob[0] = 1.0
+    top = 1   # prob[top:] is all zero, so the steps skip it
     for r in doubled:
-        ways[r:] = ways[r:] + ways[:-r]
+        top += r
+        prob[r:top] = prob[r:top] + prob[:top - r]
+        prob[:top] *= 0.5
     lo = int(round(2.0 * min(r_plus, r_minus)))
     hi = int(round(2.0 * max(r_plus, r_minus)))
-    count = ways[:lo + 1].sum() + ways[hi:].sum()
-    return min(1.0, float(count / 2.0 ** ranks.size))
+    return min(1.0, float(prob[:lo + 1].sum() + prob[hi:].sum()))
 
 
 def _normal_tail_p(ranks: np.ndarray, r_plus: float, r_minus: float) -> float:

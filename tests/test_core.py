@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qms22 import (HyperParams, MemberFunction, QmsModel, TrainingProblem,
                    cpm_optimize, loss_full, pair_term)
-from qms22.core import ResidualCache
+from qms22.core import ResidualCache, _consider
 
 from oracles import cpm_reference, loss_direct
 
@@ -320,6 +320,21 @@ class TestCpmOptimize:
         initial = loss_full(problem, cpm_optimize(problem, hp0))
         assert all(later < earlier
                    for earlier, later in zip([initial] + values, values))
+
+    def test_non_decreasing_accepted_move_raises(self):
+        # the strict-decrease check is a raise, not an assert, so it also
+        # holds under python -O
+        class StuckCache:
+            loss = 1.0
+
+            def _deltas(self, class_i, entry, deltas):
+                return [-1.0, 0.5]
+
+            def apply(self, class_i, entry, delta, loss_delta):
+                pass
+
+        with pytest.raises(RuntimeError, match="did not decrease the loss"):
+            _consider(StuckCache(), 0, 0, ("a", 0, 0), 1.0, None)
 
     def test_cache_consistent_after_every_sweep(self):
         rng = np.random.default_rng(31)

@@ -97,6 +97,14 @@ class TestParse:
         with pytest.raises(KeelParseError, match=r":10:.*'abc'.*'X2'"):
             parse_keel_text(text)
 
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf",
+                                       "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_token(self, token):
+        text = MINIMAL.replace("0.0, 9.0, negative", f"0.0, {token}, negative")
+        with pytest.raises(KeelParseError,
+                           match=rf"fold\.dat:10:.*non-finite.*'{token}'.*'X2'"):
+            parse_keel_text(text, source="fold.dat")
+
     def test_unknown_directive(self):
         with pytest.raises(KeelParseError, match=r":1:.*'@banana'"):
             parse_keel_text("@banana split\n@data\n")

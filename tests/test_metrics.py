@@ -166,6 +166,17 @@ class TestWilcoxonSignedRank:
             approx = wilcoxon_signed_rank(a, b, method="normal")
             assert abs(exact.p_value - approx.p_value) < 0.01
 
+    def test_exact_holds_beyond_float_count_range(self):
+        # 2^1100 sign assignments overflow a float count; probabilities don't
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=1100) + 0.06
+        b = np.zeros(1100)
+        exact = wilcoxon_signed_rank(a, b, method="exact")
+        approx = wilcoxon_signed_rank(a, b, method="normal")
+        assert exact.n_effective == 1100
+        assert 0.0 <= exact.p_value <= 1.0
+        assert exact.p_value == pytest.approx(approx.p_value, rel=0.02)
+
     def test_zero_differences_dropped(self):
         a = [1.0, 2.0, 3.0, 4.0]
         b = [1.0, 2.5, 3.0, 3.5]
