@@ -2,8 +2,8 @@
 anomaly detector, and a KEEL benchmark harness."""
 
 from .core import (HyperParams, MemberFunction, QmsModel, ResidualCache,
-                   TrainingProblem, cpm_optimize, loss_full, pair_term)
-from .metrics import (FiveNumberSummary, RocCurve, WilcoxonResult, auc,
+                   TrainingProblem, cpm_optimize, loss_full)
+from .metrics import (FiveNumberSummary, RocCurve, WilcoxonResult,
                       five_number_summary, mean_std, roc_curve,
                       wilcoxon_signed_rank)
 from .ssad import (MemberSetPlan, SsadProblem, build_member_sets,
@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HyperParams", "MemberFunction", "QmsModel", "ResidualCache",
-    "TrainingProblem", "cpm_optimize", "loss_full", "pair_term",
-    "FiveNumberSummary", "RocCurve", "WilcoxonResult", "auc",
+    "TrainingProblem", "cpm_optimize", "loss_full",
+    "FiveNumberSummary", "RocCurve", "WilcoxonResult",
     "five_number_summary", "mean_std", "roc_curve", "wilcoxon_signed_rank",
     "MemberSetPlan", "SsadProblem", "build_member_sets", "outlier_score",
     "outlier_scores", "run_qms22", "select_top_k",

@@ -61,17 +61,20 @@ def _hyper_from_args(args) -> HyperParams:
                        denom_guard=args.guard, seed=args.seed)
 
 
-def _score_fold(fold: FoldPair, hp: HyperParams) -> tuple[float, int, int]:
-    """AUC, dataset size, and raw feature count for one fold."""
-    n = fold.train.n + fold.test.n
-    p = len(fold.train.input_names)
+def _fold_curve(fold: FoldPair, hp: HyperParams) -> RocCurve:
+    """Train on the fold's normals and return the ROC of its test side."""
     train = strip_outliers_from_train(fold)
     prep = Preprocessor.fit(train)
     x_train, _ = prep.transform(train)
     x_test, y_test = prep.transform(fold.test)
     scores = run_qms22(SsadProblem(x_train, x_test, y_test), hp)
-    curve = roc_curve(scores, y_test)
-    return curve.auc, n, p
+    return roc_curve(scores, y_test)
+
+
+def _score_fold(fold: FoldPair, hp: HyperParams) -> tuple[float, int, int]:
+    """AUC, dataset size, and raw feature count for one fold."""
+    return (_fold_curve(fold, hp).auc, fold.train.n + fold.test.n,
+            len(fold.train.input_names))
 
 
 def _write_roc_csv(path, curve: RocCurve) -> None:
@@ -114,17 +117,8 @@ def _roc_svg(curve: RocCurve) -> str:
 
 
 def cmd_run(args) -> int:
-    train = parse_keel(args.train)
-    test = parse_keel(args.test)
-    if train.declarations() != test.declarations():
-        raise ValueError("train and test files declare different attributes")
-    hp = _hyper_from_args(args)
-    stripped = strip_outliers_from_train(train)
-    prep = Preprocessor.fit(stripped)
-    x_train, _ = prep.transform(stripped)
-    x_test, y_test = prep.transform(test)
-    scores = run_qms22(SsadProblem(x_train, x_test, y_test), hp)
-    curve = roc_curve(scores, y_test)
+    fold = FoldPair(parse_keel(args.train), parse_keel(args.test), 1)
+    curve = _fold_curve(fold, _hyper_from_args(args))
     _write_roc_csv(args.out, curve)
     if args.svg:
         Path(args.svg).write_text(_roc_svg(curve))

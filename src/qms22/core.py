@@ -12,7 +12,7 @@ update of the affected member values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,14 +23,9 @@ __all__ = [
     "QmsModel",
     "TrainingProblem",
     "ResidualCache",
-    "pair_term",
     "loss_full",
     "cpm_optimize",
 ]
-
-# entry locators for a single scalar parameter of one member function:
-# ("a", k, l) is A[k, l]; ("b", k) is b[k]
-EntryRef = tuple
 
 
 @dataclass(frozen=True)
@@ -96,8 +91,7 @@ class MemberFunction:
                              f"got shapes {a.shape} and {b.shape}")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("member function entries must be finite")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self.__dict__.update(a=a, b=b)  # frozen: store the converted arrays
 
     @property
     def q(self) -> int:
@@ -167,14 +161,6 @@ class QmsModel:
         return int(np.argmin(values[0])) + 1
 
 
-def pair_term(fi: float, fj: float, alpha: float, guard: float) -> float:
-    """One summand of the ratio loss: max(alpha, fi / (fj + guard)).
-
-    Total for all inputs; the guard keeps fj = 0 finite.
-    """
-    return max(alpha, fi / (fj + guard))
-
-
 class TrainingProblem:
     """Member sets and their loss weights.
 
@@ -241,7 +227,7 @@ class TrainingProblem:
 
 
 def loss_full(problem: TrainingProblem, model: QmsModel) -> float:
-    """Weighted ratio loss of `model` on `problem`, summed directly.
+    """Weighted ratio loss of `model` on `problem`.
 
     For every class i, every sample of member set i contributes
     ``w_i * max(alpha, f_i(x) / (f_j(x) + guard))`` for each j != i.
@@ -252,17 +238,27 @@ def loss_full(problem: TrainingProblem, model: QmsModel) -> float:
     if model.p != problem.p:
         raise ValueError(f"model expects dimension {model.p}, "
                          f"problem has {problem.p}")
-    hp = model.hyperparams
-    values = model.member_values(problem.samples)
+    return _ratio_loss(problem, model.hyperparams,
+                       model.member_values(problem.samples).T)
+
+
+def _denominators(problem: TrainingProblem, hp: HyperParams, f: np.ndarray,
+                  c: int) -> np.ndarray:
+    # f_j(x) + guard for x in S_c, one row per j != c, from member values
+    # f of shape (m, n). take returns C order, so sums over it always run
+    # row by row.
+    others = [j for j in range(problem.m) if j != c]
+    return f[others].take(problem.member_sets[c], axis=1) + hp.denom_guard
+
+
+def _ratio_loss(problem: TrainingProblem, hp: HyperParams,
+                f: np.ndarray) -> float:
+    # the loss of loss_full from member values f of shape (m, n)
     total = 0.0
-    for i, (idx, w) in enumerate(zip(problem.member_sets,
+    for c, (own, w) in enumerate(zip(problem.member_sets,
                                      problem.class_weights)):
-        fi = values[idx, i]
-        for j in range(problem.m):
-            if j == i:
-                continue
-            ratio = fi / (values[idx, j] + hp.denom_guard)
-            total += w * float(np.maximum(hp.alpha, ratio).sum())
+        ratios = np.maximum(hp.alpha, f[c, own] / _denominators(problem, hp, f, c))
+        total += w * float(ratios.sum())
     return total
 
 
@@ -290,7 +286,6 @@ class _ClassBlock:
     num: np.ndarray      # f_j(x) along num_at
     num_w: np.ndarray    # w_j along num_at
     total: float = 0.0   # terms() of the cached f_c
-    tried: dict = field(default_factory=dict)  # (entry, delta) -> terms
 
     def terms(self, fc: np.ndarray):
         """Sum of the loss terms that involve f_c, for member values fc."""
@@ -303,26 +298,20 @@ class _ClassBlock:
         return self.w_own * over.sum() + under.sum()
 
 
-def _moved(fc: np.ndarray, h, usq, delta: float) -> np.ndarray:
-    # f_c after one entry moves by delta; see ResidualCache
-    f_new = h * (2.0 * delta)
-    f_new += fc
-    f_new += usq * (delta * delta)
-    np.maximum(f_new, 0.0, out=f_new)
-    return f_new
-
-
 class ResidualCache:
-    """Residuals r_i(x) = A_i x - b_i and member values for every class
-    and pooled sample, kept consistent under single-entry updates.
+    """Residuals and member values for every class and pooled sample,
+    kept consistent under single-entry updates.
 
-    Perturbing A_i[k, l] by delta shifts r_i(x)[k] by delta * x[l], so
+    Each member function is held as one augmented matrix W_i = [A_i | b_i]
+    of shape (q, p + 1) acting on samples extended to [x; -1], so the
+    residual is r_i(x) = W_i [x; -1] = A_i x - b_i. An entry is a pair
+    (k, l); l == p is b_i[k]. Perturbing W_i[k, l] by delta shifts
+    r_i(x)[k] by delta * x[l] (with x[p] = -1), so
 
         f_i'(x) = f_i(x) + 2 * delta * x[l] * r_i(x)[k] + delta^2 * x[l]^2
 
-    (for b_i[k] the shift is -delta). Only loss terms involving f_i are
-    revisited: the numerator terms of member set i and the terms where
-    f_i sits in a denominator.
+    Only loss terms involving f_i are revisited: the numerator terms of
+    member set i and the terms where f_i sits in a denominator.
 
     Training perturbs one class c at a time, and meanwhile only f_c moves.
     So the cache keeps a block for the class last queried, gathered once
@@ -330,8 +319,8 @@ class ResidualCache:
     (m - 1, |S_c|) array, the other classes' numerators f_j(x), x in S_j,
     with their weights, and the current sum of the terms involving f_c.
     A trial then reads only the new f_c: one gather of it and O(m * n)
-    arithmetic. Applying a move the block has just evaluated makes that
-    trial's sum the block's sum; any other move drops the block.
+    arithmetic. `apply` commits one of the moves the last `deltas` call
+    evaluated, reusing that trial's f_c, sum and loss change.
     """
 
     def __init__(self, problem: TrainingProblem, model: QmsModel):
@@ -339,37 +328,26 @@ class ResidualCache:
             raise ValueError("model and problem shapes disagree")
         self.problem = problem
         self.hp = model.hyperparams
-        self._xt = np.ascontiguousarray(problem.samples.T)     # (p, n)
-        self._xt_sq = self._xt * self._xt
-        self._a = np.stack([f.a for f in model.members]).copy()  # (m, q, p)
-        self._b = np.stack([f.b for f in model.members]).copy()  # (m, q)
+        n = problem.samples.shape[0]
+        # samples as [x; -1], (p+1, n) in C order so that one feature row
+        # is contiguous (vstack alone keeps the F order of samples.T)
+        self._xa = np.ascontiguousarray(
+            np.vstack([problem.samples.T, np.full(n, -1.0)]))
+        self._xa_sq = self._xa * self._xa
+        self._w = np.stack([np.column_stack([f.a, f.b])
+                            for f in model.members])               # (m, q, p+1)
         # residuals as (m, q, n) so one matrix row is contiguous
-        self._r = np.einsum("mqp,pn->mqn", self._a, self._xt)
-        self._r -= self._b[:, :, None]
+        self._r = np.einsum("mqp,pn->mqn", self._w, self._xa)
         self._f = np.einsum("mqn,mqn->mn", self._r, self._r)     # (m, n)
         self._block: _ClassBlock | None = None
-        self._loss = self._terms_total()
+        # the last deltas call: (c, k, l), {step: (f_c, terms, loss change)}
+        self._trial = None, {}
+        self._loss = _ratio_loss(problem, self.hp, self._f)
 
     @property
     def loss(self) -> float:
         """Current loss, tracked incrementally across accepted moves."""
         return self._loss
-
-    def _terms_total(self) -> float:
-        hp = self.hp
-        total = 0.0
-        for c in range(self.problem.m):
-            ratios = np.maximum(hp.alpha, self._f[c, self.problem.member_sets[c]]
-                                / self._denominators(c))
-            total += self.problem.class_weights[c] * float(ratios.sum())
-        return total
-
-    def _denominators(self, c: int) -> np.ndarray:
-        # f_j(x) + guard for x in S_c, one row per j != c. take returns C
-        # order, so sums over it always run row by row.
-        others = [j for j in range(self.problem.m) if j != c]
-        return (self._f[others].take(self.problem.member_sets[c], axis=1)
-                + self.hp.denom_guard)
 
     def _class_block(self, c: int) -> _ClassBlock:
         block = self._block
@@ -380,7 +358,7 @@ class ResidualCache:
             block = _ClassBlock(
                 c=c, alpha=self.hp.alpha, guard=self.hp.denom_guard,
                 own=problem.member_sets[c], w_own=problem.class_weights[c],
-                den=self._denominators(c),
+                den=_denominators(problem, self.hp, self._f, c),
                 num_at=np.concatenate(sets),
                 num=np.concatenate([self._f[j, s] for j, s in zip(others, sets)]),
                 num_w=np.repeat([problem.class_weights[j] for j in others],
@@ -389,64 +367,51 @@ class ResidualCache:
             self._block = block
         return block
 
-    def _perturbation(self, class_i: int, entry: EntryRef):
-        # returns (k, h, usq): f_new = f + 2*delta*h + delta^2*usq
-        if entry[0] == "a":
-            _, k, l = entry
-            return k, self._xt[l] * self._r[class_i, k], self._xt_sq[l]
-        if entry[0] == "b":
-            _, k = entry
-            return k, -self._r[class_i, k], 1.0
-        raise ValueError(f"unknown entry locator {entry!r}")
-
-    def _deltas(self, class_i: int, entry: EntryRef, deltas):
-        block = self._class_block(class_i)
-        _, h, usq = self._perturbation(class_i, entry)
-        fc = self._f[class_i]
-        block.tried = {}
-        out = []
-        for d in deltas:
-            new = block.tried[entry, d] = block.terms(_moved(fc, h, usq, d))
-            out.append(float(new - block.total))
-        return out
-
-    def loss_delta(self, class_i: int, entry: EntryRef, delta: float) -> float:
-        """Loss change from adding `delta` to one entry of class `class_i`,
-        without applying it. Exact zero for delta = 0.
+    def deltas(self, c: int, k: int, l: int, steps) -> list[float]:
+        """Loss change from adding each of `steps` to entry (k, l) of class
+        c, without applying any. Exact zero for a zero step.
         """
-        return self._deltas(class_i, entry, (delta,))[0]
+        block = self._class_block(c)
+        h = self._xa[l] * self._r[c, k]
+        usq = self._xa_sq[l]
+        fc = self._f[c]
+        moves = {}
+        for d in steps:
+            # f_c after the move; see the class docstring
+            f_new = h * (2.0 * d)
+            f_new += fc
+            f_new += usq * (d * d)
+            np.maximum(f_new, 0.0, out=f_new)
+            total = block.terms(f_new)
+            moves[d] = (f_new, total, float(total - block.total))
+        self._trial = (c, k, l), moves
+        return [moves[d][2] for d in steps]
 
-    def apply(self, class_i: int, entry: EntryRef, delta: float, loss_delta: float):
-        """Commit a move: update the parameter, residuals, member values,
-        and the tracked loss.
+    def apply(self, c: int, k: int, l: int, delta: float) -> None:
+        """Commit a move the last `deltas` call evaluated: update the entry,
+        residuals, member values and the tracked loss from that trial.
         """
-        k, h, usq = self._perturbation(class_i, entry)
-        self._f[class_i] = _moved(self._f[class_i], h, usq, delta)
-        if entry[0] == "a":
-            self._a[class_i, k, entry[2]] += delta
-            self._r[class_i, k] += delta * self._xt[entry[2]]
-        else:
-            self._b[class_i, k] += delta
-            self._r[class_i, k] -= delta
-        self._loss += loss_delta
-        # a trial of this very move saw the same f_new, so its sum is the
-        # block's new sum; after any other move the block is stale
-        block, self._block = self._block, None
-        if block is not None and block.c == class_i:
-            total = block.tried.get((entry, delta))
-            if total is not None:
-                block.total, block.tried = total, {}
-                self._block = block
+        entry, moves = self._trial
+        if entry != (c, k, l) or delta not in moves:
+            raise ValueError(f"move {delta!r} of entry {(k, l)} of class {c} "
+                             f"was not evaluated by the last deltas call")
+        self._trial = None, {}
+        f_new, total, change = moves[delta]
+        self._f[c] = f_new
+        self._w[c, k, l] += delta
+        self._r[c, k] += delta * self._xa[l]
+        self._loss += change
+        self._block.total = total
 
     def members(self) -> tuple[MemberFunction, ...]:
         """Snapshot of the current member functions."""
-        return tuple(MemberFunction(self._a[i].copy(), self._b[i].copy())
-                     for i in range(self.problem.m))
+        p = self.problem.p
+        return tuple(MemberFunction(w[:, :p].copy(), w[:, p].copy())
+                     for w in self._w)
 
     def max_relative_drift(self) -> float:
         """Worst relative deviation of cached state from a recomputation."""
-        r_exact = np.einsum("mqp,pn->mqn", self._a, self._xt)
-        r_exact -= self._b[:, :, None]
+        r_exact = np.einsum("mqp,pn->mqn", self._w, self._xa)
         f_exact = np.einsum("mqn,mqn->mn", r_exact, r_exact)
         f_err = np.abs(self._f - f_exact) / np.maximum(np.abs(f_exact), 1.0)
         r_err = np.abs(self._r - r_exact) / np.maximum(np.abs(r_exact), 1.0)
@@ -469,8 +434,8 @@ def cpm_optimize(problem: TrainingProblem, hp: HyperParams,
         problem: member sets and weights.
         hp: hyperparameters; hp.m must match the problem.
         on_accept: diagnostic hook called as
-            on_accept(sweep, class_i, entry, delta, loss) after each
-            accepted move.
+            on_accept(sweep, class_i, (k, l), delta, loss) after each
+            accepted move; (k, l) is an entry of [A | b], l == p is b[k].
         verify_cache: when true, check the residual cache against a full
             recomputation after every sweep (slow; tests only).
 
@@ -483,31 +448,30 @@ def cpm_optimize(problem: TrainingProblem, hp: HyperParams,
     model0 = QmsModel(_initial_members(hp, problem.p), hp)
     cache = ResidualCache(problem, model0)
     p = problem.p
+    entries = ([(k, l, hp.step_a) for k in range(hp.q) for l in range(p)]
+               + [(k, p, hp.step_b) for k in range(hp.q)])
     for sweep in range(hp.iterations):
         for c in range(hp.m):
-            for k in range(hp.q):
-                for l in range(p):
-                    _consider(cache, sweep, c, ("a", k, l), hp.step_a, on_accept)
-            for k in range(hp.q):
-                _consider(cache, sweep, c, ("b", k), hp.step_b, on_accept)
+            for k, l, step in entries:
+                _consider(cache, sweep, c, k, l, step, on_accept)
         if verify_cache and cache.max_relative_drift() > 1e-9:
             raise AssertionError("residual cache drifted beyond 1e-9")
     return QmsModel(cache.members(), hp)
 
 
-def _consider(cache: ResidualCache, sweep: int, class_i: int, entry: EntryRef,
+def _consider(cache: ResidualCache, sweep: int, c: int, k: int, l: int,
               step: float, on_accept) -> None:
-    d_plus, d_minus = cache._deltas(class_i, entry, (step, -step))
+    d_plus, d_minus = cache.deltas(c, k, l, (step, -step))
     if d_plus <= d_minus:
         delta, d = step, d_plus
     else:
         delta, d = -step, d_minus
     if d < 0.0:
         before = cache.loss
-        cache.apply(class_i, entry, delta, d)
+        cache.apply(c, k, l, delta)
         if not cache.loss < before:
-            raise RuntimeError(f"accepted move {entry!r} of class {class_i} "
+            raise RuntimeError(f"accepted move {(k, l)} of class {c} "
                                f"did not decrease the loss ({before!r} -> "
                                f"{cache.loss!r})")
         if on_accept is not None:
-            on_accept(sweep, class_i, entry, delta, cache.loss)
+            on_accept(sweep, c, (k, l), delta, cache.loss)

@@ -12,7 +12,6 @@ __all__ = [
     "WilcoxonResult",
     "FiveNumberSummary",
     "roc_curve",
-    "auc",
     "wilcoxon_signed_rank",
     "five_number_summary",
     "mean_std",
@@ -89,11 +88,6 @@ def roc_curve(scores, labels) -> RocCurve:
 
 def _trapezoid(x, y) -> float:
     return float(0.5 * np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1])))
-
-
-def auc(curve: RocCurve) -> float:
-    """Trapezoidal area under the stored points."""
-    return _trapezoid(curve.fpr, curve.tpr)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -73,8 +73,6 @@ class MemberSetPlan:
     parts: tuple[np.ndarray, ...]
     member_sets: tuple[np.ndarray, ...]
     weight_1: float
-    n_train: int
-    n_test: int
 
     @property
     def class_weights(self) -> tuple[float, ...]:
@@ -110,7 +108,7 @@ def build_member_sets(problem: SsadProblem, m: int, seed: int) -> MemberSetPlan:
         member_sets.append(keep + n_test)
     weight_1 = member_sets[1].size / full.size
     return MemberSetPlan(parts=parts, member_sets=tuple(member_sets),
-                         weight_1=weight_1, n_train=n_train, n_test=n_test)
+                         weight_1=weight_1)
 
 
 def outlier_scores(model: QmsModel, samples, guard: float | None = None) -> np.ndarray:

@@ -70,7 +70,7 @@ def random_instance(rng):
 
 
 def test_criterion_loss_oracle_equivalence(capsys):
-    """loss_full vs direct summation (1e-10 rel) and loss_delta vs full
+    """loss_full vs direct summation (1e-10 rel) and deltas vs full
     recompute (1e-9 rel, with a 1e-12-of-loss floor for cancellation),
     1000 random small instances in under a minute."""
     rng = np.random.default_rng(2024)
@@ -95,17 +95,18 @@ def test_criterion_loss_oracle_equivalence(capsys):
         q, p = model.members[0].q, problem.p
         for _ in range(2):
             ci = int(rng.integers(0, problem.m))
+            # l == p is b[k]
             if rng.random() < 0.5:
-                entry = ("a", int(rng.integers(0, q)), int(rng.integers(0, p)))
+                k, l = int(rng.integers(0, q)), int(rng.integers(0, p))
             else:
-                entry = ("b", int(rng.integers(0, q)))
+                k, l = int(rng.integers(0, q)), p
             delta = float(rng.normal())
-            got = cache.loss_delta(ci, entry, delta)
+            [got] = cache.deltas(ci, k, l, (delta,))
             fields = [[f.a.copy(), f.b.copy()] for f in model.members]
-            if entry[0] == "a":
-                fields[ci][0][entry[1], entry[2]] += delta
+            if l < p:
+                fields[ci][0][k, l] += delta
             else:
-                fields[ci][1][entry[1]] += delta
+                fields[ci][1][k] += delta
             moved = QmsModel(tuple(MemberFunction(a, b) for a, b in fields), hp)
             want = loss_full(problem, moved) - base
             tolerance = 1e-9 * abs(want) + 1e-12 * max(1.0, base)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qms22 import (HyperParams, MemberFunction, QmsModel, TrainingProblem,
-                   cpm_optimize, loss_full, pair_term)
+                   cpm_optimize, loss_full)
 from qms22.core import ResidualCache, _consider
 
 from oracles import cpm_reference, loss_direct
@@ -101,20 +101,30 @@ class TestClassify:
                 == QmsModel(scaled, hp).classify(x))
 
 
-class TestPairTerm:
-    def test_clipped_at_alpha(self):
-        assert pair_term(1.0, 2.0, 0.5, 1e-12) == pytest.approx(0.5)
+class TestLossFull:
+    def one_sample_loss(self, f1, f2, alpha):
+        # one sample in both member sets: the loss is the two terms
+        # max(alpha, f1 / (f2 + guard)) + max(alpha, f2 / (f1 + guard))
+        x = np.array([[1.0, 2.0]])
+        problem = TrainingProblem.from_member_sets([x, x])
+        hp = HyperParams(m=2, q=2, alpha=alpha)
+        model = QmsModel((constant_member(f1), constant_member(f2)), hp)
+        return loss_full(problem, model)
 
-    def test_ratio_dominates(self):
-        assert pair_term(4.0, 2.0, 0.5, 1e-12) == pytest.approx(2.0)
+    def test_clipped_at_alpha(self):
+        # 1/4 is clipped up to alpha; unclipped the sum would be 4.25
+        assert self.one_sample_loss(1.0, 4.0, 0.5) == pytest.approx(4.5)
+
+    def test_ratio_above_alpha(self):
+        # both ratios, 2 and 1/2, are above alpha and kept as they are
+        assert self.one_sample_loss(4.0, 2.0, 0.4) == pytest.approx(2.5)
 
     def test_zero_denominator_stays_finite(self):
-        value = pair_term(1.0, 0.0, 0.5, 1e-12)
-        assert value == pytest.approx(1e12)
+        # 1 / (0 + guard) = 1e12; 0 / (1 + guard) is clipped to alpha
+        value = self.one_sample_loss(1.0, 0.0, 0.5)
+        assert value == pytest.approx(1e12 + 0.5)
         assert np.isfinite(value)
 
-
-class TestLossFull:
     def test_symmetric_two_classes(self):
         x = np.array([[1.0, 2.0]])
         problem = TrainingProblem.from_member_sets([x, x])
@@ -198,8 +208,8 @@ class TestResidualCache:
         cache = ResidualCache(problem, model)
         m, q, p = problem.m, model.members[0].q, problem.p
         for ci in range(m):
-            assert cache.loss_delta(ci, ("a", q - 1, p - 1), 0.0) == 0.0
-            assert cache.loss_delta(ci, ("b", 0), 0.0) == 0.0
+            assert cache.deltas(ci, q - 1, p - 1, (0.0,)) == [0.0]
+            assert cache.deltas(ci, 0, p, (0.0,)) == [0.0]
 
     def test_delta_matches_full_recompute(self):
         rng = np.random.default_rng(17)
@@ -210,17 +220,18 @@ class TestResidualCache:
             base = loss_full(problem, model)
             q, p = model.members[0].q, problem.p
             ci = int(rng.integers(0, problem.m))
+            # l == p is b[k]
             if rng.random() < 0.5:
-                entry = ("a", int(rng.integers(0, q)), int(rng.integers(0, p)))
+                k, l = int(rng.integers(0, q)), int(rng.integers(0, p))
             else:
-                entry = ("b", int(rng.integers(0, q)))
+                k, l = int(rng.integers(0, q)), p
             delta = float(rng.normal())
-            got = cache.loss_delta(ci, entry, delta)
+            [got] = cache.deltas(ci, k, l, (delta,))
             perturbed = [[f.a.copy(), f.b.copy()] for f in model.members]
-            if entry[0] == "a":
-                perturbed[ci][0][entry[1], entry[2]] += delta
+            if l < p:
+                perturbed[ci][0][k, l] += delta
             else:
-                perturbed[ci][1][entry[1]] += delta
+                perturbed[ci][1][k] += delta
             new_model = QmsModel(tuple(MemberFunction(a, b)
                                        for a, b in perturbed), hp)
             want = loss_full(problem, new_model) - base
@@ -238,8 +249,9 @@ class TestResidualCache:
         cache = ResidualCache(problem, QmsModel(members, hp))
         for ci in range(3):
             for delta in (0.05, -0.05):
-                for entry in (("a", 0, 1), ("a", 1, 2), ("b", 0), ("b", 1)):
-                    assert cache.loss_delta(ci, entry, delta) >= -1e-9
+                for k, l in ((0, 1), (1, 2), (0, 3), (1, 3)):
+                    [d] = cache.deltas(ci, k, l, (delta,))
+                    assert d >= -1e-9
 
     def test_cache_tracks_applied_moves(self):
         rng = np.random.default_rng(29)
@@ -247,12 +259,32 @@ class TestResidualCache:
         cache = ResidualCache(problem, model)
         for step in range(20):
             ci = int(rng.integers(0, 3))
-            entry = ("a", int(rng.integers(0, 2)), int(rng.integers(0, 3)))
+            k, l = int(rng.integers(0, 2)), int(rng.integers(0, 4))
             delta = float(rng.normal())
-            d = cache.loss_delta(ci, entry, delta)
-            cache.apply(ci, entry, delta, d)
+            cache.deltas(ci, k, l, (delta, -delta))
+            cache.apply(ci, k, l, delta)
         assert cache.max_relative_drift() <= 1e-9
         rebuilt = QmsModel(cache.members(), model.hyperparams)
+        assert cache.loss == pytest.approx(loss_full(problem, rebuilt),
+                                           rel=1e-9)
+
+    def test_apply_needs_a_move_the_last_deltas_call_evaluated(self):
+        rng = np.random.default_rng(37)
+        problem, model = random_instance(rng, m=3, q=2, p=3)
+        cache = ResidualCache(problem, model)
+        with pytest.raises(ValueError, match="not evaluated"):
+            cache.apply(0, 0, 0, 0.5)
+        cache.deltas(1, 0, 2, (0.5, -0.5))
+        for c, k, l, delta in ((0, 0, 2, 0.5), (1, 1, 2, 0.5),
+                               (1, 0, 3, 0.5), (1, 0, 2, 0.25)):
+            with pytest.raises(ValueError, match="not evaluated"):
+                cache.apply(c, k, l, delta)
+        cache.apply(1, 0, 2, -0.5)
+        # a committed trial cannot be committed again
+        with pytest.raises(ValueError, match="not evaluated"):
+            cache.apply(1, 0, 2, -0.5)
+        rebuilt = QmsModel(cache.members(), model.hyperparams)
+        assert rebuilt.members[1].a[0, 2] == model.members[1].a[0, 2] - 0.5
         assert cache.loss == pytest.approx(loss_full(problem, rebuilt),
                                            rel=1e-9)
 
@@ -314,8 +346,8 @@ class TestCpmOptimize:
                      on_accept=lambda s, c, e, d, loss: moves.append((e, d, loss)))
         assert moves, "expected at least one accepted move"
         # perturbations are exactly +/- the configured step for the entry
-        for entry, delta, _ in moves:
-            assert abs(delta) == (hp.step_a if entry[0] == "a" else hp.step_b)
+        for (k, l), delta, _ in moves:
+            assert abs(delta) == (hp.step_a if l < problem.p else hp.step_b)
         values = [loss for _, _, loss in moves]
         initial = loss_full(problem, cpm_optimize(problem, hp0))
         assert all(later < earlier
@@ -327,14 +359,14 @@ class TestCpmOptimize:
         class StuckCache:
             loss = 1.0
 
-            def _deltas(self, class_i, entry, deltas):
+            def deltas(self, c, k, l, steps):
                 return [-1.0, 0.5]
 
-            def apply(self, class_i, entry, delta, loss_delta):
+            def apply(self, c, k, l, delta):
                 pass
 
         with pytest.raises(RuntimeError, match="did not decrease the loss"):
-            _consider(StuckCache(), 0, 0, ("a", 0, 0), 1.0, None)
+            _consider(StuckCache(), 0, 0, 0, 0, 1.0, None)
 
     def test_cache_consistent_after_every_sweep(self):
         rng = np.random.default_rng(31)

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qms22.keel import (Attribute, FoldPair, KeelParseError, Preprocessor,
                         discover_folds, find_datasets, fold_file_names,
                         parse_keel, parse_keel_text, strip_outliers_from_train)
 
-from synthdata import write_dataset, write_fold_pair
+from synthdata import dataset_text, write_dataset, write_fold_pair
 
 MINIMAL = """\
 @relation tiny
@@ -215,6 +217,28 @@ class TestPreprocessor:
             train = numeric_dataset([repr(float(v)) for v in values])
             x, _ = Preprocessor.fit(train).transform(train)
             assert np.abs(x[:, 0]).max() == pytest.approx(255.0, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_dataset_text_round_trip(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        p = data.draw(st.integers(1, 5), label="p")
+        values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n * p,
+                                    max_size=n * p), label="values")
+        flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n),
+                          label="flags")
+        samples = np.reshape(values, (n, p))
+        parsed = parse_keel_text(dataset_text(samples, flags))
+        x, y = Preprocessor.fit(parsed).transform(parsed)
+        assert x.shape == (n, p)
+        assert np.isfinite(x).all()
+        assert y.tolist() == flags
+        # each column is the written values scaled to a max-abs of 255
+        written = np.array([[float(f"{v:.6f}") for v in row] for row in samples])
+        for col, raw in zip(x.T, written.T):
+            peak = np.abs(raw).max()
+            scale = 255.0 / peak if peak > 0 else 1.0
+            assert col == pytest.approx(raw * scale, rel=1e-12, abs=1e-12)
 
     def test_labels_matched_case_insensitively(self):
         text = ("@relation caps\n"
