@@ -28,7 +28,7 @@ from .keel import (FoldPair, discover_folds, find_datasets, parse_keel,
                    strip_outliers_from_train, Preprocessor)
 from .metrics import RocCurve, five_number_summary, mean_std, roc_curve, \
     wilcoxon_signed_rank
-from .ssad import SsadProblem, run_qms22
+from .ssad import SsadProblem, run_qms22, run_qms22_many
 
 _DEFAULTS = HyperParams()
 
@@ -61,19 +61,24 @@ def _hyper_from_args(args) -> HyperParams:
                        denom_guard=args.guard, seed=args.seed)
 
 
-def _fold_curve(fold: FoldPair, hp: HyperParams) -> RocCurve:
-    """Train on the fold's normals and return the ROC of its test side."""
+def _encode_fold(fold: FoldPair) -> SsadProblem:
+    """The fold's training normals and labelled test side, encoded by a
+    preprocessor fitted on the normals."""
     train = strip_outliers_from_train(fold)
     prep = Preprocessor.fit(train)
     x_train, _ = prep.transform(train)
     x_test, y_test = prep.transform(fold.test)
-    scores = run_qms22(SsadProblem(x_train, x_test, y_test), hp)
-    return roc_curve(scores, y_test)
+    return SsadProblem(x_train, x_test, y_test)
+
+
+def _curve(problem: SsadProblem, hp: HyperParams) -> RocCurve:
+    """Train on an encoded fold's normals; the ROC of its test side."""
+    return roc_curve(run_qms22(problem, hp), problem.test_labels)
 
 
 def _score_fold(fold: FoldPair, hp: HyperParams) -> tuple[float, int, int]:
     """AUC, dataset size, and raw feature count for one fold."""
-    return (_fold_curve(fold, hp).auc, fold.train.n + fold.test.n,
+    return (_curve(_encode_fold(fold), hp).auc, fold.train.n + fold.test.n,
             len(fold.train.input_names))
 
 
@@ -117,8 +122,10 @@ def _roc_svg(curve: RocCurve) -> str:
 
 
 def cmd_run(args) -> int:
-    fold = FoldPair(parse_keel(args.train), parse_keel(args.test), 1)
-    curve = _fold_curve(fold, _hyper_from_args(args))
+    # only the encoded arrays are kept while training, not the parsed rows
+    problem = _encode_fold(FoldPair(parse_keel(args.train),
+                                    parse_keel(args.test), 1))
+    curve = _curve(problem, _hyper_from_args(args))
     _write_roc_csv(args.out, curve)
     if args.svg:
         Path(args.svg).write_text(_roc_svg(curve))
@@ -127,20 +134,35 @@ def cmd_run(args) -> int:
 
 
 def _bench_dataset(task) -> list[tuple]:
-    """Rows for one dataset: five folds plus the avg row."""
+    """Rows for one dataset: five folds plus the avg row.
+
+    The folds are encoded first, keeping only their arrays, then trained
+    together, one `run_qms22_many` call per encoded width. Each fold row
+    gets the dataset's seconds divided by its folds; the avg row holds the
+    sum.
+    """
     name, directory, hp = task
-    rows = []
-    aucs = []
-    total_seconds = 0.0
-    n = p = 0
-    for fold in discover_folds(directory, name):
-        started = time.perf_counter()
-        fold_auc, n, p = _score_fold(fold, hp)
-        seconds = time.perf_counter() - started
-        total_seconds += seconds
-        aucs.append(fold_auc)
-        rows.append((name, str(fold.fold_index), fold_auc, n, p, seconds))
-    rows.append((name, "avg", float(np.mean(aucs)), n, p, total_seconds))
+    folds = discover_folds(directory, name)
+    started = time.perf_counter()
+    encoded = [(fold.fold_index, fold.train.n + fold.test.n,
+                len(fold.train.input_names), _encode_fold(fold))
+               for fold in folds]
+    del folds   # the parsed rows are no longer needed
+    by_width: dict[int, list] = {}
+    for index, _, _, problem in encoded:
+        width = problem.test_samples.shape[1]
+        by_width.setdefault(width, []).append((index, problem))
+    aucs = {}
+    for group in by_width.values():
+        indices, problems = zip(*group)
+        for index, problem, scores in zip(indices, problems,
+                                          run_qms22_many(problems, hp)):
+            aucs[index] = roc_curve(scores, problem.test_labels).auc
+    seconds = time.perf_counter() - started
+    rows = [(name, str(index), aucs[index], n, p, seconds / len(encoded))
+            for index, n, p, _ in encoded]
+    rows.append((name, "avg", float(np.mean([row[2] for row in rows])),
+                 rows[-1][3], rows[-1][4], seconds))
     return rows
 
 
@@ -153,8 +175,11 @@ def cmd_bench(args) -> int:
     tasks = [(name, directory, hp) for name, directory in datasets]
     results = []
     failures = 0
-    if args.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # under fork the pool starts every worker at the first submit, so it
+    # gets no more workers than there are datasets
+    workers = min(args.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {task[0]: pool.submit(_bench_dataset, task)
                        for task in tasks}
             for name in sorted(futures):
@@ -240,6 +265,13 @@ def cmd_summary(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qms22",
@@ -260,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--data-dir", required=True,
                          help="directory containing KEEL fold files")
     p_bench.add_argument("--out", default="bench.csv", help="results CSV path")
-    p_bench.add_argument("--workers", type=int, default=None,
+    p_bench.add_argument("--workers", type=_positive_int, default=None,
                          help="parallel dataset workers (default: cpu count)")
     _add_hyper_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)

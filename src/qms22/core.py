@@ -7,11 +7,13 @@ member function is smallest. Training minimizes a clipped ratio loss by
 perturbing one matrix/offset entry at a time and keeping only strict
 improvements. The trainer never recomputes the loss from scratch: a
 residual cache turns each single-entry perturbation into a rank-one
-update of the affected member values.
+update of the affected member values, and problems of one shape, such as
+the folds of a dataset, can share one cache and train together.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,6 +27,7 @@ __all__ = [
     "ResidualCache",
     "loss_full",
     "cpm_optimize",
+    "cpm_optimize_many",
 ]
 
 
@@ -270,37 +273,96 @@ def _initial_members(hp: HyperParams, p: int) -> tuple[MemberFunction, ...]:
                  for _ in range(hp.m))
 
 
+def _join(arrays: list[np.ndarray], axis: int = 0) -> np.ndarray:
+    # np.concatenate, but one array is returned as it is, not copied
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis)
+
+
+def _runs(sizes) -> list[slice]:
+    # back-to-back slices of the given sizes, the first at 0
+    ends = np.cumsum(sizes)
+    return [slice(int(e - s), int(e)) for s, e in zip(sizes, ends)]
+
+
 @dataclass(eq=False)
 class _ClassBlock:
     """What the loss terms involving f_c read from the other classes,
     gathered once per class c and reused by every trial on it.
+
+    A trial gathers f_c along `own_at`, S_c of each problem in turn, and
+    f_c + guard along `other_at`, S_j for each j != c of each problem in
+    turn. `segments` holds each problem's slice of either gather.
     """
 
     c: int
     alpha: float
     guard: float
-    own: np.ndarray      # S_c
-    w_own: float
-    den: np.ndarray      # (m - 1, |S_c|), C order: f_j(x) + guard, x in S_c
-    num_at: np.ndarray   # S_j for each j != c, concatenated
-    num: np.ndarray      # f_j(x) along num_at
-    num_w: np.ndarray    # w_j along num_at
-    total: float = 0.0   # terms() of the cached f_c
+    own_at: np.ndarray    # pooled samples of the terms with f_c on top
+    den: np.ndarray       # (m - 1, own_at.size): f_j(x) + guard
+    other_at: np.ndarray  # pooled samples of the terms with f_c below
+    num: np.ndarray       # f_j(x) along other_at
+    num_w: np.ndarray     # w_j along other_at
+    w_own: np.ndarray     # w_c of each problem
+    segments: list[tuple[slice, slice]]
+    work: list[np.ndarray]   # flat scratch, shared by a cache's blocks
+    total: np.ndarray | None = None   # terms() of the cached f_c
+    views: tuple[np.ndarray, ...] = ()
 
-    def terms(self, fc: np.ndarray):
-        """Sum of the loss terms that involve f_c, for member values fc."""
-        over = fc.take(self.own) / self.den         # f_c on top
+    def _views(self, rows: int) -> tuple[np.ndarray, ...]:
+        # The gathers and the f_c-on-top terms go into scratch that every
+        # trial reuses: allocating arrays this large afresh each trial
+        # makes malloc hand the pages back to the system and fault them
+        # in again, which cost a one-problem run on n = 4174 over a
+        # tenth of its time.
+        if not self.views or self.views[0].shape[0] != rows:
+            shapes = ((rows, self.own_at.size), (rows, self.other_at.size),
+                      (rows,) + self.den.shape)
+            views = []
+            for i, shape in enumerate(shapes):
+                size = math.prod(shape)
+                if self.work[i].size < size:
+                    self.work[i] = np.empty(0)   # free the old one first
+                    self.work[i] = np.empty(size)
+                views.append(self.work[i][:size].reshape(shape))
+            self.views = tuple(views)
+        return self.views
+
+    def terms(self, fc: np.ndarray) -> np.ndarray:
+        """Sum of the loss terms that involve f_c, for each row of member
+        values fc (s, n): an (s, problems) array.
+        """
+        own, under, over = self._views(fc.shape[0])
+        # the indices are built in range; mode="clip" writes straight into
+        # the scratch, where the default mode gathers into a temporary
+        fc.take(self.own_at, axis=1, out=own, mode="clip")
+        np.divide(own[:, None, :], self.den, out=over)   # f_c on top
         np.maximum(self.alpha, over, out=over)
-        under = (fc + self.guard).take(self.num_at)  # f_c below
+        (fc + self.guard).take(self.other_at, axis=1, out=under,
+                               mode="clip")              # f_c below
         np.divide(self.num, under, out=under)
         np.maximum(self.alpha, under, out=under)
         under *= self.num_w
-        return self.w_own * over.sum() + under.sum()
+        # each sum runs over one contiguous run holding a problem's terms
+        # in the order its arrays alone hold them, so numpy's pairwise
+        # summation, and every bit of the result, matches a lone problem.
+        # A problem's (m - 1, |S_c|) block is copied out whole; with one
+        # problem it already is whole and nothing is copied.
+        rows = fc.shape[0]
+        sums = np.empty((2, rows, len(self.segments)))
+        for i, (mine, others) in enumerate(self.segments):
+            block = np.ascontiguousarray(over[:, :, mine]).reshape(rows, -1)
+            np.add.reduce(block, axis=1, out=sums[0, :, i])
+            np.add.reduce(under[:, others], axis=1, out=sums[1, :, i])
+        total = sums[0]
+        total *= self.w_own
+        total += sums[1]
+        return total
 
 
 class ResidualCache:
-    """Residuals and member values for every class and pooled sample,
-    kept consistent under single-entry updates.
+    """Residuals and member values for every class and pooled sample of
+    one or more training problems, kept consistent under single-entry
+    updates.
 
     Each member function is held as one augmented matrix W_i = [A_i | b_i]
     of shape (q, p + 1) acting on samples extended to [x; -1], so the
@@ -313,105 +375,145 @@ class ResidualCache:
     Only loss terms involving f_i are revisited: the numerator terms of
     member set i and the terms where f_i sits in a denominator.
 
+    Problems that share m and p share one cache. Their samples are
+    concatenated along the sample axis, so each problem owns one
+    contiguous segment of [x; -1], of the residuals and of the member
+    values, and keeps its own W and loss. The elementwise work of a trial
+    runs once over all segments; each problem's loss change is summed over
+    its own terms alone, in the order a cache of its own would sum them,
+    so each problem gets the same bits as on its own. With one problem the
+    segment is the whole array.
+
     Training perturbs one class c at a time, and meanwhile only f_c moves.
     So the cache keeps a block for the class last queried, gathered once
-    per class: the denominators f_j(x) + guard over member set c as one
-    (m - 1, |S_c|) array, the other classes' numerators f_j(x), x in S_j,
-    with their weights, and the current sum of the terms involving f_c.
-    A trial then reads only the new f_c: one gather of it and O(m * n)
-    arithmetic. `apply` commits one of the moves the last `deltas` call
-    evaluated, reusing that trial's f_c, sum and loss change.
+    per class: the denominators f_j(x) + guard over member set c, the
+    other classes' numerators f_j(x), x in S_j, with their weights, and
+    each problem's current sum of the terms involving f_c. A trial then
+    reads only the new f_c: one gather of it and O(m * n) arithmetic.
+    `apply` commits, for one problem, one of the moves the last `deltas`
+    call evaluated, reusing that trial's f_c, sum and loss change.
+
+    Attributes:
+        problems: the training problems, in segment order.
+        losses: each problem's current loss, tracked incrementally across
+            accepted moves.
     """
 
-    def __init__(self, problem: TrainingProblem, model: QmsModel):
-        if model.m != problem.m or model.p != problem.p:
-            raise ValueError("model and problem shapes disagree")
-        self.problem = problem
+    def __init__(self, problems, model: QmsModel):
+        if isinstance(problems, TrainingProblem):
+            problems = (problems,)
+        self.problems = tuple(problems)
+        if not self.problems:
+            raise ValueError("need at least one training problem")
+        for problem in self.problems:
+            if problem.m != model.m or problem.p != model.p:
+                raise ValueError(f"model has {model.m} member functions of "
+                                 f"dimension {model.p}, a problem has "
+                                 f"{problem.m} member sets of dimension "
+                                 f"{problem.p}")
         self.hp = model.hyperparams
-        n = problem.samples.shape[0]
+        p = model.p
+        self._segments = _runs([pr.samples.shape[0] for pr in self.problems])
+        n = self._segments[-1].stop
+        w = np.stack([np.column_stack([f.a, f.b]) for f in model.members])
+        self._w = np.stack([w] * len(self.problems))    # (problems, m, q, p+1)
         # samples as [x; -1], (p+1, n) in C order so that one feature row
-        # is contiguous (vstack alone keeps the F order of samples.T)
-        self._xa = np.ascontiguousarray(
-            np.vstack([problem.samples.T, np.full(n, -1.0)]))
+        # is contiguous; residuals as (m, q, n) so one matrix row is.
+        # Each problem's part is written straight into its segment.
+        self._xa = np.empty((p + 1, n))
+        self._xa[p] = -1.0
+        self._r = np.empty((model.m, w.shape[1], n))
+        self._f = np.empty((model.m, n))
+        for problem, seg in zip(self.problems, self._segments):
+            self._xa[:p, seg] = problem.samples.T
+            r = self._r[:, :, seg]
+            np.einsum("mqp,pn->mqn", w, self._xa[:, seg], out=r)
+            np.einsum("mqn,mqn->mn", r, r, out=self._f[:, seg])
         self._xa_sq = self._xa * self._xa
-        self._w = np.stack([np.column_stack([f.a, f.b])
-                            for f in model.members])               # (m, q, p+1)
-        # residuals as (m, q, n) so one matrix row is contiguous
-        self._r = np.einsum("mqp,pn->mqn", self._w, self._xa)
-        self._f = np.einsum("mqn,mqn->mn", self._r, self._r)     # (m, n)
         self._block: _ClassBlock | None = None
-        # the last deltas call: (c, k, l), {step: (f_c, terms, loss change)}
-        self._trial = None, {}
-        self._loss = _ratio_loss(problem, self.hp, self._f)
-
-    @property
-    def loss(self) -> float:
-        """Current loss, tracked incrementally across accepted moves."""
-        return self._loss
+        self._work = [np.empty(0), np.empty(0), np.empty(0)]
+        # the last deltas call: (c, k, l), steps, f_c per step, terms per
+        # step and problem, loss changes per problem and step, and the
+        # problems that committed a move of it
+        self._trial = None, (), None, None, None, ()
+        self.losses = [_ratio_loss(pr, self.hp, self._f[:, seg])
+                       for pr, seg in zip(self.problems, self._segments)]
 
     def _class_block(self, c: int) -> _ClassBlock:
-        block = self._block
-        if block is None or block.c != c:
-            problem = self.problem
-            others = [j for j in range(problem.m) if j != c]
-            sets = [problem.member_sets[j] for j in others]
+        if self._block is None or self._block.c != c:
+            self._block = None   # so the old and new blocks never coexist
+            own_at, other_at, den, num, num_w = [], [], [], [], []
+            for problem, seg in zip(self.problems, self._segments):
+                f = self._f[:, seg]
+                others = [j for j in range(problem.m) if j != c]
+                sets = [problem.member_sets[j] for j in others]
+                own_at.append(seg.start + problem.member_sets[c])
+                den.append(_denominators(problem, self.hp, f, c))
+                other_at.append(seg.start + np.concatenate(sets))
+                num.append(np.concatenate([f[j, s]
+                                           for j, s in zip(others, sets)]))
+                num_w.append(np.repeat([problem.class_weights[j]
+                                        for j in others],
+                                       [s.size for s in sets]))
             block = _ClassBlock(
                 c=c, alpha=self.hp.alpha, guard=self.hp.denom_guard,
-                own=problem.member_sets[c], w_own=problem.class_weights[c],
-                den=_denominators(problem, self.hp, self._f, c),
-                num_at=np.concatenate(sets),
-                num=np.concatenate([self._f[j, s] for j, s in zip(others, sets)]),
-                num_w=np.repeat([problem.class_weights[j] for j in others],
-                                [s.size for s in sets]))
-            block.total = block.terms(self._f[c])
+                own_at=_join(own_at), den=_join(den, axis=1),
+                other_at=_join(other_at), num=_join(num), num_w=_join(num_w),
+                w_own=np.array([pr.class_weights[c] for pr in self.problems]),
+                segments=list(zip(_runs([a.size for a in own_at]),
+                                  _runs([a.size for a in other_at]))),
+                work=self._work)
+            block.total = block.terms(self._f[c][None])[0]
             self._block = block
-        return block
+        return self._block
 
-    def deltas(self, c: int, k: int, l: int, steps) -> list[float]:
-        """Loss change from adding each of `steps` to entry (k, l) of class
-        c, without applying any. Exact zero for a zero step.
+    def deltas(self, c: int, k: int, l: int, steps) -> list[list[float]]:
+        """Loss change of each problem from adding each of `steps` to
+        entry (k, l) of class c, without applying any: one list per
+        problem, one change per step. Exact zero for a zero step.
         """
         block = self._class_block(c)
-        h = self._xa[l] * self._r[c, k]
-        usq = self._xa_sq[l]
-        fc = self._f[c]
-        moves = {}
-        for d in steps:
-            # f_c after the move; see the class docstring
-            f_new = h * (2.0 * d)
-            f_new += fc
-            f_new += usq * (d * d)
-            np.maximum(f_new, 0.0, out=f_new)
-            total = block.terms(f_new)
-            moves[d] = (f_new, total, float(total - block.total))
-        self._trial = (c, k, l), moves
-        return [moves[d][2] for d in steps]
+        d = np.array(steps, dtype=np.float64)[:, None]
+        # f_c after each move, one row per step; see the class docstring
+        f_new = (self._xa[l] * self._r[c, k]) * (2.0 * d)
+        f_new += self._f[c]
+        f_new += self._xa_sq[l] * (d * d)
+        np.maximum(f_new, 0.0, out=f_new)
+        totals = block.terms(f_new)
+        changes = (totals - block.total).T.tolist()
+        self._trial = (c, k, l), tuple(steps), f_new, totals, changes, set()
+        return changes
 
-    def apply(self, c: int, k: int, l: int, delta: float) -> None:
-        """Commit a move the last `deltas` call evaluated: update the entry,
-        residuals, member values and the tracked loss from that trial.
+    def apply(self, c: int, k: int, l: int, delta: float, i: int = 0) -> None:
+        """Commit, for problem i, a move the last `deltas` call evaluated:
+        update its entry, residuals, member values and tracked loss from
+        that trial. Each problem commits at most one move of a trial.
         """
-        entry, moves = self._trial
-        if entry != (c, k, l) or delta not in moves:
+        entry, steps, f_new, totals, changes, done = self._trial
+        if entry != (c, k, l) or delta not in steps or i in done:
             raise ValueError(f"move {delta!r} of entry {(k, l)} of class {c} "
-                             f"was not evaluated by the last deltas call")
-        self._trial = None, {}
-        f_new, total, change = moves[delta]
-        self._f[c] = f_new
-        self._w[c, k, l] += delta
-        self._r[c, k] += delta * self._xa[l]
-        self._loss += change
-        self._block.total = total
+                             f"was not evaluated for problem {i} by the last "
+                             f"deltas call")
+        done.add(i)
+        s = steps.index(delta)
+        seg = self._segments[i]
+        self._f[c, seg] = f_new[s, seg]
+        self._w[i, c, k, l] += delta
+        self._r[c, k, seg] += delta * self._xa[l, seg]
+        self.losses[i] += changes[i][s]
+        self._block.total[i] = totals[s, i]
 
-    def members(self) -> tuple[MemberFunction, ...]:
-        """Snapshot of the current member functions."""
-        p = self.problem.p
+    def members(self, i: int = 0) -> tuple[MemberFunction, ...]:
+        """Snapshot of the current member functions of problem i."""
+        p = self.problems[i].p
         return tuple(MemberFunction(w[:, :p].copy(), w[:, p].copy())
-                     for w in self._w)
+                     for w in self._w[i])
 
     def max_relative_drift(self) -> float:
         """Worst relative deviation of cached state from a recomputation."""
-        r_exact = np.einsum("mqp,pn->mqn", self._w, self._xa)
+        r_exact = np.concatenate(
+            [np.einsum("mqp,pn->mqn", w, self._xa[:, seg])
+             for w, seg in zip(self._w, self._segments)], axis=2)
         f_exact = np.einsum("mqn,mqn->mn", r_exact, r_exact)
         f_err = np.abs(self._f - f_exact) / np.maximum(np.abs(f_exact), 1.0)
         r_err = np.abs(self._r - r_exact) / np.maximum(np.abs(r_exact), 1.0)
@@ -430,6 +532,8 @@ def cpm_optimize(problem: TrainingProblem, hp: HyperParams,
     left alone. Steps are constant, there is no line search, and each
     entry is touched once per sweep, so the run is fully deterministic.
 
+    This is the one-problem case of `cpm_optimize_many`.
+
     Args:
         problem: member sets and weights.
         hp: hyperparameters; hp.m must match the problem.
@@ -443,11 +547,41 @@ def cpm_optimize(problem: TrainingProblem, hp: HyperParams,
         The trained QmsModel. iterations=0 returns the initial model
         (A zero, b = (b_init, 0, ..., 0)).
     """
-    if hp.m != problem.m:
-        raise ValueError(f"hp.m = {hp.m} but problem has {problem.m} member sets")
-    model0 = QmsModel(_initial_members(hp, problem.p), hp)
-    cache = ResidualCache(problem, model0)
-    p = problem.p
+    hook = None if on_accept is None else (lambda _, *move: on_accept(*move))
+    return cpm_optimize_many([problem], hp, hook, verify_cache)[0]
+
+
+def cpm_optimize_many(problems, hp: HyperParams,
+                      on_accept: Callable | None = None,
+                      verify_cache: bool = False) -> list[QmsModel]:
+    """Train one model per problem by coordinate perturbation, all of
+    them in one residual cache.
+
+    The problems must share the number of member sets and the feature
+    dimension. They visit the same sweep, class and entry sequence, so
+    each trial evaluates every problem at once, while the accept
+    decisions, commits and strict-decrease checks stay per problem. Each
+    model is bitwise the one `cpm_optimize` trains on that problem alone.
+
+    Args:
+        problems: training problems sharing m and p.
+        hp: hyperparameters; hp.m must match the problems.
+        on_accept: as for `cpm_optimize`, with the problem's index first:
+            on_accept(i, sweep, class_i, (k, l), delta, loss).
+        verify_cache: as for `cpm_optimize`.
+
+    Returns:
+        The trained models, in the order of `problems`.
+    """
+    problems = tuple(problems)
+    if not problems:
+        raise ValueError("need at least one training problem")
+    for problem in problems:
+        if hp.m != problem.m:
+            raise ValueError(f"hp.m = {hp.m} but a problem has {problem.m} "
+                             f"member sets")
+    p = problems[0].p
+    cache = ResidualCache(problems, QmsModel(_initial_members(hp, p), hp))
     entries = ([(k, l, hp.step_a) for k in range(hp.q) for l in range(p)]
                + [(k, p, hp.step_b) for k in range(hp.q)])
     for sweep in range(hp.iterations):
@@ -456,22 +590,24 @@ def cpm_optimize(problem: TrainingProblem, hp: HyperParams,
                 _consider(cache, sweep, c, k, l, step, on_accept)
         if verify_cache and cache.max_relative_drift() > 1e-9:
             raise AssertionError("residual cache drifted beyond 1e-9")
-    return QmsModel(cache.members(), hp)
+    return [QmsModel(cache.members(i), hp) for i in range(len(problems))]
 
 
 def _consider(cache: ResidualCache, sweep: int, c: int, k: int, l: int,
               step: float, on_accept) -> None:
-    d_plus, d_minus = cache.deltas(c, k, l, (step, -step))
-    if d_plus <= d_minus:
-        delta, d = step, d_plus
-    else:
-        delta, d = -step, d_minus
-    if d < 0.0:
-        before = cache.loss
-        cache.apply(c, k, l, delta)
-        if not cache.loss < before:
-            raise RuntimeError(f"accepted move {(k, l)} of class {c} "
-                               f"did not decrease the loss ({before!r} -> "
-                               f"{cache.loss!r})")
-        if on_accept is not None:
-            on_accept(sweep, c, (k, l), delta, cache.loss)
+    changes = cache.deltas(c, k, l, (step, -step))
+    for i, (d_plus, d_minus) in enumerate(changes):
+        if d_plus <= d_minus:
+            delta, d = step, d_plus
+        else:
+            delta, d = -step, d_minus
+        if d < 0.0:
+            before = cache.losses[i]
+            cache.apply(c, k, l, delta, i)
+            if not cache.losses[i] < before:
+                raise RuntimeError(f"accepted move {(k, l)} of class {c} "
+                                   f"did not decrease the loss of problem "
+                                   f"{i} ({before!r} -> "
+                                   f"{cache.losses[i]!r})")
+            if on_accept is not None:
+                on_accept(i, sweep, c, (k, l), delta, cache.losses[i])

@@ -113,19 +113,24 @@ def _exact_tail_p(ranks: np.ndarray, r_plus: float, r_minus: float) -> float:
     it holds probabilities rather than counts and cannot overflow. Halving
     is exact while 2^-n is a normal float, so up to n = 1022 the result
     is bitwise the count over 2^n.
+
+    An entry depends only on entries below it, so the table keeps just
+    the lo + 1 lowest rank sums. The full table is symmetric bit for bit
+    (each step adds the same two entries at mirrored positions), so the
+    upper tail, from hi = total - lo up, is the lower one read backwards.
     """
     doubled = np.rint(2.0 * ranks).astype(np.int64)
-    total = int(doubled.sum())
-    prob = np.zeros(total + 1)
+    lo = int(round(2.0 * min(r_plus, r_minus)))
+    size = lo + 1
+    prob = np.zeros(size)
     prob[0] = 1.0
     top = 1   # prob[top:] is all zero, so the steps skip it
     for r in doubled:
-        top += r
-        prob[r:top] = prob[r:top] + prob[:top - r]
+        top = min(top + r, size)
+        if r < top:   # else adding r lands past the kept entries
+            prob[r:top] = prob[r:top] + prob[:top - r]
         prob[:top] *= 0.5
-    lo = int(round(2.0 * min(r_plus, r_minus)))
-    hi = int(round(2.0 * max(r_plus, r_minus)))
-    return min(1.0, float(prob[:lo + 1].sum() + prob[hi:].sum()))
+    return min(1.0, float(prob.sum() + prob[::-1].sum()))
 
 
 def _normal_tail_p(ranks: np.ndarray, r_plus: float, r_minus: float) -> float:

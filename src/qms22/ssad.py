@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HyperParams, QmsModel, TrainingProblem, cpm_optimize
+from .core import HyperParams, QmsModel, TrainingProblem, cpm_optimize_many
 
 __all__ = [
     "SsadProblem",
@@ -23,6 +23,7 @@ __all__ = [
     "outlier_score",
     "outlier_scores",
     "run_qms22",
+    "run_qms22_many",
     "select_top_k",
 ]
 
@@ -141,13 +142,28 @@ def run_qms22(problem: SsadProblem, hp: HyperParams | None = None) -> np.ndarray
     hp). With iterations=0 all member functions are identical and every
     score is 0.
     """
+    return run_qms22_many([problem], hp)[0]
+
+
+def run_qms22_many(problems, hp: HyperParams | None = None) -> list[np.ndarray]:
+    """`run_qms22` for several problems of one feature dimension, such as
+    the folds of a dataset, trained together by `cpm_optimize_many`.
+
+    Returns one score array per problem, each bitwise what `run_qms22`
+    returns for that problem alone.
+    """
     if hp is None:
         hp = HyperParams()
-    plan = build_member_sets(problem, hp.m, hp.seed)
-    pooled = np.vstack([problem.test_samples, problem.train_normals])
-    training = TrainingProblem(pooled, plan.member_sets, plan.class_weights)
-    model = cpm_optimize(training, hp)
-    return outlier_scores(model, problem.test_samples)
+    problems = list(problems)
+    trainings = []
+    for problem in problems:
+        plan = build_member_sets(problem, hp.m, hp.seed)
+        pooled = np.vstack([problem.test_samples, problem.train_normals])
+        trainings.append(TrainingProblem(pooled, plan.member_sets,
+                                         plan.class_weights))
+    models = cpm_optimize_many(trainings, hp)
+    return [outlier_scores(model, problem.test_samples)
+            for model, problem in zip(models, problems)]
 
 
 def select_top_k(scores, k: int) -> np.ndarray:

@@ -1,12 +1,15 @@
 """End-to-end command-line behavior on synthetic fold files."""
 
 import csv
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qms22 import cli
 from qms22.cli import build_parser, main
+from qms22.keel import discover_folds
 
 from synthdata import (FAST_FLAGS, dataset_text, write_dataset,
                        write_fold_pair)
@@ -137,6 +140,81 @@ class TestBench:
                     for r in read_csv_rows(path)]
 
         assert stable_part(serial) == stable_part(parallel)
+
+    def test_fold_aucs_equal_score_fold(self, tmp_path, capsys):
+        # folds of unequal size, and fold 3 one feature wider, so the
+        # bench trains folds 1, 2, 4 and 5 together and fold 3 alone
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        rng = np.random.default_rng(12)
+        for k in (1, 2, 4, 5):
+            write_fold_pair(data_dir, "synth", k, rng, n_train=16 + 3 * k,
+                            n_test=8 + k)
+        for name, n in (("synth-5-3tra.dat", 20), ("synth-5-3tst.dat", 12)):
+            flags = [False] * (n - 3) + [True] * 3
+            samples = rng.normal(size=(n, 3)) + 9.0 * np.array(flags)[:, None]
+            (data_dir / name).write_text(dataset_text(samples, flags, "synth"))
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--data-dir", str(data_dir), "--out", str(out),
+                     "--workers", "1", *FAST_FLAGS]) == 0
+        rows = read_csv_rows(out)
+        hp = cli._hyper_from_args(build_parser().parse_args(
+            ["run", "--train", "a", "--test", "b", *FAST_FLAGS]))
+        folds = discover_folds(data_dir, "synth")
+        assert [r["fold"] for r in rows] == ["1", "2", "3", "4", "5", "avg"]
+        for fold, row in zip(folds, rows):
+            auc, n, p = cli._score_fold(fold, hp)
+            assert row["auc"] == repr(auc)
+            assert (row["n"], row["p"]) == (str(n), str(p))
+        assert rows[2]["p"] == "3" and rows[0]["p"] == "2"
+        # a fold row holds the dataset's seconds over its folds
+        assert len({r["seconds"] for r in rows[:5]}) == 1
+
+    def test_pool_no_larger_than_the_dataset_count(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # a stand-in pool that runs each task inline, so no process starts
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        data_dir = tmp_path / "data"
+        write_dataset(data_dir, "one", seed=4)
+        write_dataset(data_dir, "two", seed=5)
+        out = tmp_path / "bench.csv"
+        for workers in (["--workers", "8"], [], ["--workers", "2"]):
+            assert main(["bench", "--data-dir", str(data_dir),
+                         "--out", str(out), *workers, *FAST_FLAGS]) == 0
+        assert sizes == [2, 2, 2]
+        assert main(["bench", "--data-dir", str(data_dir), "--out", str(out),
+                     "--workers", "1", *FAST_FLAGS]) == 0
+        assert sizes == [2, 2, 2]
+        write_dataset(tmp_path / "lone", "lone", seed=6)
+        assert main(["bench", "--data-dir", str(tmp_path / "lone"),
+                     "--out", str(out), "--workers", "8", *FAST_FLAGS]) == 0
+        assert sizes == [2, 2, 2]
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--data-dir", str(tmp_path),
+                  "--out", str(tmp_path / "bench.csv"), "--workers", workers])
+        assert exit_info.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
 
     def test_empty_directory(self, tmp_path, capsys):
         code = main(["bench", "--data-dir", str(tmp_path),

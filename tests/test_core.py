@@ -6,10 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qms22 import (HyperParams, MemberFunction, QmsModel, TrainingProblem,
-                   cpm_optimize, loss_full)
-from qms22.core import ResidualCache, _consider
+                   cpm_optimize, cpm_optimize_many, loss_full)
+from qms22.core import ResidualCache, _consider, _initial_members
 
 from oracles import cpm_reference, loss_direct
+from test_golden import _ssad_problem
 
 
 def constant_member(value, q=2, p=2):
@@ -208,8 +209,8 @@ class TestResidualCache:
         cache = ResidualCache(problem, model)
         m, q, p = problem.m, model.members[0].q, problem.p
         for ci in range(m):
-            assert cache.deltas(ci, q - 1, p - 1, (0.0,)) == [0.0]
-            assert cache.deltas(ci, 0, p, (0.0,)) == [0.0]
+            assert cache.deltas(ci, q - 1, p - 1, (0.0,)) == [[0.0]]
+            assert cache.deltas(ci, 0, p, (0.0,)) == [[0.0]]
 
     def test_delta_matches_full_recompute(self):
         rng = np.random.default_rng(17)
@@ -226,7 +227,7 @@ class TestResidualCache:
             else:
                 k, l = int(rng.integers(0, q)), p
             delta = float(rng.normal())
-            [got] = cache.deltas(ci, k, l, (delta,))
+            [[got]] = cache.deltas(ci, k, l, (delta,))
             perturbed = [[f.a.copy(), f.b.copy()] for f in model.members]
             if l < p:
                 perturbed[ci][0][k, l] += delta
@@ -250,7 +251,7 @@ class TestResidualCache:
         for ci in range(3):
             for delta in (0.05, -0.05):
                 for k, l in ((0, 1), (1, 2), (0, 3), (1, 3)):
-                    [d] = cache.deltas(ci, k, l, (delta,))
+                    [[d]] = cache.deltas(ci, k, l, (delta,))
                     assert d >= -1e-9
 
     def test_cache_tracks_applied_moves(self):
@@ -265,8 +266,8 @@ class TestResidualCache:
             cache.apply(ci, k, l, delta)
         assert cache.max_relative_drift() <= 1e-9
         rebuilt = QmsModel(cache.members(), model.hyperparams)
-        assert cache.loss == pytest.approx(loss_full(problem, rebuilt),
-                                           rel=1e-9)
+        assert cache.losses[0] == pytest.approx(loss_full(problem, rebuilt),
+                                                rel=1e-9)
 
     def test_apply_needs_a_move_the_last_deltas_call_evaluated(self):
         rng = np.random.default_rng(37)
@@ -285,8 +286,8 @@ class TestResidualCache:
             cache.apply(1, 0, 2, -0.5)
         rebuilt = QmsModel(cache.members(), model.hyperparams)
         assert rebuilt.members[1].a[0, 2] == model.members[1].a[0, 2] - 0.5
-        assert cache.loss == pytest.approx(loss_full(problem, rebuilt),
-                                           rel=1e-9)
+        assert cache.losses[0] == pytest.approx(loss_full(problem, rebuilt),
+                                                rel=1e-9)
 
 
 class TestCpmOptimize:
@@ -357,12 +358,12 @@ class TestCpmOptimize:
         # the strict-decrease check is a raise, not an assert, so it also
         # holds under python -O
         class StuckCache:
-            loss = 1.0
+            losses = [1.0]
 
             def deltas(self, c, k, l, steps):
-                return [-1.0, 0.5]
+                return [[-1.0, 0.5]]
 
-            def apply(self, c, k, l, delta):
+            def apply(self, c, k, l, delta, i):
                 pass
 
         with pytest.raises(RuntimeError, match="did not decrease the loss"):
@@ -393,6 +394,106 @@ class TestCpmOptimize:
             [np.ones((2, 2)), np.zeros((2, 2))])
         with pytest.raises(ValueError, match="member sets"):
             cpm_optimize(problem, HyperParams(m=3, q=2))
+
+
+def ssad_trainings(shapes, p=6, iterations=2):
+    """Training problems of the golden ssad generator, one per
+    (seed, n_train, n_test), all of dimension p."""
+    made = [_ssad_problem(seed, n_train, n_test, p, iterations)
+            for seed, n_train, n_test in shapes]
+    return [training for _, training, _ in made], made[0][2]
+
+
+def train_alone(problem, hp, **kw):
+    moves = []
+    model = cpm_optimize(problem, hp, **kw,
+                         on_accept=lambda *move: moves.append(move))
+    return model, moves
+
+
+def model_bytes(model):
+    return b"".join(f.a.tobytes() + f.b.tobytes() for f in model.members)
+
+
+def loss_bytes(moves):
+    return np.array([move[-1] for move in moves]).tobytes()
+
+
+class TestCpmOptimizeMany:
+    @pytest.mark.parametrize("shapes", [
+        [(211, 150, 40)],
+        [(211, 150, 40), (212, 171, 35), (213, 139, 44), (214, 160, 41),
+         (215, 155, 30)],
+    ], ids=["F1", "F5"])
+    def test_bitwise_equal_to_one_problem_at_a_time(self, shapes):
+        trainings, hp = ssad_trainings(shapes)
+        moves = [[] for _ in trainings]
+        models = cpm_optimize_many(
+            trainings, hp, on_accept=lambda i, *move: moves[i].append(move))
+        assert len(models) == len(trainings)
+        for training, model, got in zip(trainings, models, moves):
+            alone, want = train_alone(training, hp)
+            assert len(got) == len(want) > 0
+            # sweep, class, entry and delta of every accept, then its loss
+            # and the final model bit for bit
+            assert [move[:-1] for move in got] == [move[:-1] for move in want]
+            assert loss_bytes(got) == loss_bytes(want)
+            assert model_bytes(model) == model_bytes(alone)
+
+    def test_mixed_weights_and_set_sizes(self):
+        rng = np.random.default_rng(53)
+        hp = HyperParams(m=3, q=2, iterations=4, step_a=0.4, step_b=1.1,
+                         b_init=3.0)
+        problems = [TrainingProblem.from_member_sets(
+            [rng.normal(size=(int(rng.integers(2, 9)), 2)) + i
+             for i in range(3)], rng.uniform(0.2, 2.0, size=3))
+            for _ in range(4)]
+        moves = [[] for _ in problems]
+        models = cpm_optimize_many(
+            problems, hp, verify_cache=True,
+            on_accept=lambda i, *move: moves[i].append(move))
+        for problem, model, got in zip(problems, models, moves):
+            alone, want = train_alone(problem, hp)
+            assert [move[:-1] for move in got] == [move[:-1] for move in want]
+            assert loss_bytes(got) == loss_bytes(want)
+            assert model_bytes(model) == model_bytes(alone)
+
+    def test_differing_m_or_p_rejected(self):
+        rng = np.random.default_rng(59)
+
+        def problem(m, p):
+            return TrainingProblem.from_member_sets(
+                [rng.normal(size=(4, p)) for _ in range(m)])
+
+        hp = HyperParams(m=3, q=2, iterations=1)
+        with pytest.raises(ValueError, match="dimension"):
+            cpm_optimize_many([problem(3, 2), problem(3, 4)], hp)
+        with pytest.raises(ValueError, match="member sets"):
+            cpm_optimize_many([problem(3, 2), problem(4, 2)], hp)
+        with pytest.raises(ValueError, match="at least one"):
+            cpm_optimize_many([], hp)
+        model = QmsModel(_initial_members(hp, 2), hp)
+        with pytest.raises(ValueError, match="dimension"):
+            ResidualCache([problem(3, 2), problem(3, 4)], model)
+
+    def test_apply_commits_one_problem_only(self):
+        trainings, hp = ssad_trainings([(221, 60, 20), (222, 75, 15)])
+        model = QmsModel(_initial_members(hp, trainings[0].p), hp)
+        shared = ResidualCache(trainings, model)
+        alone = [ResidualCache(t, model) for t in trainings]
+        entry = (0, 1, 2)
+        changes = shared.deltas(*entry, (1.0, -1.0))
+        assert changes == [a.deltas(*entry, (1.0, -1.0))[0] for a in alone]
+        shared.apply(*entry, 1.0, 0)
+        alone[0].apply(*entry, 1.0)
+        with pytest.raises(ValueError, match="not evaluated"):
+            shared.apply(*entry, -1.0, 0)
+        # only problem 0 moved
+        assert shared.deltas(*entry, (1.0,)) == [
+            a.deltas(*entry, (1.0,))[0] for a in alone]
+        assert shared.losses == [a.losses[0] for a in alone]
+        assert model_bytes(QmsModel(shared.members(1), hp)) == model_bytes(
+            model)
 
 
 class TestHyperParams:

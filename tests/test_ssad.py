@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qms22 import (HyperParams, MemberFunction, QmsModel, SsadProblem,
                    build_member_sets, outlier_score, outlier_scores,
-                   run_qms22, select_top_k)
+                   run_qms22, run_qms22_many, select_top_k)
 
 
 def constant_member(value, q=2, p=2):
@@ -190,6 +190,16 @@ class TestRunQms22:
         assert np.array_equal(
             outlier_scores(model, problem.test_samples[perm]), direct[perm])
         assert np.array_equal(direct, run_qms22(problem, hp))
+
+    def test_many_matches_one_at_a_time(self):
+        problems = [problem_of_sizes(n_train, n_test, seed=seed)
+                    for seed, n_train, n_test in ((7, 25, 10), (8, 31, 6),
+                                                  (9, 22, 13))]
+        hp = HyperParams(m=3, q=2, iterations=5, step_b=2.0, b_init=10.0)
+        many = run_qms22_many(problems, hp)
+        assert len(many) == len(problems)
+        for problem, scores in zip(problems, many):
+            assert scores.tobytes() == run_qms22(problem, hp).tobytes()
 
     def test_default_hyperparameters_used_when_omitted(self):
         # four training rows cannot be split six ways, so the error
