@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import time
@@ -24,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import HyperParams
-from .keel import (FoldPair, discover_folds, find_datasets, parse_keel,
-                   strip_outliers_from_train, Preprocessor)
+from .keel import (FoldPair, discover_folds, find_datasets, fold_file_names,
+                   parse_keel, strip_outliers_from_train, Preprocessor)
 from .metrics import RocCurve, five_number_summary, mean_std, roc_curve, \
     wilcoxon_signed_rank
 from .ssad import SsadProblem, run_qms22, run_qms22_many
@@ -166,6 +167,20 @@ def _bench_dataset(task) -> list[tuple]:
     return rows
 
 
+def _fold_bytes(task) -> int:
+    """Total size of a dataset's ten fold files. A missing or unreadable
+    file counts 0; `discover_folds` reports it in the worker."""
+    name, directory, _ = task
+    total = 0
+    for k in range(1, 6):
+        for file_name in fold_file_names(name, k):
+            try:
+                total += os.stat(directory / file_name).st_size
+            except OSError:
+                pass
+    return total
+
+
 def cmd_bench(args) -> int:
     hp = _hyper_from_args(args)
     datasets = find_datasets(args.data_dir)
@@ -179,9 +194,13 @@ def cmd_bench(args) -> int:
     # gets no more workers than there are datasets
     workers = min(args.workers, len(tasks))
     if workers > 1:
+        # largest first (by fold-file bytes, ties by name), so the last
+        # dataset to start is a small one and the workers finish together
+        # (Graham's LPT list scheduling); rows are still written by name
+        order = sorted(tasks, key=lambda task: (-_fold_bytes(task), task[0]))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {task[0]: pool.submit(_bench_dataset, task)
-                       for task in tasks}
+                       for task in order}
             for name in sorted(futures):
                 try:
                     results.extend(futures[name].result())
@@ -210,18 +229,36 @@ def _read_representative_aucs(path) -> dict[str, float]:
     """dataset -> representative AUC from a results CSV.
 
     Benchmark files contribute their `avg` rows; plain `dataset,auc`
-    files contribute every row.
+    files contribute every row. A used row must hold a finite AUC in
+    [0, 1] and a dataset not named by an earlier used row; otherwise
+    the error names the file and line.
     """
+    out: dict[str, float] = {}
+    lines: dict[str, int] = {}
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         fields = reader.fieldnames or []
         if "dataset" not in fields or "auc" not in fields:
             raise ValueError(f"{path}: expected 'dataset' and 'auc' columns, "
                              f"got {fields}")
-        rows = list(reader)
-    if "fold" in fields:
-        rows = [r for r in rows if r["fold"] == "avg"]
-    out = {r["dataset"]: float(r["auc"]) for r in rows}
+        for row in reader:
+            if "fold" in fields and row["fold"] != "avg":
+                continue
+            line, name, text = reader.line_num, row["dataset"], row["auc"]
+            try:
+                value = float(text)
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}:{line}: AUC {text!r} is not a "
+                                 f"number") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{line}: AUC {text!r} is not finite")
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{path}:{line}: AUC {value!r} is outside "
+                                 f"[0, 1]")
+            if name in lines:
+                raise ValueError(f"{path}:{line}: dataset {name!r} is "
+                                 f"already on line {lines[name]}")
+            out[name], lines[name] = value, line
     if not out:
         raise ValueError(f"{path}: no usable result rows")
     return out

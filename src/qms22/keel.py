@@ -324,13 +324,18 @@ def fold_file_names(name: str, fold_index: int) -> tuple[str, str]:
 
 def find_datasets(root) -> list[tuple[str, Path]]:
     """Locate datasets anywhere under `root` by their fold-1 training
-    file. Returns (name, directory) pairs sorted by name.
+    file. Returns (name, directory) pairs sorted by name. A name found in
+    two directories is an error naming both.
     """
     root = Path(root)
     suffix = "-5-1tra.dat"
     found: dict[str, Path] = {}
     for path in sorted(root.rglob(f"*{suffix}")):
-        found[path.name[: -len(suffix)]] = path.parent
+        name = path.name[: -len(suffix)]
+        if name in found:
+            raise ValueError(f"dataset {name!r} is in two directories: "
+                             f"{found[name]} and {path.parent}")
+        found[name] = path.parent
     return sorted(found.items())
 
 

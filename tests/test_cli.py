@@ -1,6 +1,7 @@
 """End-to-end command-line behavior on synthetic fold files."""
 
 import csv
+import shutil
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -33,6 +34,42 @@ def make_results_csv(path, aucs):
         for name, value in aucs.items():
             f.write(f"{name},{value!r}\n")
     return path
+
+
+def stable_part(path):
+    """A bench CSV's rows without the `seconds` column."""
+    return [(r["dataset"], r["fold"], r["auc"], r["n"], r["p"])
+            for r in read_csv_rows(path)]
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the bench process pool with one that runs each task when it
+    is submitted, so no process starts. Returns the pool sizes asked for
+    and the dataset names in submission order."""
+    record = {"sizes": [], "submitted": []}
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            record["sizes"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, task):
+            record["submitted"].append(task[0])
+            future = Future()
+            try:
+                future.set_result(fn(task))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    return record
 
 
 class TestRun:
@@ -135,10 +172,6 @@ class TestBench:
         assert main(["bench", "--data-dir", str(data_dir),
                      "--out", str(parallel), "--workers", "2", *FAST_FLAGS]) == 0
 
-        def stable_part(path):
-            return [(r["dataset"], r["fold"], r["auc"], r["n"], r["p"])
-                    for r in read_csv_rows(path)]
-
         assert stable_part(serial) == stable_part(parallel)
 
     def test_fold_aucs_equal_score_fold(self, tmp_path, capsys):
@@ -171,26 +204,8 @@ class TestBench:
         assert len({r["seconds"] for r in rows[:5]}) == 1
 
     def test_pool_no_larger_than_the_dataset_count(self, tmp_path, capsys,
-                                                   monkeypatch):
-        # a stand-in pool that runs each task inline, so no process starts
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+                                                   monkeypatch, inline_pool):
+        sizes = inline_pool["sizes"]
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
         data_dir = tmp_path / "data"
         write_dataset(data_dir, "one", seed=4)
@@ -207,6 +222,47 @@ class TestBench:
         assert main(["bench", "--data-dir", str(tmp_path / "lone"),
                      "--out", str(out), "--workers", "8", *FAST_FLAGS]) == 0
         assert sizes == [2, 2, 2]
+
+    def test_pool_gets_the_largest_datasets_first(self, tmp_path, capsys,
+                                                  inline_pool):
+        data_dir = tmp_path / "data"
+        write_dataset(data_dir, "aaa", seed=1)
+        write_dataset(data_dir, "big", seed=2, n_train=60)
+        write_dataset(data_dir, "mid", seed=3, n_train=40)
+        # the largest on disk even without one test file, which its
+        # worker then reports
+        write_dataset(data_dir, "broken", seed=4, n_train=90)
+        (data_dir / "broken-5-3tst.dat").unlink()
+        # byte for byte the size of "aaa": the tie goes by name
+        for path in sorted(data_dir.glob("aaa-5-*.dat")):
+            shutil.copy(path, data_dir / path.name.replace("aaa", "zzz"))
+        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+        assert main(["bench", "--data-dir", str(data_dir),
+                     "--out", str(serial), "--workers", "1", *FAST_FLAGS]) == 0
+        serial_err = capsys.readouterr().err
+        assert main(["bench", "--data-dir", str(data_dir),
+                     "--out", str(parallel), "--workers", "2",
+                     *FAST_FLAGS]) == 0
+        captured = capsys.readouterr()
+
+        def fold_bytes(name):
+            return sum(path.stat().st_size
+                       for path in data_dir.glob(f"{name}-5-*.dat"))
+
+        assert inline_pool["submitted"] == ["broken", "big", "mid",
+                                            "aaa", "zzz"]
+        assert [fold_bytes(name) for name in inline_pool["submitted"]] == \
+            sorted((fold_bytes(name) for name in inline_pool["submitted"]),
+                   reverse=True)
+        assert stable_part(parallel) == stable_part(serial)
+        names = [row[0] for row in stable_part(parallel)]
+        assert names == ["aaa"] * 6 + ["big"] * 6 + ["mid"] * 6 + ["zzz"] * 6
+        errors = captured.err.splitlines()
+        assert errors == serial_err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith("error: broken: missing fold files")
+        assert errors[0].endswith("broken-5-3tst.dat")
+        assert "(24 rows, 1 failures)" in captured.out
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
@@ -292,6 +348,56 @@ class TestCompare:
         good = make_results_csv(tmp_path / "good.csv", {"x": 0.5})
         assert main(["compare", str(bad), str(good)]) == 1
         assert "expected 'dataset' and 'auc'" in capsys.readouterr().err
+
+
+class TestResultsValidation:
+    @pytest.mark.parametrize("auc, message", [
+        ("", "AUC '' is not a number"),
+        ("high", "AUC 'high' is not a number"),
+        ("nan", "AUC 'nan' is not finite"),
+        ("-inf", "AUC '-inf' is not finite"),
+        ("1.7", "AUC 1.7 is outside [0, 1]"),
+        ("-0.25", "AUC -0.25 is outside [0, 1]"),
+    ])
+    @pytest.mark.parametrize("command", ["compare", "summary"])
+    def test_bad_auc_rejected_with_file_and_line(self, tmp_path, capsys,
+                                                 command, auc, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"dataset,auc\na,0.5\nb,{auc}\nc,0.75\n")
+        good = make_results_csv(tmp_path / "good.csv",
+                                {"a": 0.6, "b": 0.7, "c": 0.8})
+        files = [str(bad), str(good)] if command == "compare" else [str(bad)]
+        assert main([command, *files]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}:3: {message}\n"
+        assert captured.out == ""
+
+    def test_dataset_named_twice_rejected(self, tmp_path, capsys):
+        bad = make_results_csv(tmp_path / "bad.csv", {"a": 0.5, "b": 0.6})
+        with open(bad, "a") as f:
+            f.write("a,0.5\n")
+        assert main(["summary", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}:4: dataset 'a' is already on line 2\n")
+
+    def test_bench_file_checks_only_its_avg_rows(self, tmp_path, capsys):
+        # fold rows repeat the dataset and may hold any AUC; two avg rows
+        # for one dataset are an error
+        bench = tmp_path / "bench.csv"
+        text = ("dataset,fold,auc,n,p,seconds\n"
+                "a,1,0.25,10,2,0.1\n"
+                "a,2,,10,2,0.1\n"
+                "a,avg,0.5,10,2,0.2\n"
+                "b,1,0.75,10,2,0.1\n"
+                "b,avg,0.75,10,2,0.1\n")
+        bench.write_text(text)
+        assert main(["summary", str(bench)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith(
+            "bench,0.5,")
+        bench.write_text(text + "a,avg,0.5,10,2,0.2\n")
+        assert main(["summary", str(bench)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bench}:7: dataset 'a' is already on line 4\n")
 
 
 class TestSummary:

@@ -341,5 +341,16 @@ class TestFoldDiscovery:
         assert [name for name, _ in found] == ["alpha", "beta"]
         assert found[1][1] == tmp_path / "b_nested" / "deep"
 
+    def test_find_datasets_rejects_a_name_in_two_directories(self,
+                                                              tmp_path):
+        write_dataset(tmp_path / "dup" / "a", "glass1")
+        write_dataset(tmp_path / "dup" / "b", "glass1")
+        write_dataset(tmp_path / "dup" / "c", "iris0")
+        with pytest.raises(ValueError) as error:
+            find_datasets(tmp_path)
+        assert str(error.value) == (
+            f"dataset 'glass1' is in two directories: {tmp_path / 'dup' / 'a'}"
+            f" and {tmp_path / 'dup' / 'b'}")
+
     def test_find_datasets_empty(self, tmp_path):
         assert find_datasets(tmp_path) == []
