@@ -25,8 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .core import HyperParams
-from .keel import (FoldPair, discover_folds, find_datasets, fold_file_names,
-                   parse_keel, strip_outliers_from_train, Preprocessor)
+from .keel import (FoldPair, discover_folds, find_datasets, fold_paths,
+                   parse_keel, read_shape, strip_outliers_from_train,
+                   Preprocessor)
 from .metrics import RocCurve, five_number_summary, mean_std, roc_curve, \
     wilcoxon_signed_rank
 from .ssad import SsadProblem, run_qms22, run_qms22_many
@@ -167,17 +168,22 @@ def _bench_dataset(task) -> list[tuple]:
     return rows
 
 
-def _fold_bytes(task) -> int:
-    """Total size of a dataset's ten fold files. A missing or unreadable
-    file counts 0; `discover_folds` reports it in the worker."""
+def _training_cost(task) -> int:
+    """Training rows times (encoded width + 1), summed over a dataset's
+    five training files. A CPM sweep makes one trial for each of the
+    m·q·(width + 1) entries, and a member function's trials revisit its
+    share of the training rows, so this follows a dataset's training time. File bytes
+    do not: a one-hot attribute is a short token that encodes to many
+    columns. A missing or malformed file counts 0; the worker reports it.
+    """
     name, directory, _ = task
     total = 0
-    for k in range(1, 6):
-        for file_name in fold_file_names(name, k):
-            try:
-                total += os.stat(directory / file_name).st_size
-            except OSError:
-                pass
+    for train_path, _ in fold_paths(directory, name):
+        try:
+            rows, width = read_shape(train_path)
+        except (OSError, ValueError):
+            continue
+        total += rows * (width + 1)
     return total
 
 
@@ -194,10 +200,11 @@ def cmd_bench(args) -> int:
     # gets no more workers than there are datasets
     workers = min(args.workers, len(tasks))
     if workers > 1:
-        # largest first (by fold-file bytes, ties by name), so the last
-        # dataset to start is a small one and the workers finish together
-        # (Graham's LPT list scheduling); rows are still written by name
-        order = sorted(tasks, key=lambda task: (-_fold_bytes(task), task[0]))
+        # costliest first (ties by name), so the last dataset to start is
+        # a cheap one and the workers finish together (Graham's LPT list
+        # scheduling); rows are still written by name
+        order = sorted(tasks,
+                       key=lambda task: (-_training_cost(task), task[0]))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {task[0]: pool.submit(_bench_dataset, task)
                        for task in order}

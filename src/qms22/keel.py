@@ -25,6 +25,8 @@ __all__ = [
     "parse_keel_text",
     "discover_folds",
     "find_datasets",
+    "fold_paths",
+    "read_shape",
     "strip_outliers_from_train",
 ]
 
@@ -73,6 +75,13 @@ class RawDataset:
     def input_attributes(self) -> tuple[Attribute, ...]:
         by_name = {a.name: a for a in self.attributes}
         return tuple(by_name[name] for name in self.input_names)
+
+    @property
+    def encoded_width(self) -> int:
+        """Columns after one-hot encoding: one per numeric input, one per
+        declared value of a categorical input."""
+        return sum(1 if a.is_numeric else len(a.domain)
+                   for a in self.input_attributes)
 
     @property
     def output_index(self) -> int:
@@ -233,6 +242,21 @@ def parse_keel(path) -> RawDataset:
     return parse_keel_text(path.read_text(), source=str(path))
 
 
+def read_shape(path) -> tuple[int, int]:
+    """(rows, encoded width) of a .dat file. The header is parsed as by
+    `parse_keel`; the rows after ``@data`` are counted, not validated.
+    """
+    path = Path(path)
+    lines = path.read_text().splitlines()
+    data_at = next((i for i, line in enumerate(lines)
+                    if line.lower().split(None, 1)[:1] == ["@data"]),
+                   len(lines))
+    header = parse_keel_text("\n".join(lines[: data_at + 1]),
+                             source=str(path))
+    rows = sum(1 for line in lines[data_at + 1:] if line.strip())
+    return rows, header.encoded_width
+
+
 def _label_to_outlier(token: str, source: str = "dataset") -> bool:
     label = token.strip().lower()
     if label == _POSITIVE:
@@ -322,6 +346,15 @@ def fold_file_names(name: str, fold_index: int) -> tuple[str, str]:
     return (f"{name}-5-{fold_index}tra.dat", f"{name}-5-{fold_index}tst.dat")
 
 
+def fold_paths(directory, name: str):
+    """Yield the (train, test) paths of folds 1..5 of `name`, whether or
+    not the files exist."""
+    directory = Path(directory)
+    for k in range(1, 6):
+        tra, tst = fold_file_names(name, k)
+        yield directory / tra, directory / tst
+
+
 def find_datasets(root) -> list[tuple[str, Path]]:
     """Locate datasets anywhere under `root` by their fold-1 training
     file. Returns (name, directory) pairs sorted by name. A name found in
@@ -344,14 +377,8 @@ def discover_folds(directory, name: str) -> list[FoldPair]:
 
     All ten files must exist; the error lists every missing one.
     """
-    directory = Path(directory)
-    missing = []
-    paths = []
-    for k in range(1, 6):
-        tra, tst = fold_file_names(name, k)
-        pair = (directory / tra, directory / tst)
-        paths.append(pair)
-        missing.extend(str(p) for p in pair if not p.is_file())
+    paths = list(fold_paths(directory, name))
+    missing = [str(p) for pair in paths for p in pair if not p.is_file()]
     if missing:
         raise FileNotFoundError(f"missing fold files for {name!r}: "
                                 + ", ".join(missing))

@@ -10,7 +10,7 @@ import pytest
 
 from qms22 import cli
 from qms22.cli import build_parser, main
-from qms22.keel import discover_folds
+from qms22.keel import discover_folds, fold_paths
 
 from synthdata import (FAST_FLAGS, dataset_text, write_dataset,
                        write_fold_pair)
@@ -34,6 +34,24 @@ def make_results_csv(path, aucs):
         for name, value in aucs.items():
             f.write(f"{name},{value!r}\n")
     return path
+
+
+def write_one_hot_dataset(directory, name, values, n_train):
+    """Five folds of one real input and one categorical input with
+    `values` declared values; two outliers in every file."""
+    rng = np.random.default_rng(0)
+    domain = ", ".join(f"v{i}" for i in range(values))
+    header = [f"@relation {name}", "@attribute X1 real [0, 10]",
+              f"@attribute C1 {{{domain}}}",
+              "@attribute Class {negative, positive}",
+              "@inputs X1, C1", "@outputs Class", "@data"]
+    for train_path, test_path in fold_paths(directory, name):
+        for path, n in ((train_path, n_train), (test_path, n_train // 2)):
+            rows = [f"{rng.uniform(0, 1):.3f}, v{rng.integers(values)}, "
+                    f"negative" for _ in range(n)]
+            rows += [f"{rng.uniform(8, 9):.3f}, v{rng.integers(values)}, "
+                     f"positive" for _ in range(2)]
+            path.write_text("\n".join(header + rows) + "\n")
 
 
 def stable_part(path):
@@ -223,17 +241,19 @@ class TestBench:
                      "--out", str(out), "--workers", "8", *FAST_FLAGS]) == 0
         assert sizes == [2, 2, 2]
 
-    def test_pool_gets_the_largest_datasets_first(self, tmp_path, capsys,
-                                                  inline_pool):
+    def test_pool_gets_the_costliest_datasets_first(self, tmp_path, capsys,
+                                                    inline_pool):
         data_dir = tmp_path / "data"
         write_dataset(data_dir, "aaa", seed=1)
         write_dataset(data_dir, "big", seed=2, n_train=60)
         write_dataset(data_dir, "mid", seed=3, n_train=40)
-        # the largest on disk even without one test file, which its
-        # worker then reports
+        # few rows but a 40-valued categorical input: width 41, so the
+        # costliest set although its files are smaller than big's
+        write_one_hot_dataset(data_dir, "wide", values=40, n_train=12)
+        # ranked by its training files, then reported by its worker
         write_dataset(data_dir, "broken", seed=4, n_train=90)
         (data_dir / "broken-5-3tst.dat").unlink()
-        # byte for byte the size of "aaa": the tie goes by name
+        # the same cost as "aaa": the tie goes by name
         for path in sorted(data_dir.glob("aaa-5-*.dat")):
             shutil.copy(path, data_dir / path.name.replace("aaa", "zzz"))
         serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
@@ -249,20 +269,29 @@ class TestBench:
             return sum(path.stat().st_size
                        for path in data_dir.glob(f"{name}-5-*.dat"))
 
-        assert inline_pool["submitted"] == ["broken", "big", "mid",
+        # rows x (width + 1) over five training files: 14·42, 92·3, 62·3,
+        # 42·3 and 26·3 per fold
+        assert inline_pool["submitted"] == ["wide", "broken", "big", "mid",
                                             "aaa", "zzz"]
-        assert [fold_bytes(name) for name in inline_pool["submitted"]] == \
-            sorted((fold_bytes(name) for name in inline_pool["submitted"]),
-                   reverse=True)
+        assert fold_bytes("wide") < fold_bytes("big")
         assert stable_part(parallel) == stable_part(serial)
         names = [row[0] for row in stable_part(parallel)]
-        assert names == ["aaa"] * 6 + ["big"] * 6 + ["mid"] * 6 + ["zzz"] * 6
+        assert names == [name for name in ("aaa", "big", "mid", "wide",
+                                           "zzz") for _ in range(6)]
         errors = captured.err.splitlines()
         assert errors == serial_err.splitlines()
         assert len(errors) == 1
         assert errors[0].startswith("error: broken: missing fold files")
         assert errors[0].endswith("broken-5-3tst.dat")
-        assert "(24 rows, 1 failures)" in captured.out
+        assert "(30 rows, 1 failures)" in captured.out
+
+    def test_training_cost_counts_unreadable_files_as_zero(self, tmp_path):
+        write_dataset(tmp_path, "s", n_train=10)
+        assert cli._training_cost(("s", tmp_path, None)) == 5 * 12 * 3
+        (tmp_path / "s-5-2tra.dat").write_text("@relation s\nno header\n")
+        (tmp_path / "s-5-4tra.dat").unlink()
+        assert cli._training_cost(("s", tmp_path, None)) == 3 * 12 * 3
+        assert cli._training_cost(("gone", tmp_path, None)) == 0
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, tmp_path, capsys, workers):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qms22.keel import (Attribute, FoldPair, KeelParseError, Preprocessor,
                         discover_folds, find_datasets, fold_file_names,
+                        fold_paths, read_shape,
                         parse_keel, parse_keel_text, strip_outliers_from_train)
 
 from synthdata import dataset_text, write_dataset, write_fold_pair
@@ -309,6 +310,36 @@ class TestFoldDiscovery:
     def test_fold_file_names(self):
         assert fold_file_names("iris0", 3) == ("iris0-5-3tra.dat",
                                                "iris0-5-3tst.dat")
+
+    def test_fold_paths(self, tmp_path):
+        pairs = list(fold_paths(tmp_path, "iris0"))
+        assert pairs == [(tmp_path / f"iris0-5-{k}tra.dat",
+                          tmp_path / f"iris0-5-{k}tst.dat")
+                         for k in range(1, 6)]
+
+    def test_read_shape_counts_rows_and_one_hot_columns(self, tmp_path):
+        path = tmp_path / "s.dat"
+        path.write_text("@relation s\n"
+                        "@attribute X1 real [0, 9]\n"
+                        "@attribute C {a, b, c, d}\n"
+                        "@attribute Class {negative, positive}\n"
+                        "@inputs X1, C\n@outputs Class\n"
+                        "@DATA\n1, a, negative\n\n2, d, positive\n"
+                        "3, c, negative\n")
+        assert read_shape(path) == (3, 5)
+        assert parse_keel(path).encoded_width == 5
+        # rows are counted, not validated
+        path.write_text(path.read_text() + "junk\n")
+        assert read_shape(path) == (4, 5)
+
+    def test_read_shape_rejects_a_bad_header(self, tmp_path):
+        path = tmp_path / "s.dat"
+        path.write_text("@relation s\n@attribute X1 real\n1, negative\n")
+        with pytest.raises(KeelParseError, match=r"s\.dat:3"):
+            read_shape(path)
+        path.write_text("@relation s\n@attribute X1 real\n@data\n")
+        with pytest.raises(KeelParseError, match="output attribute"):
+            read_shape(path)
 
     def test_complete_dataset(self, tmp_path):
         write_dataset(tmp_path, "synth")
