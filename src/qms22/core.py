@@ -169,8 +169,9 @@ class TrainingProblem:
 
     Samples live in one pooled (n, p) matrix and each member set is an
     index array into it, so a sample shared by several member sets is
-    stored once. `from_member_sets` accepts the plain one-list-per-class
-    form and pools it.
+    stored once; within one member set an index may appear only once.
+    `from_member_sets` accepts the plain one-list-per-class form and pools
+    it.
     """
 
     def __init__(self, samples, member_sets, class_weights=None):
@@ -182,12 +183,15 @@ class TrainingProblem:
             raise ValueError("samples must be finite")
         n = self.samples.shape[0]
         sets = []
-        for idx in member_sets:
+        for i, idx in enumerate(member_sets):
             idx = np.asarray(idx, dtype=np.intp)
             if idx.size == 0:
                 raise ValueError("every member set must be non-empty")
             if idx.min() < 0 or idx.max() >= n:
                 raise ValueError("member set index out of range")
+            # the loss would count a repeated sample once per repeat
+            if np.unique(idx).size != idx.size:
+                raise ValueError(f"member set {i} repeats a sample index")
             sets.append(idx)
         if len(sets) < 2:
             raise ValueError("need at least two member sets")
@@ -284,81 +288,6 @@ def _runs(sizes) -> list[slice]:
     return [slice(int(e - s), int(e)) for s, e in zip(sizes, ends)]
 
 
-@dataclass(eq=False)
-class _ClassBlock:
-    """What the loss terms involving f_c read from the other classes,
-    gathered once per class c and reused by every trial on it.
-
-    A trial gathers f_c along `own_at`, S_c of each problem in turn, and
-    f_c + guard along `other_at`, S_j for each j != c of each problem in
-    turn. `segments` holds each problem's slice of either gather.
-    """
-
-    c: int
-    alpha: float
-    guard: float
-    own_at: np.ndarray    # pooled samples of the terms with f_c on top
-    den: np.ndarray       # (m - 1, own_at.size): f_j(x) + guard
-    other_at: np.ndarray  # pooled samples of the terms with f_c below
-    num: np.ndarray       # f_j(x) along other_at
-    num_w: np.ndarray     # w_j along other_at
-    w_own: np.ndarray     # w_c of each problem
-    segments: list[tuple[slice, slice]]
-    work: list[np.ndarray]   # flat scratch, shared by a cache's blocks
-    total: np.ndarray | None = None   # terms() of the cached f_c
-    views: tuple[np.ndarray, ...] = ()
-
-    def _views(self, rows: int) -> tuple[np.ndarray, ...]:
-        # The gathers and the f_c-on-top terms go into scratch that every
-        # trial reuses: allocating arrays this large afresh each trial
-        # makes malloc hand the pages back to the system and fault them
-        # in again, which cost a one-problem run on n = 4174 over a
-        # tenth of its time.
-        if not self.views or self.views[0].shape[0] != rows:
-            shapes = ((rows, self.own_at.size), (rows, self.other_at.size),
-                      (rows,) + self.den.shape)
-            views = []
-            for i, shape in enumerate(shapes):
-                size = math.prod(shape)
-                if self.work[i].size < size:
-                    self.work[i] = np.empty(0)   # free the old one first
-                    self.work[i] = np.empty(size)
-                views.append(self.work[i][:size].reshape(shape))
-            self.views = tuple(views)
-        return self.views
-
-    def terms(self, fc: np.ndarray) -> np.ndarray:
-        """Sum of the loss terms that involve f_c, for each row of member
-        values fc (s, n): an (s, problems) array.
-        """
-        own, under, over = self._views(fc.shape[0])
-        # the indices are built in range; mode="clip" writes straight into
-        # the scratch, where the default mode gathers into a temporary
-        fc.take(self.own_at, axis=1, out=own, mode="clip")
-        np.divide(own[:, None, :], self.den, out=over)   # f_c on top
-        np.maximum(self.alpha, over, out=over)
-        (fc + self.guard).take(self.other_at, axis=1, out=under,
-                               mode="clip")              # f_c below
-        np.divide(self.num, under, out=under)
-        np.maximum(self.alpha, under, out=under)
-        under *= self.num_w
-        # each sum runs over one contiguous run holding a problem's terms
-        # in the order its arrays alone hold them, so numpy's pairwise
-        # summation, and every bit of the result, matches a lone problem.
-        # A problem's (m - 1, |S_c|) block is copied out whole; with one
-        # problem it already is whole and nothing is copied.
-        rows = fc.shape[0]
-        sums = np.empty((2, rows, len(self.segments)))
-        for i, (mine, others) in enumerate(self.segments):
-            block = np.ascontiguousarray(over[:, :, mine]).reshape(rows, -1)
-            np.add.reduce(block, axis=1, out=sums[0, :, i])
-            np.add.reduce(under[:, others], axis=1, out=sums[1, :, i])
-        total = sums[0]
-        total *= self.w_own
-        total += sums[1]
-        return total
-
-
 class ResidualCache:
     """Residuals and member values for every class and pooled sample of
     one or more training problems, kept consistent under single-entry
@@ -385,18 +314,18 @@ class ResidualCache:
     segment is the whole array.
 
     Training perturbs one class c at a time, and meanwhile only f_c moves.
-    So the cache keeps a block for the class last queried, gathered once
-    per class: the denominators f_j(x) + guard over member set c, the
-    other classes' numerators f_j(x), x in S_j, with their weights, and
-    each problem's current sum of the terms involving f_c. A trial then
-    reads only the new f_c: one gather of it and O(m * n) arithmetic.
-    `apply` commits, for one problem, one of the moves the last `deltas`
-    call evaluated, reusing that trial's f_c, sum and loss change.
+    So the cache gathers, once per class, what the terms involving f_c
+    read from the other classes: the denominators f_j(x) + guard over
+    member set c, the other classes' numerators f_j(x), x in S_j, with
+    their weights, and each problem's current sum of the terms involving
+    f_c. A trial then reads only the new f_c: one gather of it and
+    O(m * n) arithmetic. `deltas` evaluates moves and changes nothing;
+    `try_entry` evaluates one CPM trial and commits each problem's move.
 
     Attributes:
         problems: the training problems, in segment order.
         losses: each problem's current loss, tracked incrementally across
-            accepted moves.
+            committed moves.
     """
 
     def __init__(self, problems, model: QmsModel):
@@ -430,78 +359,147 @@ class ResidualCache:
             np.einsum("mqp,pn->mqn", w, self._xa[:, seg], out=r)
             np.einsum("mqn,mqn->mn", r, r, out=self._f[:, seg])
         self._xa_sq = self._xa * self._xa
-        self._block: _ClassBlock | None = None
+        self._c = None   # the class whose terms are gathered
+        self._gathered = None
         self._work = [np.empty(0), np.empty(0), np.empty(0)]
-        # the last deltas call: (c, k, l), steps, f_c per step, terms per
-        # step and problem, loss changes per problem and step, and the
-        # problems that committed a move of it
-        self._trial = None, (), None, None, None, ()
+        self._views = ()
         self.losses = [_ratio_loss(pr, self.hp, self._f[:, seg])
                        for pr, seg in zip(self.problems, self._segments)]
 
-    def _class_block(self, c: int) -> _ClassBlock:
-        if self._block is None or self._block.c != c:
-            self._block = None   # so the old and new blocks never coexist
-            own_at, other_at, den, num, num_w = [], [], [], [], []
-            for problem, seg in zip(self.problems, self._segments):
-                f = self._f[:, seg]
-                others = [j for j in range(problem.m) if j != c]
-                sets = [problem.member_sets[j] for j in others]
-                own_at.append(seg.start + problem.member_sets[c])
-                den.append(_denominators(problem, self.hp, f, c))
-                other_at.append(seg.start + np.concatenate(sets))
-                num.append(np.concatenate([f[j, s]
-                                           for j, s in zip(others, sets)]))
-                num_w.append(np.repeat([problem.class_weights[j]
-                                        for j in others],
-                                       [s.size for s in sets]))
-            block = _ClassBlock(
-                c=c, alpha=self.hp.alpha, guard=self.hp.denom_guard,
-                own_at=_join(own_at), den=_join(den, axis=1),
-                other_at=_join(other_at), num=_join(num), num_w=_join(num_w),
-                w_own=np.array([pr.class_weights[c] for pr in self.problems]),
-                segments=list(zip(_runs([a.size for a in own_at]),
-                                  _runs([a.size for a in other_at]))),
-                work=self._work)
-            block.total = block.terms(self._f[c][None])[0]
-            self._block = block
-        return self._block
+    def _gather(self, c: int) -> None:
+        # A trial on class c gathers f_c along own_at, S_c of each problem
+        # in turn, and f_c + guard along other_at, S_j for each j != c of
+        # each problem in turn; _term_runs holds each problem's slice of
+        # either gather, and _total the terms of the current f_c.
+        if self._c == c:
+            return
+        self._c = self._gathered = None   # drop the old class's gathers first
+        own_at, other_at, den, num, num_w = [], [], [], [], []
+        for problem, seg in zip(self.problems, self._segments):
+            f = self._f[:, seg]
+            others = [j for j in range(problem.m) if j != c]
+            sets = [problem.member_sets[j] for j in others]
+            own_at.append(seg.start + problem.member_sets[c])
+            den.append(_denominators(problem, self.hp, f, c))
+            other_at.append(seg.start + np.concatenate(sets))
+            num.append(np.concatenate([f[j, s]
+                                       for j, s in zip(others, sets)]))
+            num_w.append(np.repeat([problem.class_weights[j] for j in others],
+                                   [s.size for s in sets]))
+        # own_at, (m - 1, own_at.size) denominators f_j(x) + guard,
+        # other_at, the numerators f_j(x) along it and their weights w_j
+        self._gathered = (_join(own_at), _join(den, axis=1), _join(other_at),
+                          _join(num), _join(num_w))
+        self._w_own = np.array([pr.class_weights[c] for pr in self.problems])
+        self._term_runs = list(zip(_runs([a.size for a in own_at]),
+                                   _runs([a.size for a in other_at])))
+        self._views = ()
+        self._total = self._terms(self._f[c][None])[0]
+        self._c = c
+
+    def _scratch(self, rows: int) -> tuple[np.ndarray, ...]:
+        # The gathers and the f_c-on-top terms go into scratch that every
+        # trial reuses: allocating arrays this large afresh each trial
+        # makes malloc hand the pages back to the system and fault them
+        # in again, which cost a one-problem run on n = 4174 over a
+        # tenth of its time.
+        if not self._views or self._views[0].shape[0] != rows:
+            own_at, den, other_at, _, _ = self._gathered
+            shapes = ((rows, own_at.size), (rows, other_at.size),
+                      (rows,) + den.shape)
+            views = []
+            for i, shape in enumerate(shapes):
+                size = math.prod(shape)
+                if self._work[i].size < size:
+                    self._work[i] = np.empty(0)   # free the old one first
+                    self._work[i] = np.empty(size)
+                views.append(self._work[i][:size].reshape(shape))
+            self._views = tuple(views)
+        return self._views
+
+    def _terms(self, fc: np.ndarray) -> np.ndarray:
+        # Sum of the loss terms that involve f_c, for each row of member
+        # values fc (s, n): an (s, problems) array.
+        own_at, den, other_at, num, num_w = self._gathered
+        own, under, over = self._scratch(fc.shape[0])
+        alpha = self.hp.alpha
+        # the indices are built in range; mode="clip" writes straight into
+        # the scratch, where the default mode gathers into a temporary
+        fc.take(own_at, axis=1, out=own, mode="clip")
+        np.divide(own[:, None, :], den, out=over)   # f_c on top
+        np.maximum(alpha, over, out=over)
+        (fc + self.hp.denom_guard).take(other_at, axis=1, out=under,
+                                        mode="clip")   # f_c below
+        np.divide(num, under, out=under)
+        np.maximum(alpha, under, out=under)
+        under *= num_w
+        # each sum runs over one contiguous run holding a problem's terms
+        # in the order its arrays alone hold them, so numpy's pairwise
+        # summation, and every bit of the result, matches a lone problem.
+        # A problem's (m - 1, |S_c|) block is copied out whole; with one
+        # problem it already is whole and nothing is copied.
+        rows = fc.shape[0]
+        sums = np.empty((2, rows, len(self._term_runs)))
+        for i, (mine, others) in enumerate(self._term_runs):
+            block = np.ascontiguousarray(over[:, :, mine]).reshape(rows, -1)
+            np.add.reduce(block, axis=1, out=sums[0, :, i])
+            np.add.reduce(under[:, others], axis=1, out=sums[1, :, i])
+        total = sums[0]
+        total *= self._w_own
+        total += sums[1]
+        return total
+
+    def _trial(self, c: int, k: int, l: int, steps):
+        # f_c after adding each step to entry (k, l), one row per step
+        # (see the class docstring), and the terms of each row per problem
+        self._gather(c)
+        d = np.array(steps, dtype=np.float64)[:, None]
+        f_new = (self._xa[l] * self._r[c, k]) * (2.0 * d)
+        f_new += self._f[c]
+        f_new += self._xa_sq[l] * (d * d)
+        np.maximum(f_new, 0.0, out=f_new)
+        return f_new, self._terms(f_new)
 
     def deltas(self, c: int, k: int, l: int, steps) -> list[list[float]]:
         """Loss change of each problem from adding each of `steps` to
         entry (k, l) of class c, without applying any: one list per
         problem, one change per step. Exact zero for a zero step.
         """
-        block = self._class_block(c)
-        d = np.array(steps, dtype=np.float64)[:, None]
-        # f_c after each move, one row per step; see the class docstring
-        f_new = (self._xa[l] * self._r[c, k]) * (2.0 * d)
-        f_new += self._f[c]
-        f_new += self._xa_sq[l] * (d * d)
-        np.maximum(f_new, 0.0, out=f_new)
-        totals = block.terms(f_new)
-        changes = (totals - block.total).T.tolist()
-        self._trial = (c, k, l), tuple(steps), f_new, totals, changes, set()
-        return changes
+        _, totals = self._trial(c, k, l, steps)
+        return (totals - self._total).T.tolist()
 
-    def apply(self, c: int, k: int, l: int, delta: float, i: int = 0) -> None:
-        """Commit, for problem i, a move the last `deltas` call evaluated:
-        update its entry, residuals, member values and tracked loss from
-        that trial. Each problem commits at most one move of a trial.
+    def try_entry(self, c: int, k: int, l: int,
+                  step: float) -> list[tuple[int, float, float]]:
+        """One CPM trial: add +step and -step to entry (k, l) of class c
+        and, for each problem, commit the one that lowers its loss more,
+        +step on a tie, if it lowers it at all. A commit updates the
+        problem's entry, residuals, member values and tracked loss.
+
+        Returns (i, delta, loss) for each problem i that moved, with its
+        new tracked loss. Raises RuntimeError if a committed move did not
+        lower the tracked loss.
         """
-        entry, steps, f_new, totals, changes, done = self._trial
-        if entry != (c, k, l) or delta not in steps or i in done:
-            raise ValueError(f"move {delta!r} of entry {(k, l)} of class {c} "
-                             f"was not evaluated for problem {i} by the last "
-                             f"deltas call")
-        done.add(i)
-        s = steps.index(delta)
-        seg = self._segments[i]
-        self._f[c, seg] = f_new[s, seg]
-        self._w[i, c, k, l] += delta
-        self._r[c, k, seg] += delta * self._xa[l, seg]
-        self.losses[i] += changes[i][s]
-        self._block.total[i] = totals[s, i]
+        f_new, totals = self._trial(c, k, l, (step, -step))
+        moved = []
+        for i, change in enumerate((totals - self._total).T.tolist()):
+            s = 0 if change[0] <= change[1] else 1
+            if not change[s] < 0.0:
+                continue
+            delta = -step if s else step
+            seg = self._segments[i]
+            self._f[c, seg] = f_new[s, seg]
+            self._w[i, c, k, l] += delta
+            self._r[c, k, seg] += delta * self._xa[l, seg]
+            before = self.losses[i]
+            self.losses[i] += change[s]
+            self._total[i] = totals[s, i]
+            if not self.losses[i] < before:
+                raise RuntimeError(f"accepted move {(k, l)} of class {c} "
+                                   f"did not decrease the loss of problem "
+                                   f"{i} ({before!r} -> "
+                                   f"{self.losses[i]!r})")
+            moved.append((i, delta, self.losses[i]))
+        return moved
 
     def members(self, i: int = 0) -> tuple[MemberFunction, ...]:
         """Snapshot of the current member functions of problem i."""
@@ -526,11 +524,12 @@ def cpm_optimize(problem: TrainingProblem, hp: HyperParams,
     """Train a model by coordinate perturbation.
 
     Every sweep visits each class in order; within a class, each entry of
-    A row by row, then each entry of b top to bottom. At each entry the
-    loss change of +/- one step is evaluated incrementally and the larger
-    strict decrease is kept (ties prefer +step); otherwise the entry is
-    left alone. Steps are constant, there is no line search, and each
-    entry is touched once per sweep, so the run is fully deterministic.
+    A row by row, then each entry of b top to bottom. Each entry is one
+    `ResidualCache.try_entry` trial: the loss change of +/- one step is
+    evaluated incrementally and the larger strict decrease is kept (ties
+    prefer +step); otherwise the entry is left alone. Steps are constant,
+    there is no line search, and each entry is touched once per sweep, so
+    the run is fully deterministic.
 
     This is the one-problem case of `cpm_optimize_many`.
 
@@ -587,27 +586,11 @@ def cpm_optimize_many(problems, hp: HyperParams,
     for sweep in range(hp.iterations):
         for c in range(hp.m):
             for k, l, step in entries:
-                _consider(cache, sweep, c, k, l, step, on_accept)
+                moved = cache.try_entry(c, k, l, step)
+                if on_accept is not None:
+                    for i, delta, loss in moved:
+                        on_accept(i, sweep, c, (k, l), delta, loss)
         if verify_cache and cache.max_relative_drift() > 1e-9:
             raise AssertionError("residual cache drifted beyond 1e-9")
     return [QmsModel(cache.members(i), hp) for i in range(len(problems))]
 
-
-def _consider(cache: ResidualCache, sweep: int, c: int, k: int, l: int,
-              step: float, on_accept) -> None:
-    changes = cache.deltas(c, k, l, (step, -step))
-    for i, (d_plus, d_minus) in enumerate(changes):
-        if d_plus <= d_minus:
-            delta, d = step, d_plus
-        else:
-            delta, d = -step, d_minus
-        if d < 0.0:
-            before = cache.losses[i]
-            cache.apply(c, k, l, delta, i)
-            if not cache.losses[i] < before:
-                raise RuntimeError(f"accepted move {(k, l)} of class {c} "
-                                   f"did not decrease the loss of problem "
-                                   f"{i} ({before!r} -> "
-                                   f"{cache.losses[i]!r})")
-            if on_accept is not None:
-                on_accept(i, sweep, c, (k, l), delta, cache.losses[i])

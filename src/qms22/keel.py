@@ -143,6 +143,7 @@ def parse_keel_text(text: str, source: str = "<string>") -> RawDataset:
     """
     relation = ""
     attributes: list[Attribute] = []
+    attribute_lines: list[int] = []
     input_names: tuple[str, ...] | None = None
     output_names: tuple[str, ...] | None = None
     rows: list[tuple[str, ...]] = []
@@ -163,6 +164,7 @@ def parse_keel_text(text: str, source: str = "<string>") -> RawDataset:
                 relation = rest.strip()
             elif directive == "@attribute":
                 attributes.append(_parse_attribute(rest, source, line_no))
+                attribute_lines.append(line_no)
             elif directive == "@inputs":
                 input_names = _name_list(rest)
             elif directive == "@outputs":
@@ -226,11 +228,17 @@ def parse_keel_text(text: str, source: str = "<string>") -> RawDataset:
         if name not in names:
             raise KeelParseError(source, 1,
                                  f"undeclared attribute {name!r} referenced")
-    out_attr = attributes[names.index(output_name)]
+    out_at = names.index(output_name)
+    out_attr = attributes[out_at]
     if out_attr.kind != "categorical" or len(out_attr.domain) != 2:
-        raise KeelParseError(source, 1,
+        raise KeelParseError(source, attribute_lines[out_at],
                              f"output attribute {output_name!r} must be "
                              f"categorical with exactly two values")
+    if {v.lower() for v in out_attr.domain} != {_POSITIVE, _NEGATIVE}:
+        raise KeelParseError(source, attribute_lines[out_at],
+                             f"output attribute {output_name!r} must declare "
+                             f"the values {_POSITIVE!r} and {_NEGATIVE!r}, "
+                             f"got {out_attr.domain}")
     return RawDataset(relation=relation, attributes=tuple(attributes),
                       input_names=tuple(input_names), output_name=output_name,
                       rows=tuple(rows))
@@ -257,14 +265,9 @@ def read_shape(path) -> tuple[int, int]:
     return rows, header.encoded_width
 
 
-def _label_to_outlier(token: str, source: str = "dataset") -> bool:
-    label = token.strip().lower()
-    if label == _POSITIVE:
-        return True
-    if label == _NEGATIVE:
-        return False
-    raise ValueError(f"{source}: output value {token!r} is neither "
-                     f"'{_POSITIVE}' nor '{_NEGATIVE}'")
+def _label_to_outlier(token: str) -> bool:
+    # the parser admits only the two output values, in any case
+    return token.lower() == _POSITIVE
 
 
 class Preprocessor:
@@ -321,7 +324,7 @@ class Preprocessor:
                 else:
                     x[r, offset + enc[tok]] = 1.0
                     offset += len(enc)
-            y[r] = _label_to_outlier(row[out_col], data.relation or "dataset")
+            y[r] = _label_to_outlier(row[out_col])
         return x, y
 
 
@@ -333,7 +336,7 @@ def strip_outliers_from_train(fold_or_train) -> RawDataset:
     train = fold_or_train.train if isinstance(fold_or_train, FoldPair) else fold_or_train
     col = train.output_index
     kept = tuple(row for row in train.rows
-                 if not _label_to_outlier(row[col], train.relation or "dataset"))
+                 if not _label_to_outlier(row[col]))
     if not kept:
         raise ValueError("no normal rows left in the training fold; "
                          "cannot train")

@@ -55,6 +55,15 @@ class FiveNumberSummary:
     max: float
 
 
+def _finite(name: str, values) -> np.ndarray:
+    # float64 view of `values`, rejecting NaN and infinities, which would
+    # otherwise sort, rank or average into a silently wrong statistic
+    v = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
 def roc_curve(scores, labels) -> RocCurve:
     """ROC curve of outlier scores against binary labels (truthy = outlier).
 
@@ -63,7 +72,7 @@ def roc_curve(scores, labels) -> RocCurve:
     the trapezoidal area, which on this staircase equals the pairwise
     win + half-tie count.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _finite("scores", scores)
     labels = np.asarray(labels).astype(bool)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be equal-length vectors")
@@ -159,8 +168,8 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
     n_effective <= 25; larger n uses the normal approximation. Pass
     method="exact" or "normal" to force one.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = _finite("paired values", a)
+    b = _finite("paired values", b)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ValueError("need two equal-length non-empty vectors")
     if method not in ("auto", "exact", "normal"):
@@ -184,7 +193,7 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
 
 def five_number_summary(values) -> FiveNumberSummary:
     """Min, quartiles, max with linear interpolation at (n-1)*{.25,.5,.75}."""
-    v = np.asarray(values, dtype=np.float64)
+    v = _finite("values", values)
     if v.size == 0:
         raise ValueError("five_number_summary needs a non-empty input")
     lo, q1, med, q3, hi = np.percentile(v, [0, 25, 50, 75, 100])
@@ -198,7 +207,7 @@ def mean_std(values) -> tuple[float, float]:
     bundled benchmark results (0.1483; the population convention gives
     0.1475). A single value has spread 0 by definition here.
     """
-    v = np.asarray(values, dtype=np.float64)
+    v = _finite("values", values)
     if v.size == 0:
         raise ValueError("mean_std needs a non-empty input")
     if v.size == 1 or v.min() == v.max():

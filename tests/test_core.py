@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qms22 import (HyperParams, MemberFunction, QmsModel, TrainingProblem,
                    cpm_optimize, cpm_optimize_many, loss_full)
-from qms22.core import ResidualCache, _consider, _initial_members
+from qms22.core import ResidualCache, _initial_members
 
 from oracles import cpm_reference, loss_direct
 from test_golden import _ssad_problem
@@ -179,6 +179,12 @@ class TestTrainingProblem:
         with pytest.raises(ValueError, match="non-empty"):
             TrainingProblem(np.ones((3, 2)), [np.array([0, 1]), np.array([], dtype=int)])
 
+    def test_rejects_repeated_index_in_a_member_set(self):
+        with pytest.raises(ValueError, match="member set 0 repeats"):
+            TrainingProblem(np.eye(3), [[0, 0, 1], [2]])
+        # a sample may still sit in several member sets
+        TrainingProblem(np.eye(3), [[0, 1, 2], [2, 0]])
+
     def test_rejects_nonpositive_weight(self):
         x = np.ones((2, 2))
         with pytest.raises(ValueError, match="positive"):
@@ -258,36 +264,53 @@ class TestResidualCache:
         rng = np.random.default_rng(29)
         problem, model = random_instance(rng, m=3, q=2, p=3)
         cache = ResidualCache(problem, model)
-        for step in range(20):
+        moved = 0
+        for _ in range(40):
             ci = int(rng.integers(0, 3))
             k, l = int(rng.integers(0, 2)), int(rng.integers(0, 4))
-            delta = float(rng.normal())
-            cache.deltas(ci, k, l, (delta, -delta))
-            cache.apply(ci, k, l, delta)
+            moved += len(cache.try_entry(ci, k, l, float(rng.uniform(0.1, 2))))
+        assert moved > 0
         assert cache.max_relative_drift() <= 1e-9
         rebuilt = QmsModel(cache.members(), model.hyperparams)
         assert cache.losses[0] == pytest.approx(loss_full(problem, rebuilt),
                                                 rel=1e-9)
 
-    def test_apply_needs_a_move_the_last_deltas_call_evaluated(self):
+    def test_try_entry_commits_the_larger_strict_decrease(self):
         rng = np.random.default_rng(37)
         problem, model = random_instance(rng, m=3, q=2, p=3)
         cache = ResidualCache(problem, model)
-        with pytest.raises(ValueError, match="not evaluated"):
-            cache.apply(0, 0, 0, 0.5)
-        cache.deltas(1, 0, 2, (0.5, -0.5))
-        for c, k, l, delta in ((0, 0, 2, 0.5), (1, 1, 2, 0.5),
-                               (1, 0, 3, 0.5), (1, 0, 2, 0.25)):
-            with pytest.raises(ValueError, match="not evaluated"):
-                cache.apply(c, k, l, delta)
-        cache.apply(1, 0, 2, -0.5)
-        # a committed trial cannot be committed again
-        with pytest.raises(ValueError, match="not evaluated"):
-            cache.apply(1, 0, 2, -0.5)
-        rebuilt = QmsModel(cache.members(), model.hyperparams)
-        assert rebuilt.members[1].a[0, 2] == model.members[1].a[0, 2] - 0.5
-        assert cache.losses[0] == pytest.approx(loss_full(problem, rebuilt),
-                                                rel=1e-9)
+        for ci, k, l in ((1, 0, 2), (0, 1, 3), (2, 1, 0), (1, 0, 2)):
+            [[up, down]] = cache.deltas(ci, k, l, (0.5, -0.5))
+            before = cache.members()[ci]
+            loss = cache.losses[0]
+            moved = cache.try_entry(ci, k, l, 0.5)
+            if min(up, down) >= 0.0:
+                assert moved == []
+                continue
+            delta = 0.5 if up <= down else -0.5
+            assert moved == [(0, delta, loss + min(up, down))]
+            after = cache.members()[ci]
+            if l < problem.p:
+                assert after.a[k, l] == before.a[k, l] + delta
+            else:
+                assert after.b[k] == before.b[k] + delta
+
+    def test_deltas_changes_nothing(self):
+        trainings, hp = ssad_trainings([(221, 60, 20), (222, 75, 15)])
+        model = QmsModel(_initial_members(hp, trainings[0].p), hp)
+        probed, fresh = (ResidualCache(trainings, model) for _ in range(2))
+        for cache in probed, fresh:
+            cache.try_entry(0, 0, 0, 1.0)
+        losses = list(probed.losses)
+        for _ in range(2):
+            for entry in ((0, 1, 2), (3, 0, 6), (0, 1, 2)):
+                probed.deltas(*entry, (1.0, -1.0))
+        assert probed.losses == losses
+        for i in range(2):
+            assert model_bytes(QmsModel(probed.members(i), hp)) == \
+                model_bytes(QmsModel(fresh.members(i), hp))
+        moved = probed.try_entry(0, 0, 1, 1.0)
+        assert moved and moved == fresh.try_entry(0, 0, 1, 1.0)
 
 
 class TestCpmOptimize:
@@ -357,17 +380,16 @@ class TestCpmOptimize:
     def test_non_decreasing_accepted_move_raises(self):
         # the strict-decrease check is a raise, not an assert, so it also
         # holds under python -O
-        class StuckCache:
-            losses = [1.0]
-
-            def deltas(self, c, k, l, steps):
-                return [[-1.0, 0.5]]
-
-            def apply(self, c, k, l, delta, i):
-                pass
-
+        trainings, hp = ssad_trainings([(221, 60, 20)])
+        cache = ResidualCache(trainings,
+                              QmsModel(_initial_members(hp, trainings[0].p), hp))
+        [[up, down]] = cache.deltas(0, 0, 0, (1.0, -1.0))
+        if not min(up, down) < 0.0:
+            raise AssertionError("expected a decreasing move")
+        # a decrease this small vanishes against a tracked loss this large
+        cache.losses[0] = 1e20
         with pytest.raises(RuntimeError, match="did not decrease the loss"):
-            _consider(StuckCache(), 0, 0, 0, 0, 1.0, None)
+            cache.try_entry(0, 0, 0, 1.0)
 
     def test_cache_consistent_after_every_sweep(self):
         rng = np.random.default_rng(31)
@@ -481,19 +503,20 @@ class TestCpmOptimizeMany:
         model = QmsModel(_initial_members(hp, trainings[0].p), hp)
         shared = ResidualCache(trainings, model)
         alone = [ResidualCache(t, model) for t in trainings]
-        entry = (0, 1, 2)
-        changes = shared.deltas(*entry, (1.0, -1.0))
-        assert changes == [a.deltas(*entry, (1.0, -1.0))[0] for a in alone]
-        shared.apply(*entry, 1.0, 0)
-        alone[0].apply(*entry, 1.0)
-        with pytest.raises(ValueError, match="not evaluated"):
-            shared.apply(*entry, -1.0, 0)
-        # only problem 0 moved
-        assert shared.deltas(*entry, (1.0,)) == [
-            a.deltas(*entry, (1.0,))[0] for a in alone]
+        # a shared cache commits each problem's own decision, even where
+        # the two problems decide differently
+        decisions = set()
+        for entry in ((0, 0, 0), (0, 1, 2), (1, 0, 6), (1, 2, 3), (0, 1, 2)):
+            moved = shared.try_entry(*entry, 1.0)
+            own = [a.try_entry(*entry, 1.0) for a in alone]
+            assert moved == [(i, delta, loss) for i, moves in enumerate(own)
+                             for _, delta, loss in moves]
+            decisions.add(tuple(tuple(d for _, d, _ in moves) for moves in own))
+        assert ((-1.0,), (1.0,)) in decisions
         assert shared.losses == [a.losses[0] for a in alone]
-        assert model_bytes(QmsModel(shared.members(1), hp)) == model_bytes(
-            model)
+        for i, a in enumerate(alone):
+            assert model_bytes(QmsModel(shared.members(i), hp)) == \
+                model_bytes(QmsModel(a.members(), hp))
 
 
 class TestHyperParams:

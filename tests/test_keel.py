@@ -257,10 +257,9 @@ class TestPreprocessor:
                 "@attribute V real\n"
                 "@attribute Class {yes, no}\n"
                 "@data\n1, yes\n")
-        data = parse_keel_text(text)
-        prep = Preprocessor.fit(data)
-        with pytest.raises(ValueError, match="'yes'"):
-            prep.transform(data)
+        with pytest.raises(KeelParseError,
+                           match=r"odd\.dat:3:.*'Class'.*'yes', 'no'"):
+            parse_keel_text(text, source="odd.dat")
 
     def test_declaration_mismatch_rejected(self):
         train = numeric_dataset([1, 2])

@@ -50,6 +50,11 @@ class TestRocCurve:
         with pytest.raises(ValueError):
             roc_curve([0.1, 0.2, 0.3], [True, False])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            roc_curve([bad, 0.5, 0.2, 0.1], [1, 0, 1, 0])
+
     def test_endpoints_and_monotonicity(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
@@ -191,6 +196,13 @@ class TestWilcoxonSignedRank:
         with pytest.raises(ValueError, match="method"):
             wilcoxon_signed_rank([1.0], [2.0], method="bootstrap")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank([bad, 0.5, 0.7], [0.3, 0.2, 0.1])
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank([0.3, 0.2, 0.1], [0.5, bad, 0.7])
+
     @given(st.lists(st.integers(-20, 20), min_size=1, max_size=14))
     def test_rank_sum_identity_property(self, deltas):
         a = [float(d) for d in deltas]
@@ -218,6 +230,11 @@ class TestFiveNumberSummary:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             five_number_summary([])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            five_number_summary([0.5, bad, 0.7])
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
     def test_ordering_chain_and_oracle(self, values):
@@ -247,3 +264,10 @@ class TestMeanStd:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mean_std([])
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            mean_std([0.5, bad, 0.7])
+        with pytest.raises(ValueError, match="finite"):
+            mean_std([bad])
