@@ -13,7 +13,6 @@ the folds of a dataset, can share one cache and train together.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -319,8 +318,9 @@ class ResidualCache:
     member set c, the other classes' numerators f_j(x), x in S_j, with
     their weights, and each problem's current sum of the terms involving
     f_c. A trial then reads only the new f_c: one gather of it and
-    O(m * n) arithmetic. `deltas` evaluates moves and changes nothing;
-    `try_entry` evaluates one CPM trial and commits each problem's move.
+    O(m * n) arithmetic. A trial is always the pair +step, -step on one
+    entry: `try_entry` evaluates it and commits each problem's move, and
+    `deltas` returns the same pair of loss changes and commits nothing.
 
     Attributes:
         problems: the training problems, in segment order.
@@ -360,9 +360,7 @@ class ResidualCache:
             np.einsum("mqn,mqn->mn", r, r, out=self._f[:, seg])
         self._xa_sq = self._xa * self._xa
         self._c = None   # the class whose terms are gathered
-        self._gathered = None
-        self._work = [np.empty(0), np.empty(0), np.empty(0)]
-        self._views = ()
+        self._gathered = self._buf = None
         self.losses = [_ratio_loss(pr, self.hp, self._f[:, seg])
                        for pr, seg in zip(self.problems, self._segments)]
 
@@ -373,7 +371,7 @@ class ResidualCache:
         # either gather, and _total the terms of the current f_c.
         if self._c == c:
             return
-        self._c = self._gathered = None   # drop the old class's gathers first
+        self._c = self._gathered = self._buf = None   # drop the old arrays first
         own_at, other_at, den, num, num_w = [], [], [], [], []
         for problem, seg in zip(self.problems, self._segments):
             f = self._f[:, seg]
@@ -393,35 +391,22 @@ class ResidualCache:
         self._w_own = np.array([pr.class_weights[c] for pr in self.problems])
         self._term_runs = list(zip(_runs([a.size for a in own_at]),
                                    _runs([a.size for a in other_at])))
-        self._views = ()
-        self._total = self._terms(self._f[c][None])[0]
+        # The gathers and the f_c-on-top terms of a trial's two rows go
+        # into scratch that every trial of the class reuses: allocating
+        # arrays this large afresh each trial makes malloc hand the pages
+        # back to the system and fault them in again, which cost a
+        # one-problem run on n = 4174 over a tenth of its time.
+        own_at, den, other_at = self._gathered[:3]
+        self._buf = (np.empty((2, own_at.size)), np.empty((2, other_at.size)),
+                     np.empty((2,) + den.shape))
+        self._total = self._terms(self._f[[c, c]])[0]
         self._c = c
 
-    def _scratch(self, rows: int) -> tuple[np.ndarray, ...]:
-        # The gathers and the f_c-on-top terms go into scratch that every
-        # trial reuses: allocating arrays this large afresh each trial
-        # makes malloc hand the pages back to the system and fault them
-        # in again, which cost a one-problem run on n = 4174 over a
-        # tenth of its time.
-        if not self._views or self._views[0].shape[0] != rows:
-            own_at, den, other_at, _, _ = self._gathered
-            shapes = ((rows, own_at.size), (rows, other_at.size),
-                      (rows,) + den.shape)
-            views = []
-            for i, shape in enumerate(shapes):
-                size = math.prod(shape)
-                if self._work[i].size < size:
-                    self._work[i] = np.empty(0)   # free the old one first
-                    self._work[i] = np.empty(size)
-                views.append(self._work[i][:size].reshape(shape))
-            self._views = tuple(views)
-        return self._views
-
     def _terms(self, fc: np.ndarray) -> np.ndarray:
-        # Sum of the loss terms that involve f_c, for each row of member
-        # values fc (s, n): an (s, problems) array.
+        # Sum of the loss terms that involve f_c, for each of the two rows
+        # of member values fc (2, n): a (2, problems) array.
         own_at, den, other_at, num, num_w = self._gathered
-        own, under, over = self._scratch(fc.shape[0])
+        own, under, over = self._buf
         alpha = self.hp.alpha
         # the indices are built in range; mode="clip" writes straight into
         # the scratch, where the default mode gathers into a temporary
@@ -438,10 +423,9 @@ class ResidualCache:
         # summation, and every bit of the result, matches a lone problem.
         # A problem's (m - 1, |S_c|) block is copied out whole; with one
         # problem it already is whole and nothing is copied.
-        rows = fc.shape[0]
-        sums = np.empty((2, rows, len(self._term_runs)))
+        sums = np.empty((2, 2, len(self._term_runs)))
         for i, (mine, others) in enumerate(self._term_runs):
-            block = np.ascontiguousarray(over[:, :, mine]).reshape(rows, -1)
+            block = np.ascontiguousarray(over[:, :, mine]).reshape(2, -1)
             np.add.reduce(block, axis=1, out=sums[0, :, i])
             np.add.reduce(under[:, others], axis=1, out=sums[1, :, i])
         total = sums[0]
@@ -449,23 +433,24 @@ class ResidualCache:
         total += sums[1]
         return total
 
-    def _trial(self, c: int, k: int, l: int, steps):
-        # f_c after adding each step to entry (k, l), one row per step
+    def _trial(self, c: int, k: int, l: int, step: float):
+        # f_c after adding +step and -step to entry (k, l), one row each
         # (see the class docstring), and the terms of each row per problem
         self._gather(c)
-        d = np.array(steps, dtype=np.float64)[:, None]
+        d = np.array([[step], [-step]], dtype=np.float64)
         f_new = (self._xa[l] * self._r[c, k]) * (2.0 * d)
         f_new += self._f[c]
         f_new += self._xa_sq[l] * (d * d)
         np.maximum(f_new, 0.0, out=f_new)
         return f_new, self._terms(f_new)
 
-    def deltas(self, c: int, k: int, l: int, steps) -> list[list[float]]:
-        """Loss change of each problem from adding each of `steps` to
-        entry (k, l) of class c, without applying any: one list per
-        problem, one change per step. Exact zero for a zero step.
+    def deltas(self, c: int, k: int, l: int,
+               step: float) -> list[list[float]]:
+        """The pair `try_entry` weighs, without committing it: each
+        problem's loss change [up, down] from adding +step and -step to
+        entry (k, l) of class c. Exact zeros for a zero step.
         """
-        _, totals = self._trial(c, k, l, steps)
+        _, totals = self._trial(c, k, l, step)
         return (totals - self._total).T.tolist()
 
     def try_entry(self, c: int, k: int, l: int,
@@ -479,7 +464,7 @@ class ResidualCache:
         new tracked loss. Raises RuntimeError if a committed move did not
         lower the tracked loss.
         """
-        f_new, totals = self._trial(c, k, l, (step, -step))
+        f_new, totals = self._trial(c, k, l, step)
         moved = []
         for i, change in enumerate((totals - self._total).T.tolist()):
             s = 0 if change[0] <= change[1] else 1
@@ -519,15 +504,14 @@ class ResidualCache:
 
 
 def cpm_optimize(problem: TrainingProblem, hp: HyperParams,
-                 on_accept: Callable | None = None,
-                 verify_cache: bool = False) -> QmsModel:
+                 on_accept: Callable | None = None) -> QmsModel:
     """Train a model by coordinate perturbation.
 
     Every sweep visits each class in order; within a class, each entry of
     A row by row, then each entry of b top to bottom. Each entry is one
-    `ResidualCache.try_entry` trial: the loss change of +/- one step is
-    evaluated incrementally and the larger strict decrease is kept (ties
-    prefer +step); otherwise the entry is left alone. Steps are constant,
+    `ResidualCache.try_entry` trial: the loss changes of +step and -step
+    are evaluated incrementally and the larger strict decrease is kept
+    (ties prefer +step); otherwise the entry is left alone. Steps are constant,
     there is no line search, and each entry is touched once per sweep, so
     the run is fully deterministic.
 
@@ -539,20 +523,17 @@ def cpm_optimize(problem: TrainingProblem, hp: HyperParams,
         on_accept: diagnostic hook called as
             on_accept(sweep, class_i, (k, l), delta, loss) after each
             accepted move; (k, l) is an entry of [A | b], l == p is b[k].
-        verify_cache: when true, check the residual cache against a full
-            recomputation after every sweep (slow; tests only).
 
     Returns:
         The trained QmsModel. iterations=0 returns the initial model
         (A zero, b = (b_init, 0, ..., 0)).
     """
     hook = None if on_accept is None else (lambda _, *move: on_accept(*move))
-    return cpm_optimize_many([problem], hp, hook, verify_cache)[0]
+    return cpm_optimize_many([problem], hp, hook)[0]
 
 
 def cpm_optimize_many(problems, hp: HyperParams,
-                      on_accept: Callable | None = None,
-                      verify_cache: bool = False) -> list[QmsModel]:
+                      on_accept: Callable | None = None) -> list[QmsModel]:
     """Train one model per problem by coordinate perturbation, all of
     them in one residual cache.
 
@@ -567,7 +548,6 @@ def cpm_optimize_many(problems, hp: HyperParams,
         hp: hyperparameters; hp.m must match the problems.
         on_accept: as for `cpm_optimize`, with the problem's index first:
             on_accept(i, sweep, class_i, (k, l), delta, loss).
-        verify_cache: as for `cpm_optimize`.
 
     Returns:
         The trained models, in the order of `problems`.
@@ -590,7 +570,5 @@ def cpm_optimize_many(problems, hp: HyperParams,
                 if on_accept is not None:
                     for i, delta, loss in moved:
                         on_accept(i, sweep, c, (k, l), delta, loss)
-        if verify_cache and cache.max_relative_drift() > 1e-9:
-            raise AssertionError("residual cache drifted beyond 1e-9")
     return [QmsModel(cache.members(i), hp) for i in range(len(problems))]
 

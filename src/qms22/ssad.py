@@ -112,25 +112,24 @@ def build_member_sets(problem: SsadProblem, m: int, seed: int) -> MemberSetPlan:
                          weight_1=weight_1)
 
 
-def outlier_scores(model: QmsModel, samples, guard: float | None = None) -> np.ndarray:
+def outlier_scores(model: QmsModel, samples) -> np.ndarray:
     """Score each row of `samples`: sum over i >= 2 of the clipped
-    relative excess max(0, (f_i(x) - f_1(x)) / (f_1(x) + guard)).
+    relative excess max(0, (f_i(x) - f_1(x)) / (f_1(x) + guard)), where
+    guard is the model's `hyperparams.denom_guard`.
 
     Zero exactly when f_1 is the (weak) maximum; large when the
     all-samples member function is the only small one.
     """
-    if guard is None:
-        guard = model.hyperparams.denom_guard
     values = model.member_values(samples)
     f1 = values[:, :1]
-    excess = (values[:, 1:] - f1) / (f1 + guard)
+    excess = (values[:, 1:] - f1) / (f1 + model.hyperparams.denom_guard)
     return np.maximum(excess, 0.0).sum(axis=1)
 
 
-def outlier_score(model: QmsModel, x, guard: float | None = None) -> float:
+def outlier_score(model: QmsModel, x) -> float:
     """Score a single sample; see outlier_scores."""
-    return float(outlier_scores(model, np.asarray(x, dtype=np.float64)[None, :],
-                                guard)[0])
+    return float(outlier_scores(model,
+                                np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
 def run_qms22(problem: SsadProblem, hp: HyperParams | None = None) -> np.ndarray:

@@ -101,7 +101,7 @@ def test_criterion_loss_oracle_equivalence(capsys):
             else:
                 k, l = int(rng.integers(0, q)), p
             delta = float(rng.normal())
-            [[got]] = cache.deltas(ci, k, l, (delta,))
+            [[got, _]] = cache.deltas(ci, k, l, delta)
             fields = [[f.a.copy(), f.b.copy()] for f in model.members]
             if l < p:
                 fields[ci][0][k, l] += delta

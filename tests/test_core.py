@@ -215,8 +215,8 @@ class TestResidualCache:
         cache = ResidualCache(problem, model)
         m, q, p = problem.m, model.members[0].q, problem.p
         for ci in range(m):
-            assert cache.deltas(ci, q - 1, p - 1, (0.0,)) == [[0.0]]
-            assert cache.deltas(ci, 0, p, (0.0,)) == [[0.0]]
+            assert cache.deltas(ci, q - 1, p - 1, 0.0) == [[0.0, 0.0]]
+            assert cache.deltas(ci, 0, p, 0.0) == [[0.0, 0.0]]
 
     def test_delta_matches_full_recompute(self):
         rng = np.random.default_rng(17)
@@ -232,17 +232,18 @@ class TestResidualCache:
                 k, l = int(rng.integers(0, q)), int(rng.integers(0, p))
             else:
                 k, l = int(rng.integers(0, q)), p
-            delta = float(rng.normal())
-            [[got]] = cache.deltas(ci, k, l, (delta,))
-            perturbed = [[f.a.copy(), f.b.copy()] for f in model.members]
-            if l < p:
-                perturbed[ci][0][k, l] += delta
-            else:
-                perturbed[ci][1][k] += delta
-            new_model = QmsModel(tuple(MemberFunction(a, b)
-                                       for a, b in perturbed), hp)
-            want = loss_full(problem, new_model) - base
-            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+            step = float(rng.normal())
+            [pair] = cache.deltas(ci, k, l, step)
+            for got, delta in zip(pair, (step, -step)):
+                perturbed = [[f.a.copy(), f.b.copy()] for f in model.members]
+                if l < p:
+                    perturbed[ci][0][k, l] += delta
+                else:
+                    perturbed[ci][1][k] += delta
+                new_model = QmsModel(tuple(MemberFunction(a, b)
+                                           for a, b in perturbed), hp)
+                want = loss_full(problem, new_model) - base
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_symmetric_point_resists_single_moves(self):
         # with every member identical and every ratio at 1, any single
@@ -255,10 +256,9 @@ class TestResidualCache:
                         for _ in range(3))
         cache = ResidualCache(problem, QmsModel(members, hp))
         for ci in range(3):
-            for delta in (0.05, -0.05):
-                for k, l in ((0, 1), (1, 2), (0, 3), (1, 3)):
-                    [[d]] = cache.deltas(ci, k, l, (delta,))
-                    assert d >= -1e-9
+            for k, l in ((0, 1), (1, 2), (0, 3), (1, 3)):
+                [[up, down]] = cache.deltas(ci, k, l, 0.05)
+                assert up >= -1e-9 and down >= -1e-9
 
     def test_cache_tracks_applied_moves(self):
         rng = np.random.default_rng(29)
@@ -280,7 +280,7 @@ class TestResidualCache:
         problem, model = random_instance(rng, m=3, q=2, p=3)
         cache = ResidualCache(problem, model)
         for ci, k, l in ((1, 0, 2), (0, 1, 3), (2, 1, 0), (1, 0, 2)):
-            [[up, down]] = cache.deltas(ci, k, l, (0.5, -0.5))
+            [[up, down]] = cache.deltas(ci, k, l, 0.5)
             before = cache.members()[ci]
             loss = cache.losses[0]
             moved = cache.try_entry(ci, k, l, 0.5)
@@ -304,7 +304,7 @@ class TestResidualCache:
         losses = list(probed.losses)
         for _ in range(2):
             for entry in ((0, 1, 2), (3, 0, 6), (0, 1, 2)):
-                probed.deltas(*entry, (1.0, -1.0))
+                probed.deltas(*entry, 1.0)
         assert probed.losses == losses
         for i in range(2):
             assert model_bytes(QmsModel(probed.members(i), hp)) == \
@@ -383,7 +383,7 @@ class TestCpmOptimize:
         trainings, hp = ssad_trainings([(221, 60, 20)])
         cache = ResidualCache(trainings,
                               QmsModel(_initial_members(hp, trainings[0].p), hp))
-        [[up, down]] = cache.deltas(0, 0, 0, (1.0, -1.0))
+        [[up, down]] = cache.deltas(0, 0, 0, 1.0)
         if not min(up, down) < 0.0:
             raise AssertionError("expected a decreasing move")
         # a decrease this small vanishes against a tracked loss this large
@@ -397,7 +397,8 @@ class TestCpmOptimize:
             [rng.normal(size=(5, 2)) + i for i in range(4)])
         hp = HyperParams(m=4, q=3, iterations=4, step_a=0.5, step_b=1.5,
                          b_init=6.0)
-        cpm_optimize(problem, hp, verify_cache=True)
+        [model] = train_checking_drift([problem], hp)
+        assert model_bytes(model) == model_bytes(cpm_optimize(problem, hp))
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(37)
@@ -426,11 +427,30 @@ def ssad_trainings(shapes, p=6, iterations=2):
     return [training for _, training, _ in made], made[0][2]
 
 
-def train_alone(problem, hp, **kw):
+def train_alone(problem, hp):
     moves = []
-    model = cpm_optimize(problem, hp, **kw,
+    model = cpm_optimize(problem, hp,
                          on_accept=lambda *move: moves.append(move))
     return model, moves
+
+
+def train_checking_drift(problems, hp):
+    """The trials of `cpm_optimize_many`, in its sweep order, with the
+    residual cache checked against a full recomputation after every
+    sweep; returns the trained models."""
+    p = problems[0].p
+    cache = ResidualCache(problems, QmsModel(_initial_members(hp, p), hp))
+    entries = ([(k, l, hp.step_a) for k in range(hp.q) for l in range(p)]
+               + [(k, p, hp.step_b) for k in range(hp.q)])
+    for sweep in range(hp.iterations):
+        for c in range(hp.m):
+            for k, l, step in entries:
+                cache.try_entry(c, k, l, step)
+        # a raise, not an assert, so the check also holds under python -O
+        drift = cache.max_relative_drift()
+        if not drift <= 1e-9:
+            raise AssertionError(f"cache drifted by {drift!r} in sweep {sweep}")
+    return [QmsModel(cache.members(i), hp) for i in range(len(problems))]
 
 
 def model_bytes(model):
@@ -472,13 +492,15 @@ class TestCpmOptimizeMany:
             for _ in range(4)]
         moves = [[] for _ in problems]
         models = cpm_optimize_many(
-            problems, hp, verify_cache=True,
-            on_accept=lambda i, *move: moves[i].append(move))
+            problems, hp, on_accept=lambda i, *move: moves[i].append(move))
+        checked = train_checking_drift(problems, hp)
         for problem, model, got in zip(problems, models, moves):
             alone, want = train_alone(problem, hp)
             assert [move[:-1] for move in got] == [move[:-1] for move in want]
             assert loss_bytes(got) == loss_bytes(want)
             assert model_bytes(model) == model_bytes(alone)
+        for model, again in zip(models, checked):
+            assert model_bytes(again) == model_bytes(model)
 
     def test_differing_m_or_p_rejected(self):
         rng = np.random.default_rng(59)
