@@ -14,6 +14,7 @@ the folds of a dataset, can share one cache and train together.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -64,6 +65,14 @@ class HyperParams:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("m", "q", "iterations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("alpha", "step_a", "step_b", "b_init", "denom_guard"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.m < 2:
             raise ValueError(f"m must be >= 2, got {self.m}")
         if self.q < 1:
@@ -72,8 +81,9 @@ class HyperParams:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.step_a <= 0 or self.step_b <= 0:
-            raise ValueError("step sizes must be positive")
+        for name in ("step_a", "step_b"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.denom_guard <= 0:
             raise ValueError(f"denom_guard must be > 0, got {self.denom_guard}")
 
@@ -183,9 +193,15 @@ class TrainingProblem:
         n = self.samples.shape[0]
         sets = []
         for i, idx in enumerate(member_sets):
-            idx = np.asarray(idx, dtype=np.intp)
+            idx = np.asarray(idx)
             if idx.size == 0:
                 raise ValueError("every member set must be non-empty")
+            # a float set would be truncated and a bool one read as 0 / 1
+            if idx.ndim != 1 or idx.dtype.kind not in "iu":
+                raise ValueError(f"member set {i} must be a 1-D array of "
+                                 f"integer indices, got {idx.dtype} of "
+                                 f"shape {idx.shape}")
+            idx = idx.astype(np.intp, copy=False)
             if idx.min() < 0 or idx.max() >= n:
                 raise ValueError("member set index out of range")
             # the loss would count a repeated sample once per repeat

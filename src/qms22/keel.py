@@ -145,6 +145,7 @@ def parse_keel_text(text: str, source: str = "<string>") -> RawDataset:
     attributes: list[Attribute] = []
     attribute_lines: list[int] = []
     input_names: tuple[str, ...] | None = None
+    inputs_line = 0
     output_names: tuple[str, ...] | None = None
     rows: list[tuple[str, ...]] = []
     in_data = False
@@ -167,6 +168,7 @@ def parse_keel_text(text: str, source: str = "<string>") -> RawDataset:
                 attribute_lines.append(line_no)
             elif directive == "@inputs":
                 input_names = _name_list(rest)
+                inputs_line = line_no
             elif directive == "@outputs":
                 output_names = _name_list(rest)
             elif directive == "@data":
@@ -228,6 +230,13 @@ def parse_keel_text(text: str, source: str = "<string>") -> RawDataset:
         if name not in names:
             raise KeelParseError(source, 1,
                                  f"undeclared attribute {name!r} referenced")
+    if output_name in input_names:
+        raise KeelParseError(source, inputs_line,
+                             f"@inputs names the output attribute "
+                             f"{output_name!r}")
+    if len(set(input_names)) != len(input_names):
+        raise KeelParseError(source, inputs_line,
+                             "@inputs names an attribute twice")
     out_at = names.index(output_name)
     out_attr = attributes[out_at]
     if out_attr.kind != "categorical" or len(out_attr.domain) != 2:

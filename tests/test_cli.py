@@ -152,6 +152,15 @@ class TestRun:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_step_fails(self, tmp_path, capsys):
+        tra, tst = fold_pair_files(tmp_path)
+        out = tmp_path / "roc.csv"
+        code = main(["run", "--train", str(tra), "--test", str(tst),
+                     "--out", str(out), "--step-a", "nan"])
+        assert code == 1
+        assert "step_a must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBench:
     def test_single_dataset_six_sorted_rows(self, tmp_path, capsys):

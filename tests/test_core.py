@@ -185,6 +185,20 @@ class TestTrainingProblem:
         # a sample may still sit in several member sets
         TrainingProblem(np.eye(3), [[0, 1, 2], [2, 0]])
 
+    @pytest.mark.parametrize("sets, name", [
+        ([[0.9, 1.7], [2]], "member set 0"),          # would truncate to 0, 1
+        ([[0, 1], [2.0]], "member set 1"),
+        ([[[0, 1]], [2]], "member set 0"),            # 2-D
+        ([[0, 1], np.array([True, False, True])], "member set 1"),
+    ])
+    def test_rejects_non_integer_or_non_1d_member_set(self, sets, name):
+        with pytest.raises(ValueError, match=f"{name} must be a 1-D array "
+                                             f"of integer indices"):
+            TrainingProblem(np.eye(3), sets)
+        # unsigned and fixed-width integer indices are fine
+        TrainingProblem(np.eye(3), [np.array([0, 1], dtype=np.uint8),
+                                    np.array([2], dtype=np.int32)])
+
     def test_rejects_nonpositive_weight(self):
         x = np.ones((2, 2))
         with pytest.raises(ValueError, match="positive"):
@@ -553,7 +567,18 @@ class TestHyperParams:
         dict(m=1), dict(q=0), dict(alpha=1.0), dict(alpha=-0.1),
         dict(iterations=-1), dict(step_a=0.0), dict(step_b=-2.0),
         dict(denom_guard=0.0),
+        dict(alpha=float("nan")), dict(step_a=float("nan")),
+        dict(step_b=float("inf")), dict(b_init=float("nan")),
+        dict(b_init=float("-inf")), dict(denom_guard=float("nan")),
+        dict(denom_guard=float("inf")),
+        dict(m=2.5), dict(q=3.0), dict(iterations=1.5), dict(seed=1.5),
+        dict(m=True), dict(seed=False),
     ])
     def test_invalid_settings_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        [name] = kwargs
+        with pytest.raises(ValueError, match=f"^{name} must"):
             HyperParams(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        hp = HyperParams(m=np.int64(3), iterations=np.int32(2))
+        assert (hp.m, hp.iterations) == (3, 2)

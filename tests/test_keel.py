@@ -149,6 +149,19 @@ class TestParse:
                             "@outputs Class\n"
                             "@data\n1, negative\n")
 
+    @pytest.mark.parametrize("inputs, message", [
+        ("V, Class", "@inputs names the output attribute 'Class'"),
+        ("V, V", "@inputs names an attribute twice"),
+    ])
+    def test_inputs_must_name_each_feature_once(self, inputs, message):
+        with pytest.raises(KeelParseError, match=f"^fold.dat:4: {message}"):
+            parse_keel_text("@relation x\n"
+                            "@attribute V real\n"
+                            "@attribute Class {negative, positive}\n"
+                            f"@inputs {inputs}\n"
+                            "@outputs Class\n"
+                            "@data\n1, negative\n", source="fold.dat")
+
     def test_parse_from_file_names_path(self, tmp_path):
         bad = tmp_path / "broken.dat"
         bad.write_text(MINIMAL + "oops\n")
