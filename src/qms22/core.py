@@ -39,7 +39,9 @@ class HyperParams:
     functions with ten rows each, clip threshold 0.5, sixty sweeps, unit
     steps for matrix entries, 255-unit steps for offsets, and offsets
     started at (25500, 0, ..., 0). They assume features normalized to a
-    max-abs of roughly 255.
+    max-abs of roughly 255. m, q, iterations and seed must be integers
+    and the other fields finite; a bad value raises ValueError naming
+    its field.
 
     Attributes:
         m: number of member functions (classes), >= 2.
@@ -50,8 +52,8 @@ class HyperParams:
         step_b: perturbation distance for entries of each b, > 0.
         b_init: initial value of the first entry of each b.
         denom_guard: small positive value added to every ratio denominator.
-        seed: RNG seed for the parts shuffle in the detector pipeline;
-            training itself draws no random numbers.
+        seed: RNG seed for the parts shuffle in the detector pipeline,
+            >= 0; training itself draws no random numbers.
     """
 
     m: int = 7
@@ -86,6 +88,8 @@ class HyperParams:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.denom_guard <= 0:
             raise ValueError(f"denom_guard must be > 0, got {self.denom_guard}")
+        if self.seed < 0:   # numpy's default_rng takes no negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

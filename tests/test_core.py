@@ -185,16 +185,14 @@ class TestTrainingProblem:
         # a sample may still sit in several member sets
         TrainingProblem(np.eye(3), [[0, 1, 2], [2, 0]])
 
-    @pytest.mark.parametrize("sets, name", [
-        ([[0.9, 1.7], [2]], "member set 0"),          # would truncate to 0, 1
-        ([[0, 1], [2.0]], "member set 1"),
-        ([[[0, 1]], [2]], "member set 0"),            # 2-D
-        ([[0, 1], np.array([True, False, True])], "member set 1"),
-    ])
-    def test_rejects_non_integer_or_non_1d_member_set(self, sets, name):
-        with pytest.raises(ValueError, match=f"{name} must be a 1-D array "
-                                             f"of integer indices"):
-            TrainingProblem(np.eye(3), sets)
+    def test_rejects_non_integer_or_non_1d_member_set(self):
+        for sets, i in (([[0.9, 1.7], [2]], 0),   # would truncate to 0, 1
+                        ([[0, 1], [2.0]], 1),
+                        ([[[0, 1]], [2]], 0),     # 2-D
+                        ([[0, 1], np.array([True, False, True])], 1)):
+            with pytest.raises(ValueError, match=f"member set {i} must be a "
+                                                 f"1-D array of integer"):
+                TrainingProblem(np.eye(3), sets)
         # unsigned and fixed-width integer indices are fine
         TrainingProblem(np.eye(3), [np.array([0, 1], dtype=np.uint8),
                                     np.array([2], dtype=np.int32)])
@@ -572,7 +570,7 @@ class TestHyperParams:
         dict(b_init=float("-inf")), dict(denom_guard=float("nan")),
         dict(denom_guard=float("inf")),
         dict(m=2.5), dict(q=3.0), dict(iterations=1.5), dict(seed=1.5),
-        dict(m=True), dict(seed=False),
+        dict(m=True), dict(seed=False), dict(seed=-1),
     ])
     def test_invalid_settings_rejected(self, kwargs):
         [name] = kwargs
