@@ -83,11 +83,10 @@ class HyperParams:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        for name in ("step_a", "step_b"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.denom_guard <= 0:
-            raise ValueError(f"denom_guard must be > 0, got {self.denom_guard}")
+        for name in ("step_a", "step_b", "denom_guard"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
         if self.seed < 0:   # numpy's default_rng takes no negative seed
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -391,7 +390,7 @@ class ResidualCache:
         # either gather, and _total the terms of the current f_c.
         if self._c == c:
             return
-        self._c = self._gathered = self._buf = None   # drop the old arrays first
+        self._c = self._gathered = self._buf = None   # drop old arrays first
         own_at, other_at, den, num, num_w = [], [], [], [], []
         for problem, seg in zip(self.problems, self._segments):
             f = self._f[:, seg]
@@ -531,9 +530,9 @@ def cpm_optimize(problem: TrainingProblem, hp: HyperParams,
     A row by row, then each entry of b top to bottom. Each entry is one
     `ResidualCache.try_entry` trial: the loss changes of +step and -step
     are evaluated incrementally and the larger strict decrease is kept
-    (ties prefer +step); otherwise the entry is left alone. Steps are constant,
-    there is no line search, and each entry is touched once per sweep, so
-    the run is fully deterministic.
+    (ties prefer +step); otherwise the entry is left alone. Steps are
+    constant, there is no line search, and each entry is touched once per
+    sweep, so the run is fully deterministic.
 
     This is the one-problem case of `cpm_optimize_many`.
 

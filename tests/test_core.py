@@ -461,7 +461,8 @@ def train_checking_drift(problems, hp):
         # a raise, not an assert, so the check also holds under python -O
         drift = cache.max_relative_drift()
         if not drift <= 1e-9:
-            raise AssertionError(f"cache drifted by {drift!r} in sweep {sweep}")
+            raise AssertionError(f"cache drifted by {drift!r} in sweep "
+                                 f"{sweep}")
     return [QmsModel(cache.members(i), hp) for i in range(len(problems))]
 
 
