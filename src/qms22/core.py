@@ -235,11 +235,8 @@ class TrainingProblem:
         if len(dims) != 1:
             raise ValueError(f"member sets disagree on feature dimension: {dims}")
         pooled = np.vstack(arrays)
-        sets = []
-        start = 0
-        for a in arrays:
-            sets.append(np.arange(start, start + a.shape[0]))
-            start += a.shape[0]
+        sets = [np.arange(run.start, run.stop)
+                for run in _runs([a.shape[0] for a in arrays])]
         return cls(pooled, sets, class_weights)
 
     @property
@@ -267,22 +264,19 @@ def loss_full(problem: TrainingProblem, model: QmsModel) -> float:
                        model.member_values(problem.samples).T)
 
 
-def _denominators(problem: TrainingProblem, hp: HyperParams, f: np.ndarray,
-                  c: int) -> np.ndarray:
-    # f_j(x) + guard for x in S_c, one row per j != c, from member values
-    # f of shape (m, n). take returns C order, so sums over it always run
-    # row by row.
-    others = [j for j in range(problem.m) if j != c]
-    return f[others].take(problem.member_sets[c], axis=1) + hp.denom_guard
-
-
-def _ratio_loss(problem: TrainingProblem, hp: HyperParams,
-                f: np.ndarray) -> float:
-    # the loss of loss_full from member values f of shape (m, n)
+def _ratio_loss(problem: TrainingProblem, hp: HyperParams, f: np.ndarray,
+                c: int | None = None) -> float:
+    # the loss of loss_full from member values f of shape (m, n); given c,
+    # only the terms that involve f_c
     total = 0.0
-    for c, (own, w) in enumerate(zip(problem.member_sets,
+    for i, (own, w) in enumerate(zip(problem.member_sets,
                                      problem.class_weights)):
-        ratios = np.maximum(hp.alpha, f[c, own] / _denominators(problem, hp, f, c))
+        others = ([c] if c not in (None, i) else
+                  [j for j in range(problem.m) if j != i])
+        # f_j(x) + guard for x in S_i, one row per j; take returns C
+        # order, so the sum always runs row by row
+        den = f[others].take(own, axis=1) + hp.denom_guard
+        ratios = np.maximum(hp.alpha, f[i, own] / den)
         total += w * float(ratios.sum())
     return total
 
@@ -295,9 +289,12 @@ def _initial_members(hp: HyperParams, p: int) -> tuple[MemberFunction, ...]:
                  for _ in range(hp.m))
 
 
-def _join(arrays: list[np.ndarray], axis: int = 0) -> np.ndarray:
-    # np.concatenate, but one array is returned as it is, not copied
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis)
+def _piece_value(abc: np.ndarray, fc: np.ndarray, g: float) -> np.ndarray:
+    # a * fc + b / (fc + g) + c0 for the piece rows abc = (a, b, c0)
+    value = np.divide(abc[1], fc + g)
+    value += abc[0] * fc
+    value += abc[2]
+    return value
 
 
 def _runs(sizes) -> list[slice]:
@@ -326,18 +323,21 @@ class ResidualCache:
     concatenated along the sample axis, so each problem owns one
     contiguous segment of [x; -1], of the residuals and of the member
     values, and keeps its own W and loss. The elementwise work of a trial
-    runs once over all segments; each problem's loss change is summed over
-    its own terms alone, in the order a cache of its own would sum them,
-    so each problem gets the same bits as on its own. With one problem the
-    segment is the whole array.
+    runs once over all segments; each problem's loss is summed over its
+    own segment alone, so each problem gets the same bits as on its own.
+    With one problem the segment is the whole array.
 
-    Training perturbs one class c at a time, and meanwhile only f_c moves.
-    So the cache gathers, once per class, what the terms involving f_c
-    read from the other classes: the denominators f_j(x) + guard over
-    member set c, the other classes' numerators f_j(x), x in S_j, with
-    their weights, and each problem's current sum of the terms involving
-    f_c. A trial then reads only the new f_c: one gather of it and
-    O(m * n) arithmetic. A trial is always the pair +step, -step on one
+    Training perturbs one class c at a time, and meanwhile only f_c moves,
+    so a sample's share of the terms involving f_c depends on F = f_c(x)
+    alone. Its own terms (x in S_c) w_c * max(alpha, F / (f_j + g)) break
+    at alpha * (f_j + g); its denominator terms (x in S_j)
+    w_j * max(alpha, f_j / (F + g)) break at f_j / alpha - g (never for
+    alpha = 0). Between neighbouring breakpoints, lo < F <= hi, the share
+    is a * F + b / (F + g) + c0; the sides agree on a breakpoint. Once per
+    class the cache stores each sample's piece (lo, hi, a, b, c0) and each
+    problem's sum of the terms involving f_c. A trial evaluates the pieces
+    at the new f_c, O(n), and recomputes the piece only of the samples
+    that left theirs. A trial is always the pair +step, -step on one
     entry: `try_entry` evaluates it and commits each problem's move, and
     `deltas` returns the same pair of loss changes and commits nothing.
 
@@ -367,101 +367,83 @@ class ResidualCache:
         self._w = np.stack([w] * len(self.problems))    # (problems, m, q, p+1)
         # samples as [x; -1], (p+1, n) in C order so that one feature row
         # is contiguous; residuals as (m, q, n) so one matrix row is.
-        # Each problem's part is written straight into its segment.
+        # Each problem's part is written straight into its segment, and
+        # so is its member weights: w_j where x is in S_j, else 0.
         self._xa = np.empty((p + 1, n))
         self._xa[p] = -1.0
         self._r = np.empty((model.m, w.shape[1], n))
         self._f = np.empty((model.m, n))
+        self._weight = np.zeros((model.m, n))
         for problem, seg in zip(self.problems, self._segments):
             self._xa[:p, seg] = problem.samples.T
             r = self._r[:, :, seg]
             np.einsum("mqp,pn->mqn", w, self._xa[:, seg], out=r)
             np.einsum("mqn,mqn->mn", r, r, out=self._f[:, seg])
+            for j, own in enumerate(problem.member_sets):
+                self._weight[j, seg.start + own] = problem.class_weights[j]
         self._xa_sq = self._xa * self._xa
-        self._c = None   # the class whose terms are gathered
-        self._gathered = self._buf = None
+        self._c = self._piece = None   # the class and its per-sample pieces
         self.losses = [_ratio_loss(pr, self.hp, self._f[:, seg])
                        for pr, seg in zip(self.problems, self._segments)]
 
     def _gather(self, c: int) -> None:
-        # A trial on class c gathers f_c along own_at, S_c of each problem
-        # in turn, and f_c + guard along other_at, S_j for each j != c of
-        # each problem in turn; _term_runs holds each problem's slice of
-        # either gather, and _total the terms of the current f_c.
-        if self._c == c:
-            return
-        self._c = self._gathered = self._buf = None   # drop old arrays first
-        own_at, other_at, den, num, num_w = [], [], [], [], []
-        for problem, seg in zip(self.problems, self._segments):
-            f = self._f[:, seg]
-            others = [j for j in range(problem.m) if j != c]
-            sets = [problem.member_sets[j] for j in others]
-            own_at.append(seg.start + problem.member_sets[c])
-            den.append(_denominators(problem, self.hp, f, c))
-            other_at.append(seg.start + np.concatenate(sets))
-            num.append(np.concatenate([f[j, s]
-                                       for j, s in zip(others, sets)]))
-            num_w.append(np.repeat([problem.class_weights[j] for j in others],
-                                   [s.size for s in sets]))
-        # own_at, (m - 1, own_at.size) denominators f_j(x) + guard,
-        # other_at, the numerators f_j(x) along it and their weights w_j
-        self._gathered = (_join(own_at), _join(den, axis=1), _join(other_at),
-                          _join(num), _join(num_w))
-        self._w_own = np.array([pr.class_weights[c] for pr in self.problems])
-        self._term_runs = list(zip(_runs([a.size for a in own_at]),
-                                   _runs([a.size for a in other_at])))
-        # The gathers and the f_c-on-top terms of a trial's two rows go
-        # into scratch that every trial of the class reuses: allocating
-        # arrays this large afresh each trial makes malloc hand the pages
-        # back to the system and fault them in again, which cost a
-        # one-problem run on n = 4174 over a tenth of its time.
-        own_at, den, other_at = self._gathered[:3]
-        self._buf = (np.empty((2, own_at.size)), np.empty((2, other_at.size)),
-                     np.empty((2,) + den.shape))
-        self._total = self._terms(self._f[[c, c]])[0]
-        self._c = c
+        # class c's pieces and each problem's sum _total of its terms now
+        if self._c != c:
+            self._c = c
+            # in blocks of samples, to keep the (m - 1, n) temporaries small
+            blocks = [slice(s, s + 512) for s in range(0, len(self._f[c]), 512)]
+            self._piece = np.hstack([self._pieces(b, self._f[c, b])
+                                     for b in blocks])
+            self._total = self._evaluate(self._f[[c, c]])[0][0]
 
-    def _terms(self, fc: np.ndarray) -> np.ndarray:
-        # Sum of the loss terms that involve f_c, for each of the two rows
-        # of member values fc (2, n): a (2, problems) array.
-        own_at, den, other_at, num, num_w = self._gathered
-        own, under, over = self._buf
-        alpha = self.hp.alpha
-        # the indices are built in range; mode="clip" writes straight into
-        # the scratch, where the default mode gathers into a temporary
-        fc.take(own_at, axis=1, out=own, mode="clip")
-        np.divide(own[:, None, :], den, out=over)   # f_c on top
-        np.maximum(alpha, over, out=over)
-        (fc + self.hp.denom_guard).take(other_at, axis=1, out=under,
-                                        mode="clip")   # f_c below
-        np.divide(num, under, out=under)
-        np.maximum(alpha, under, out=under)
-        under *= num_w
-        # each sum runs over one contiguous run holding a problem's terms
-        # in the order its arrays alone hold them, so numpy's pairwise
-        # summation, and every bit of the result, matches a lone problem.
-        # A problem's (m - 1, |S_c|) block is copied out whole; with one
-        # problem it already is whole and nothing is copied.
-        sums = np.empty((2, 2, len(self._term_runs)))
-        for i, (mine, others) in enumerate(self._term_runs):
-            block = np.ascontiguousarray(over[:, :, mine]).reshape(2, -1)
-            np.add.reduce(block, axis=1, out=sums[0, :, i])
-            np.add.reduce(under[:, others], axis=1, out=sums[1, :, i])
-        total = sums[0]
-        total *= self._w_own
-        total += sums[1]
-        return total
+    def _pieces(self, cols, fc: np.ndarray) -> np.ndarray:
+        # (lo, hi, a, b, c0) of the piece holding fc for the samples cols,
+        # a (5, k) array (see the class docstring). A missing term gets a
+        # breakpoint that no fc crosses. The sums over j run in order,
+        # whatever k, so a sample gets the same bits in a batch or alone.
+        c, alpha, g = self._c, self.hp.alpha, self.hp.denom_guard
+        others = [j for j in range(len(self._f)) if j != c]
+        f, w_den = self._f[others][:, cols], self._weight[others][:, cols]
+        w_own = self._weight[c, cols]
+        at = np.full((2,) + f.shape, np.inf)   # own, denominator
+        np.multiply(alpha, f + g, out=at[0], where=w_own > 0.0)
+        if alpha:
+            np.subtract(f / alpha, g, out=at[1], where=w_den > 0.0)
+        past = fc > at   # at or below lo; the rest at or above hi
+        terms = np.stack([w_own / (f + g) * past[0], w_den * f * ~past[1],
+                          w_own * ~past[0] + w_den * past[1]])
+        a, b, clipped = np.add.accumulate(terms, axis=1)[:, -1]
+        return np.stack([np.where(past, at, -np.inf).max(axis=(0, 1)),
+                         np.where(past, np.inf, at).min(axis=(0, 1)),
+                         a, b, alpha * clipped])
+
+    def _evaluate(self, fc: np.ndarray):
+        # Each problem's sum of the terms involving f_c, for both rows of
+        # fc (2, n), over its own segment alone, so with a lone problem's
+        # bits; and the (rows, samples) that left their piece with their
+        # new pieces, or None, None.
+        outside = (fc <= self._piece[0]) | (fc > self._piece[1])
+        value = _piece_value(self._piece[2:], fc, self.hp.denom_guard)
+        left = new = None
+        if outside.any():
+            left = np.nonzero(outside)
+            new = self._pieces(left[1], fc[left])
+            value[left] = _piece_value(new[2:], fc[left], self.hp.denom_guard)
+        sums = np.empty((2, len(self._segments)))
+        for i, seg in enumerate(self._segments):
+            np.add.reduce(value[:, seg], axis=1, out=sums[:, i])
+        return sums, left, new
 
     def _trial(self, c: int, k: int, l: int, step: float):
         # f_c after adding +step and -step to entry (k, l), one row each
-        # (see the class docstring), and the terms of each row per problem
+        # (see the class docstring), and what _evaluate finds for it
         self._gather(c)
         d = np.array([[step], [-step]], dtype=np.float64)
         f_new = (self._xa[l] * self._r[c, k]) * (2.0 * d)
         f_new += self._f[c]
         f_new += self._xa_sq[l] * (d * d)
         np.maximum(f_new, 0.0, out=f_new)
-        return f_new, self._terms(f_new)
+        return (f_new,) + self._evaluate(f_new)
 
     def deltas(self, c: int, k: int, l: int,
                step: float) -> list[list[float]]:
@@ -469,7 +451,7 @@ class ResidualCache:
         problem's loss change [up, down] from adding +step and -step to
         entry (k, l) of class c. Exact zeros for a zero step.
         """
-        _, totals = self._trial(c, k, l, step)
+        totals = self._trial(c, k, l, step)[1]
         return (totals - self._total).T.tolist()
 
     def try_entry(self, c: int, k: int, l: int,
@@ -483,7 +465,7 @@ class ResidualCache:
         new tracked loss. Raises RuntimeError if a committed move did not
         lower the tracked loss.
         """
-        f_new, totals = self._trial(c, k, l, step)
+        f_new, totals, left, new = self._trial(c, k, l, step)
         moved = []
         for i, change in enumerate((totals - self._total).T.tolist()):
             s = 0 if change[0] <= change[1] else 1
@@ -492,6 +474,10 @@ class ResidualCache:
             delta = -step if s else step
             seg = self._segments[i]
             self._f[c, seg] = f_new[s, seg]
+            if new is not None:
+                rows, cols = left
+                mine = (rows == s) & (cols >= seg.start) & (cols < seg.stop)
+                self._piece[:, cols[mine]] = new[:, mine]
             self._w[i, c, k, l] += delta
             self._r[c, k, seg] += delta * self._xa[l, seg]
             before = self.losses[i]
@@ -512,14 +498,27 @@ class ResidualCache:
                      for w in self._w[i])
 
     def max_relative_drift(self) -> float:
-        """Worst relative deviation of cached state from a recomputation."""
+        """Worst relative deviation of cached state from a recomputation:
+        residuals, member values and, once a class is gathered, each
+        problem's sum of the terms involving f_c. It is inf if some
+        sample's f_c lies outside its stored piece.
+        """
         r_exact = np.concatenate(
             [np.einsum("mqp,pn->mqn", w, self._xa[:, seg])
              for w, seg in zip(self._w, self._segments)], axis=2)
         f_exact = np.einsum("mqn,mqn->mn", r_exact, r_exact)
         f_err = np.abs(self._f - f_exact) / np.maximum(np.abs(f_exact), 1.0)
         r_err = np.abs(self._r - r_exact) / np.maximum(np.abs(r_exact), 1.0)
-        return float(max(f_err.max(), r_err.max()))
+        drift = max(f_err.max(), r_err.max())
+        if self._c is not None:
+            lo, hi, fc = self._piece[0], self._piece[1], self._f[self._c]
+            if not ((lo < fc) & (fc <= hi)).all():
+                return float("inf")
+            for pr, seg, total in zip(self.problems, self._segments,
+                                      self._total):
+                exact = _ratio_loss(pr, self.hp, self._f[:, seg], self._c)
+                drift = max(drift, abs(total - exact) / max(abs(exact), 1.0))
+        return float(drift)
 
 
 def cpm_optimize(problem: TrainingProblem, hp: HyperParams,
