@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qms22 import (HyperParams, MemberFunction, QmsModel, TrainingProblem,
                    cpm_optimize, cpm_optimize_many, loss_full)
-from qms22.core import ResidualCache, _initial_members
+from qms22.core import ResidualCache, _initial_members, _ratio_loss
 
 from oracles import cpm_reference, loss_direct
 from test_golden import _ssad_problem
@@ -323,6 +323,167 @@ class TestResidualCache:
                 model_bytes(QmsModel(fresh.members(i), hp))
         moved = probed.try_entry(0, 0, 1, 1.0)
         assert moved and moved == fresh.try_entry(0, 0, 1, 1.0)
+
+
+def direct_loss(problem, members, hp):
+    """`oracles.loss_direct` of the member functions on a pooled problem."""
+    return loss_direct([problem.samples[idx] for idx in problem.member_sets],
+                       problem.class_weights, [(f.a, f.b) for f in members],
+                       hp.alpha, hp.denom_guard)
+
+
+def check_piece_sums(cache, c, fc):
+    """Each problem's piece sums for class c at the two rows of member
+    values fc (2, n) against `_ratio_loss` of the same member values, and
+    every value inside the piece it was evaluated on; returns the (rows,
+    samples) that left their stored piece, or None."""
+    cache._gather(c)
+    sums, left, new = cache._evaluate(fc)
+    lo, hi = (np.tile(bound, (2, 1)) for bound in cache._piece[:2])
+    if left is not None:
+        lo[left], hi[left] = new[:2]
+    assert ((lo < fc) & (fc <= hi)).all()
+    for i, (problem, seg) in enumerate(zip(cache.problems, cache._segments)):
+        for row in range(2):
+            f = cache._f[:, seg].copy()
+            f[c] = fc[row, seg]
+            want = _ratio_loss(problem, cache.hp, f, c)
+            assert sums[row, i] == pytest.approx(want, rel=1e-12)
+    return left
+
+
+def check_deltas(cache, c, k, l, step):
+    """`deltas` of (c, k, l, step) against `oracles.loss_direct` before
+    and after each move, to 1e-12 of the larger loss, for every problem."""
+    for i, pair in enumerate(cache.deltas(c, k, l, step)):
+        problem, members = cache.problems[i], cache.members(i)
+        base = direct_loss(problem, members, cache.hp)
+        for got, delta in zip(pair, (step, -step)):
+            w = [np.column_stack([f.a, f.b]) for f in members]
+            w[c][k, l] += delta
+            moved = [MemberFunction(x[:, :-1], x[:, -1]) for x in w]
+            after = direct_loss(problem, moved, cache.hp)
+            assert got == pytest.approx(after - base, rel=0,
+                                        abs=1e-12 * max(base, after))
+
+
+class TestLossPieces:
+    def test_terms_of_every_class_count_each_term_twice(self):
+        # every term involves two classes, so the class sums add up to 2L
+        rng = np.random.default_rng(61)
+        for _ in range(10):
+            problem, model = random_instance(rng)
+            f = model.member_values(problem.samples).T
+            hp = model.hyperparams
+            total = sum(_ratio_loss(problem, hp, f, c) for c in range(problem.m))
+            assert total == pytest.approx(2 * _ratio_loss(problem, hp, f),
+                                          rel=1e-12)
+
+    def test_f_exactly_on_a_breakpoint(self):
+        # row 0 puts f_c on an own breakpoint alpha * (f_j + g) wherever
+        # x is in S_c, row 1 on a denominator breakpoint f_j / alpha - g
+        # wherever x is in S_j, for one j != c
+        rng = np.random.default_rng(67)
+        for _ in range(20):
+            problem, model = random_instance(rng, m=3)
+            cache = ResidualCache(problem, model)
+            hp, f = cache.hp, cache._f
+            c = int(rng.integers(0, 3))
+            j = (c + 1) % 3
+            fc = f[[c, c]].copy()
+            own = problem.member_sets[c]
+            fc[0, own] = hp.alpha * (f[j, own] + hp.denom_guard)
+            den = problem.member_sets[j]
+            fc[1, den] = f[j, den] / hp.alpha - hp.denom_guard
+            check_piece_sums(cache, c, np.maximum(fc, 0.0))
+            # and on the ends of the stored pieces: on lo it leaves its
+            # piece, on hi it stays
+            lo, hi = cache._piece[:2]
+            fc = np.where(np.isfinite([lo, hi]), [lo, hi], f[[c, c]])
+            left = check_piece_sums(cache, c, np.maximum(fc, 0.0))
+            if np.isfinite(lo).any():
+                assert left is not None and (left[0] == 0).all()
+
+    def test_step_clipped_to_zero(self):
+        # f_c'(x) = f + 2 delta x r + delta^2 x^2 comes out at -5.6e-17 for
+        # x = 2.3 before the clip at 0; the other samples keep f_c > 0
+        x = np.array([[2.3], [1.0], [-0.5], [0.8]])
+        problem = TrainingProblem(x, [[0, 1], [2, 3, 0]], (0.6, 1.7))
+        hp = HyperParams(m=2, q=1, alpha=0.4)
+        members = (MemberFunction([[1.1]], [(1.1 + 0.3) * 2.3]),
+                   MemberFunction([[0.5]], [0.2]))
+        cache = ResidualCache(problem, QmsModel(members, hp))
+        r, f = 1.1 * 2.3 - (1.1 + 0.3) * 2.3, cache._f[0, 0]
+        assert (2.3 * r) * (2.0 * 0.3) + f + (2.3 * 2.3) * (0.3 * 0.3) < 0.0
+        f_new = cache._trial(0, 0, 0, 0.3)[0]
+        assert f_new[0, 0] == 0.0 and (f_new[:, 1:] > 0.0).all()
+        check_piece_sums(cache, 0, f_new)
+        check_deltas(cache, 0, 0, 0, 0.3)
+
+    def test_alpha_zero_warns_nothing(self):
+        rng = np.random.default_rng(71)
+        for _ in range(10):
+            problem, model = random_instance(rng)
+            hp = HyperParams(m=problem.m, q=model.members[0].q, alpha=0.0)
+            cache = ResidualCache(problem, QmsModel(model.members, hp))
+            with np.errstate(all="raise"):
+                for c in range(problem.m):
+                    check_deltas(cache, c, 0, problem.p, 0.7)
+                    cache.try_entry(c, 0, 0, 0.7)
+                    check_piece_sums(cache, c, cache._trial(c, 0, 0, 3.0)[0])
+                assert cache.max_relative_drift() <= 1e-9
+
+    def test_rows_only_in_the_first_set(self):
+        # as for the detector's test rows: the first set holds every
+        # sample, the others only some of the rest, with weights != 1
+        rng = np.random.default_rng(73)
+        x = rng.normal(size=(12, 3))
+        problem = TrainingProblem(x, [np.arange(12), [4, 5, 6, 7, 8],
+                                      [7, 8, 9, 10, 11]], (0.25, 1.5, 3.0))
+        hp = HyperParams(m=3, q=2, alpha=0.5)
+        members = tuple(MemberFunction(rng.normal(size=(2, 3)),
+                                       rng.normal(size=2)) for _ in range(3))
+        cache = ResidualCache(problem, QmsModel(members, hp))
+        for c in (1, 2):
+            # while another class trains, a sample only in the first set
+            # has one breakpoint, that of its denominator term
+            cache._gather(c)
+            lo, hi = cache._piece[:2, :4]
+            assert (np.isinf(lo) != np.isinf(hi)).all()
+        for c in range(3):
+            for k, l in ((0, 0), (1, 3), (1, 2)):
+                check_piece_sums(cache, c, cache._trial(c, k, l, 0.4)[0])
+                check_deltas(cache, c, k, l, 0.4)
+                cache.try_entry(c, k, l, 0.4)
+        assert cache.max_relative_drift() <= 1e-9
+
+    def test_large_step_relocates_most_samples(self):
+        rng = np.random.default_rng(79)
+        problem, model = random_instance(rng, m=4, q=2, p=3, max_samples=12)
+        cache = ResidualCache(problem, model)
+        n = problem.samples.shape[0]
+        for c in range(4):
+            rows, _ = check_piece_sums(cache, c, cache._trial(c, 1, 3, 40.0)[0])
+            assert rows.size > n   # of the 2n (row, sample) pairs
+            check_deltas(cache, c, 1, 3, 40.0)
+
+    def test_commits_keep_the_relocated_pieces(self):
+        # the committed row's new pieces replace the stored ones, so
+        # every f_c stays inside its piece and the sums stay exact
+        rng = np.random.default_rng(83)
+        problem, model = random_instance(rng, m=3, q=2, p=3, max_samples=12)
+        cache = ResidualCache(problem, model)
+        relocated = 0
+        for _ in range(80):
+            c = int(rng.integers(0, 3))
+            k, l = int(rng.integers(0, 2)), int(rng.integers(0, 4))
+            step = float(rng.uniform(0.1, 3.0))
+            left = cache._trial(c, k, l, step)[2]
+            pieces = cache._piece.copy()
+            if cache.try_entry(c, k, l, step) and left is not None:
+                relocated += not np.array_equal(pieces, cache._piece)
+            assert cache.max_relative_drift() <= 1e-9
+        assert relocated > 0
 
 
 class TestCpmOptimize:
