@@ -391,7 +391,8 @@ class ResidualCache:
         if self._c != c:
             self._c = c
             # in blocks of samples, to keep the (m - 1, n) temporaries small
-            blocks = [slice(s, s + 512) for s in range(0, len(self._f[c]), 512)]
+            n = self._f.shape[1]
+            blocks = [slice(s, s + 512) for s in range(0, n, 512)]
             self._piece = np.hstack([self._pieces(b, self._f[c, b])
                                      for b in blocks])
             self._total = self._evaluate(self._f[[c, c]])[0][0]
@@ -429,10 +430,8 @@ class ResidualCache:
             left = np.nonzero(outside)
             new = self._pieces(left[1], fc[left])
             value[left] = _piece_value(new[2:], fc[left], self.hp.denom_guard)
-        sums = np.empty((2, len(self._segments)))
-        for i, seg in enumerate(self._segments):
-            np.add.reduce(value[:, seg], axis=1, out=sums[:, i])
-        return sums, left, new
+        sums = [np.add.reduce(value[:, s], axis=1) for s in self._segments]
+        return np.column_stack(sums), left, new
 
     def _trial(self, c: int, k: int, l: int, step: float):
         # f_c after adding +step and -step to entry (k, l), one row each

@@ -375,7 +375,8 @@ class TestLossPieces:
             problem, model = random_instance(rng)
             f = model.member_values(problem.samples).T
             hp = model.hyperparams
-            total = sum(_ratio_loss(problem, hp, f, c) for c in range(problem.m))
+            total = sum(_ratio_loss(problem, hp, f, c)
+                        for c in range(problem.m))
             assert total == pytest.approx(2 * _ratio_loss(problem, hp, f),
                                           rel=1e-12)
 
@@ -463,7 +464,8 @@ class TestLossPieces:
         cache = ResidualCache(problem, model)
         n = problem.samples.shape[0]
         for c in range(4):
-            rows, _ = check_piece_sums(cache, c, cache._trial(c, 1, 3, 40.0)[0])
+            f_new = cache._trial(c, 1, 3, 40.0)[0]
+            rows, _ = check_piece_sums(cache, c, f_new)
             assert rows.size > n   # of the 2n (row, sample) pairs
             check_deltas(cache, c, 1, 3, 40.0)
 
