@@ -34,6 +34,13 @@ def random_instance(rng, m=None, q=None, p=None, max_samples=8):
     return problem, QmsModel(members, hp)
 
 
+def direct_loss(problem, members, hp):
+    """`oracles.loss_direct` of the member functions on a pooled problem."""
+    return loss_direct([problem.samples[idx] for idx in problem.member_sets],
+                       problem.class_weights, [(f.a, f.b) for f in members],
+                       hp.alpha, hp.denom_guard)
+
+
 class TestMemberFunction:
     def test_identity_matrix_squared_norm(self):
         f = MemberFunction(np.eye(2), np.zeros(2))
@@ -158,11 +165,7 @@ class TestLossFull:
         for _ in range(25):
             problem, model = random_instance(rng)
             mine = loss_full(problem, model)
-            ref = loss_direct(
-                [problem.samples[idx] for idx in problem.member_sets],
-                problem.class_weights,
-                [(f.a, f.b) for f in model.members],
-                model.hyperparams.alpha, model.hyperparams.denom_guard)
+            ref = direct_loss(problem, model.members, model.hyperparams)
             assert mine == pytest.approx(ref, rel=1e-10)
 
     def test_class_count_mismatch(self):
@@ -323,13 +326,6 @@ class TestResidualCache:
                 model_bytes(QmsModel(fresh.members(i), hp))
         moved = probed.try_entry(0, 0, 1, 1.0)
         assert moved and moved == fresh.try_entry(0, 0, 1, 1.0)
-
-
-def direct_loss(problem, members, hp):
-    """`oracles.loss_direct` of the member functions on a pooled problem."""
-    return loss_direct([problem.samples[idx] for idx in problem.member_sets],
-                       problem.class_weights, [(f.a, f.b) for f in members],
-                       hp.alpha, hp.denom_guard)
 
 
 def check_piece_sums(cache, c, fc):
