@@ -171,10 +171,11 @@ def _bench_dataset(task) -> list[tuple]:
 def _training_cost(task) -> int:
     """Training rows times (encoded width + 1), summed over a dataset's
     five training files. A CPM sweep makes one trial for each of the
-    m·q·(width + 1) entries, and a member function's trials revisit its
-    share of the training rows, so this follows a dataset's training time. File bytes
-    do not: a one-hot attribute is a short token that encodes to many
-    columns. A missing or malformed file counts 0; the worker reports it.
+    m·q·(width + 1) entries, and each trial evaluates one loss piece per
+    pooled sample, a count that grows with the training rows, so this
+    follows a dataset's training time. File bytes do not: a one-hot
+    attribute is a short token that encodes to many columns. A missing or
+    malformed file counts 0; the worker reports it.
     """
     name, directory, _ = task
     total = 0
@@ -337,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="directory containing KEEL fold files")
     p_bench.add_argument("--out", default="bench.csv", help="results CSV path")
     p_bench.add_argument("--workers", type=_positive_int, default=None,
-                         help="parallel dataset workers (default: cpu count)")
+                         help="parallel dataset workers (default: the CPUs "
+                              "this process may run on)")
     _add_hyper_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
@@ -359,7 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "bench" and args.workers is None:
-        args.workers = os.cpu_count() or 1
+        # taskset or a cpuset may allow fewer CPUs than the host has
+        args.workers = (len(os.sched_getaffinity(0))
+                        if hasattr(os, "sched_getaffinity")
+                        else os.cpu_count() or 1)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

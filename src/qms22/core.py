@@ -289,10 +289,11 @@ def _initial_members(hp: HyperParams, p: int) -> tuple[MemberFunction, ...]:
                  for _ in range(hp.m))
 
 
-def _piece_value(abc: np.ndarray, fc: np.ndarray, g: float) -> np.ndarray:
-    # a * fc + b / (fc + g) + c0 for the piece rows abc = (a, b, c0)
-    value = np.divide(abc[1], fc + g)
-    value += abc[0] * fc
+def _piece_value(abc, fc, g: float, out=None, tmp=None) -> np.ndarray:
+    # a * fc + b / (fc + g) + c0 for the piece rows abc = (a, b, c0), into
+    # out with the scratch tmp of fc's shape if given, else into new arrays
+    value = np.divide(abc[1], np.add(fc, g, out=tmp), out=out)
+    value += np.multiply(abc[0], fc, out=tmp)
     value += abc[2]
     return value
 
@@ -341,6 +342,13 @@ class ResidualCache:
     entry: `try_entry` evaluates it and commits each problem's move, and
     `deltas` returns the same pair of loss changes and commits nothing.
 
+    Unless a sample leaves its piece, a trial allocates nothing: it works
+    in (2, n) buffers, a row per sign (the pieces too, so their passes do
+    not broadcast), and forms 2 * step * x[l] * r[k] and step^2 * x[l]^2
+    once for both rows; IEEE arithmetic is sign-symmetric, so each row
+    keeps its own bits. `try_entry` checks every problem before it commits any,
+    then commits each run of neighbours that took one step as one slice.
+
     Attributes:
         problems: the training problems, in segment order.
         losses: each problem's current loss, tracked incrementally across
@@ -382,7 +390,12 @@ class ResidualCache:
             for j, own in enumerate(problem.member_sets):
                 self._weight[j, seg.start + own] = problem.class_weights[j]
         self._xa_sq = self._xa * self._xa
-        self._c = self._piece = None   # the class and its per-sample pieces
+        # the trial buffers, a row per step sign (see the class docstring)
+        self._fc, self._value, self._tmp = np.empty((3, 2, n))
+        self._below, self._above = np.empty((2, 2, n), dtype=bool)
+        self._sums = np.empty((2, len(self.problems)))
+        self._piece = np.empty((5, 2, n))
+        self._c = None   # the class of the pieces
         self.losses = [_ratio_loss(pr, self.hp, self._f[:, seg])
                        for pr, seg in zip(self.problems, self._segments)]
 
@@ -391,11 +404,10 @@ class ResidualCache:
         if self._c != c:
             self._c = c
             # in blocks of samples, to keep the (m - 1, n) temporaries small
-            n = self._f.shape[1]
-            blocks = [slice(s, s + 512) for s in range(0, n, 512)]
-            self._piece = np.hstack([self._pieces(b, self._f[c, b])
-                                     for b in blocks])
-            self._total = self._evaluate(self._f[[c, c]])[0][0]
+            for s in range(0, self._f.shape[1], 512):
+                b = slice(s, s + 512)
+                self._piece[:, :, b] = self._pieces(b, self._f[c, b])[:, None]
+            self._total = self._evaluate(self._f[[c, c]])[0][0].tolist()
 
     def _pieces(self, cols, fc: np.ndarray) -> np.ndarray:
         # (lo, hi, a, b, c0) of the piece holding fc for the samples cols,
@@ -404,16 +416,21 @@ class ResidualCache:
         # whatever k, so a sample gets the same bits in a batch or alone.
         c, alpha, g = self._c, self.hp.alpha, self.hp.denom_guard
         others = [j for j in range(len(self._f)) if j != c]
-        f, w_den = self._f[others][:, cols], self._weight[others][:, cols]
+        # columns first, so that no row copy spans all n samples
+        f, w_den = self._f[:, cols][others], self._weight[:, cols][others]
         w_own = self._weight[c, cols]
+        fg = f + g
         at = np.full((2,) + f.shape, np.inf)   # own, denominator
-        np.multiply(alpha, f + g, out=at[0], where=w_own > 0.0)
+        np.multiply(alpha, fg, out=at[0], where=w_own > 0.0)
         if alpha:
             np.subtract(f / alpha, g, out=at[1], where=w_den > 0.0)
         past = fc > at   # at or below lo; the rest at or above hi
-        terms = np.stack([w_own / (f + g) * past[0], w_den * f * ~past[1],
+        terms = np.stack([w_own / fg * past[0], w_den * f * ~past[1],
                           w_own * ~past[0] + w_den * past[1]])
-        a, b, clipped = np.add.accumulate(terms, axis=1)[:, -1]
+        sums = terms[:, 0]
+        for j in range(1, len(others)):
+            sums += terms[:, j]
+        a, b, clipped = sums
         return np.stack([np.where(past, at, -np.inf).max(axis=(0, 1)),
                          np.where(past, np.inf, at).min(axis=(0, 1)),
                          a, b, alpha * clipped])
@@ -421,28 +438,34 @@ class ResidualCache:
     def _evaluate(self, fc: np.ndarray):
         # Each problem's sum of the terms involving f_c, for both rows of
         # fc (2, n), over its own segment alone, so with a lone problem's
-        # bits; and the (rows, samples) that left their piece with their
-        # new pieces, or None, None.
-        outside = (fc <= self._piece[0]) | (fc > self._piece[1])
-        value = _piece_value(self._piece[2:], fc, self.hp.denom_guard)
+        # bits, in the (2, problems) buffer _sums; and the (rows, samples)
+        # that left their piece with their new pieces, or None, None.
+        g, value = self.hp.denom_guard, self._value
+        below = np.less_equal(fc, self._piece[0], out=self._below)
+        above = np.greater(fc, self._piece[1], out=self._above)
+        _piece_value(self._piece[2:], fc, g, out=value, tmp=self._tmp)
         left = new = None
-        if outside.any():
-            left = np.nonzero(outside)
+        if np.count_nonzero(below) or np.count_nonzero(above):
+            left = np.nonzero(below | above)
             new = self._pieces(left[1], fc[left])
-            value[left] = _piece_value(new[2:], fc[left], self.hp.denom_guard)
-        sums = [np.add.reduce(value[:, s], axis=1) for s in self._segments]
-        return np.column_stack(sums), left, new
+            value[left] = _piece_value(new[2:], fc[left], g)
+        for i, seg in enumerate(self._segments):
+            np.add.reduce(value[:, seg], axis=1, out=self._sums[:, i])
+        return self._sums, left, new
 
     def _trial(self, c: int, k: int, l: int, step: float):
         # f_c after adding +step and -step to entry (k, l), one row each
-        # (see the class docstring), and what _evaluate finds for it
+        # (see the class docstring), and what _evaluate finds for it. The
+        # rows differ only in the sign of the term odd in the step.
         self._gather(c)
-        d = np.array([[step], [-step]], dtype=np.float64)
-        f_new = (self._xa[l] * self._r[c, k]) * (2.0 * d)
-        f_new += self._f[c]
-        f_new += self._xa_sq[l] * (d * d)
-        np.maximum(f_new, 0.0, out=f_new)
-        return (f_new,) + self._evaluate(f_new)
+        fc, u = self._fc, self._tmp[0]
+        np.multiply(self._xa[l], self._r[c, k], out=u)
+        u *= 2.0 * step
+        np.add(self._f[c], u, out=fc[0])
+        np.subtract(self._f[c], u, out=fc[1])
+        fc += np.multiply(self._xa_sq[l], step * step, out=u)
+        np.maximum(fc, 0.0, out=fc)
+        return (fc,) + self._evaluate(fc)
 
     def deltas(self, c: int, k: int, l: int,
                step: float) -> list[list[float]]:
@@ -450,8 +473,9 @@ class ResidualCache:
         problem's loss change [up, down] from adding +step and -step to
         entry (k, l) of class c. Exact zeros for a zero step.
         """
-        totals = self._trial(c, k, l, step)[1]
-        return (totals - self._total).T.tolist()
+        ups, downs = self._trial(c, k, l, step)[1].tolist()
+        return [[up - total, down - total]
+                for up, down, total in zip(ups, downs, self._total)]
 
     def try_entry(self, c: int, k: int, l: int,
                   step: float) -> list[tuple[int, float, float]]:
@@ -461,34 +485,41 @@ class ResidualCache:
         problem's entry, residuals, member values and tracked loss.
 
         Returns (i, delta, loss) for each problem i that moved, with its
-        new tracked loss. Raises RuntimeError if a committed move did not
-        lower the tracked loss.
+        new tracked loss. Raises RuntimeError, and commits nothing, if a
+        move to commit would not lower the tracked loss.
         """
-        f_new, totals, left, new = self._trial(c, k, l, step)
-        moved = []
-        for i, change in enumerate((totals - self._total).T.tolist()):
-            s = 0 if change[0] <= change[1] else 1
-            if not change[s] < 0.0:
+        fc, sums, left, new = self._trial(c, k, l, step)
+        ups, downs = sums.tolist()
+        decided, runs = [], []   # nothing is committed before every check
+        for i, total in enumerate(self._total):
+            up, down = ups[i] - total, downs[i] - total
+            s = 0 if up <= down else 1
+            change = down if s else up
+            if not change < 0.0:
                 continue
-            delta = -step if s else step
-            seg = self._segments[i]
-            self._f[c, seg] = f_new[s, seg]
-            if new is not None:
-                rows, cols = left
-                mine = (rows == s) & (cols >= seg.start) & (cols < seg.stop)
-                self._piece[:, cols[mine]] = new[:, mine]
-            self._w[i, c, k, l] += delta
-            self._r[c, k, seg] += delta * self._xa[l, seg]
-            before = self.losses[i]
-            self.losses[i] += change[s]
-            self._total[i] = totals[s, i]
-            if not self.losses[i] < before:
+            loss = self.losses[i] + change
+            if not loss < self.losses[i]:
                 raise RuntimeError(f"accepted move {(k, l)} of class {c} "
                                    f"did not decrease the loss of problem "
-                                   f"{i} ({before!r} -> "
-                                   f"{self.losses[i]!r})")
-            moved.append((i, delta, self.losses[i]))
-        return moved
+                                   f"{i} ({self.losses[i]!r} -> {loss!r})")
+            decided.append((i, s, loss))
+            if runs and runs[-1][1:] == [i - 1, s]:   # [first, last, row]
+                runs[-1][1] = i
+            else:
+                runs.append([i, i, s])
+        for first, last, s in runs:
+            run = slice(self._segments[first].start, self._segments[last].stop)
+            self._f[c, run] = fc[s, run]
+            if new is not None:
+                rows, cols = left
+                mine = (rows == s) & (cols >= run.start) & (cols < run.stop)
+                self._piece[:, :, cols[mine]] = new[:, None, mine]
+            self._r[c, k, run] += (-step if s else step) * self._xa[l, run]
+        for i, s, loss in decided:
+            self._w[i, c, k, l] += -step if s else step
+            self.losses[i] = loss
+            self._total[i] = (downs if s else ups)[i]
+        return [(i, -step if s else step, loss) for i, s, loss in decided]
 
     def members(self, i: int = 0) -> tuple[MemberFunction, ...]:
         """Snapshot of the current member functions of problem i."""

@@ -234,6 +234,8 @@ class TestBench:
                                                    monkeypatch, inline_pool):
         sizes = inline_pool["sizes"]
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(cli.os, "sched_getaffinity",
+                            lambda pid: set(range(64)), raising=False)
         data_dir = tmp_path / "data"
         write_dataset(data_dir, "one", seed=4)
         write_dataset(data_dir, "two", seed=5)
@@ -249,6 +251,27 @@ class TestBench:
         assert main(["bench", "--data-dir", str(tmp_path / "lone"),
                      "--out", str(out), "--workers", "8", *FAST_FLAGS]) == 0
         assert sizes == [2, 2, 2]
+
+    def test_default_workers_are_the_cpus_this_process_may_use(
+            self, tmp_path, capsys, monkeypatch, inline_pool):
+        sizes = inline_pool["sizes"]
+        data_dir = tmp_path / "data"
+        for i, name in enumerate(("one", "two", "three")):
+            write_dataset(data_dir, name, seed=4 + i)
+        out = tmp_path / "bench.csv"
+        bench = ["bench", "--data-dir", str(data_dir), "--out", str(out),
+                 *FAST_FLAGS]
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        # pinned to fewer CPUs than the host has, as by taskset or a cpuset
+        for allowed, pool in (({5}, []), ({0, 3}, [2])):
+            monkeypatch.setattr(cli.os, "sched_getaffinity",
+                                lambda pid: allowed, raising=False)
+            assert main(bench) == 0
+            assert sizes == pool
+        # where the platform has no affinity call, the host's CPU count
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        assert main(bench) == 0
+        assert sizes == [2, 3]
 
     def test_pool_gets_the_costliest_datasets_first(self, tmp_path, capsys,
                                                     inline_pool):

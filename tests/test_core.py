@@ -335,7 +335,7 @@ def check_piece_sums(cache, c, fc):
     samples) that left their stored piece, or None."""
     cache._gather(c)
     sums, left, new = cache._evaluate(fc)
-    lo, hi = (np.tile(bound, (2, 1)) for bound in cache._piece[:2])
+    lo, hi = cache._piece[:2].copy()   # one copy of the pieces per row
     if left is not None:
         lo[left], hi[left] = new[:2]
     assert ((lo < fc) & (fc <= hi)).all()
@@ -395,7 +395,7 @@ class TestLossPieces:
             check_piece_sums(cache, c, np.maximum(fc, 0.0))
             # and on the ends of the stored pieces: on lo it leaves its
             # piece, on hi it stays
-            lo, hi = cache._piece[:2]
+            lo, hi = cache._piece[:2, 0]
             fc = np.where(np.isfinite([lo, hi]), [lo, hi], f[[c, c]])
             left = check_piece_sums(cache, c, np.maximum(fc, 0.0))
             if np.isfinite(lo).any():
@@ -445,7 +445,7 @@ class TestLossPieces:
             # while another class trains, a sample only in the first set
             # has one breakpoint, that of its denominator term
             cache._gather(c)
-            lo, hi = cache._piece[:2, :4]
+            lo, hi = cache._piece[:2, 0, :4]
             assert (np.isinf(lo) != np.isinf(hi)).all()
         for c in range(3):
             for k, l in ((0, 0), (1, 3), (1, 2)):
@@ -482,6 +482,33 @@ class TestLossPieces:
                 relocated += not np.array_equal(pieces, cache._piece)
             assert cache.max_relative_drift() <= 1e-9
         assert relocated > 0
+
+    def test_gather_in_blocks_equals_gather_alone(self):
+        # a pooled n above two blocks of 512 and not a multiple of 512:
+        # every sample's piece, and each problem's sum, has the bits of
+        # its problem gathered alone and of one _pieces call over all n
+        trainings, hp = ssad_trainings([(231, 420, 90), (232, 390, 70),
+                                        (233, 360, 60)])
+        model = QmsModel(_initial_members(hp, trainings[0].p), hp)
+        shared = ResidualCache(trainings, model)
+        alone = [ResidualCache(t, model) for t in trainings]
+        n = shared._f.shape[1]
+        assert n > 1024 and n % 512
+        p = trainings[0].p
+        for c in range(hp.m):
+            for k, l, step in ((0, 0, hp.step_a), (1, 3, hp.step_a),
+                               (0, p, hp.step_b)):
+                for cache in (shared, *alone):
+                    cache.try_entry(c, k, l, step)
+        for c in range(hp.m):
+            for cache in (shared, *alone):
+                cache._gather(c)
+            want = np.concatenate([a._piece for a in alone], axis=2)
+            assert shared._piece.tobytes() == want.tobytes()
+            assert shared._total == [a._total[0] for a in alone]
+            whole = shared._pieces(np.arange(n), shared._f[c])
+            for row in shared._piece.transpose(1, 0, 2):
+                assert row.tobytes() == whole.tobytes()
 
 
 class TestCpmOptimize:
@@ -559,8 +586,24 @@ class TestCpmOptimize:
             raise AssertionError("expected a decreasing move")
         # a decrease this small vanishes against a tracked loss this large
         cache.losses[0] = 1e20
+        state = cache_state(cache)
         with pytest.raises(RuntimeError, match="did not decrease the loss"):
             cache.try_entry(0, 0, 0, 1.0)
+        assert cache_state(cache) == state
+
+    def test_failed_decrease_check_commits_no_problem(self):
+        # problem 0 could take its move, problem 1 fails the check: the
+        # raise comes before any commit, problem 0's included
+        trainings, hp = ssad_trainings([(221, 60, 20), (222, 75, 15)])
+        model = QmsModel(_initial_members(hp, trainings[0].p), hp)
+        cache = ResidualCache(trainings, model)
+        if not all(min(pair) < 0.0 for pair in cache.deltas(0, 0, 0, 1.0)):
+            raise AssertionError("expected a decreasing move for both")
+        cache.losses[1] = 1e20
+        state = cache_state(cache)
+        with pytest.raises(RuntimeError, match="of problem 1"):
+            cache.try_entry(0, 0, 0, 1.0)
+        assert cache_state(cache) == state
 
     def test_cache_consistent_after_every_sweep(self):
         rng = np.random.default_rng(31)
@@ -629,6 +672,16 @@ def model_bytes(model):
     return b"".join(f.a.tobytes() + f.b.tobytes() for f in model.members)
 
 
+def cache_state(cache):
+    """The bytes of everything a commit changes: each problem's member
+    functions and tracked loss, the member values, residuals and pieces,
+    and each problem's sum of the terms involving f_c."""
+    members = [model_bytes(QmsModel(cache.members(i), cache.hp))
+               for i in range(len(cache.problems))]
+    return (members, list(cache.losses), cache._f.tobytes(),
+            cache._r.tobytes(), cache._piece.tobytes(), list(cache._total))
+
+
 def loss_bytes(moves):
     return np.array([move[-1] for move in moves]).tobytes()
 
@@ -673,6 +726,44 @@ class TestCpmOptimizeMany:
             assert model_bytes(model) == model_bytes(alone)
         for model, again in zip(models, checked):
             assert model_bytes(again) == model_bytes(model)
+
+    def test_runs_of_one_step_commit_like_problems_alone(self):
+        # four problems in one cache, random member functions and steps
+        # that often move f_c out of its piece. Some trials split the
+        # problems three ways: two neighbours take one step, another the
+        # other step and another none, so the commit takes several runs
+        rng = np.random.default_rng(88)
+        hp = HyperParams(m=3, q=2, alpha=0.5)
+        members = tuple(MemberFunction(rng.normal(size=(2, 3)),
+                                       rng.normal(size=2)) for _ in range(3))
+        problems = [TrainingProblem.from_member_sets(
+            [rng.normal(size=(int(rng.integers(4, 13)), 3))
+             for _ in range(3)], rng.uniform(0.2, 2.0, size=3))
+            for _ in range(4)]
+        shared = ResidualCache(problems, QmsModel(members, hp))
+        alone = [ResidualCache(pr, QmsModel(members, hp)) for pr in problems]
+        split = 0
+        for _ in range(60):
+            c = int(rng.integers(0, 3))
+            k, l = int(rng.integers(0, 2)), int(rng.integers(0, 4))
+            step = float(rng.uniform(0.1, 3.0))
+            left = shared._trial(c, k, l, step)[2]
+            moved = shared.try_entry(c, k, l, step)
+            own = [a.try_entry(c, k, l, step) for a in alone]
+            assert moved == [(i, delta, loss) for i, moves in enumerate(own)
+                             for _, delta, loss in moves]
+            assert shared.losses == [a.losses[0] for a in alone]
+            assert shared.max_relative_drift() <= 1e-9
+            d = [0.0] * 4
+            for i, delta, _ in moved:
+                d[i] = delta
+            split += left is not None and any(
+                d[i] == d[i + 1] != 0.0 and -d[i] in d and 0.0 in d
+                for i in range(3))
+        assert split > 0
+        for i, a in enumerate(alone):
+            assert model_bytes(QmsModel(shared.members(i), hp)) == \
+                model_bytes(QmsModel(a.members(), hp))
 
     def test_differing_m_or_p_rejected(self):
         rng = np.random.default_rng(59)
