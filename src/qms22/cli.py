@@ -123,7 +123,15 @@ def _roc_svg(curve: RocCurve) -> str:
 """
 
 
+def _check_out_dirs(*paths) -> None:
+    # before any parsing or training, so a bad path costs no work
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"no directory for output file {path}")
+
+
 def cmd_run(args) -> int:
+    _check_out_dirs(args.out, args.svg)
     # only the encoded arrays are kept while training, not the parsed rows
     problem = _encode_fold(FoldPair(parse_keel(args.train),
                                     parse_keel(args.test), 1))
@@ -139,30 +147,21 @@ def _bench_dataset(task) -> list[tuple]:
     """Rows for one dataset: five folds plus the avg row.
 
     The folds are encoded first, keeping only their arrays, then trained
-    together, one `run_qms22_many` call per encoded width. Each fold row
-    gets the dataset's seconds divided by its folds; the avg row holds the
-    sum.
+    together in one `run_qms22_many` call. Each fold row gets the
+    dataset's seconds divided by its folds; the avg row holds the sum.
     """
     name, directory, hp = task
     folds = discover_folds(directory, name)
     started = time.perf_counter()
-    encoded = [(fold.fold_index, fold.train.n + fold.test.n,
-                len(fold.train.input_names), _encode_fold(fold))
-               for fold in folds]
+    shapes = [(str(fold.fold_index), fold.train.n + fold.test.n,
+               len(fold.train.input_names)) for fold in folds]
+    problems = [_encode_fold(fold) for fold in folds]
     del folds   # the parsed rows are no longer needed
-    by_width: dict[int, list] = {}
-    for index, _, _, problem in encoded:
-        width = problem.test_samples.shape[1]
-        by_width.setdefault(width, []).append((index, problem))
-    aucs = {}
-    for group in by_width.values():
-        indices, problems = zip(*group)
-        for index, problem, scores in zip(indices, problems,
-                                          run_qms22_many(problems, hp)):
-            aucs[index] = roc_curve(scores, problem.test_labels).auc
+    aucs = [roc_curve(scores, problem.test_labels).auc
+            for problem, scores in zip(problems, run_qms22_many(problems, hp))]
     seconds = time.perf_counter() - started
-    rows = [(name, str(index), aucs[index], n, p, seconds / len(encoded))
-            for index, n, p, _ in encoded]
+    rows = [(name, index, auc, n, p, seconds / len(problems))
+            for (index, n, p), auc in zip(shapes, aucs)]
     rows.append((name, "avg", float(np.mean([row[2] for row in rows])),
                  rows[-1][3], rows[-1][4], seconds))
     return rows
@@ -189,6 +188,7 @@ def _training_cost(task) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_out_dirs(args.out)
     hp = _hyper_from_args(args)
     datasets = find_datasets(args.data_dir)
     if not datasets:

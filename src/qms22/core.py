@@ -7,8 +7,9 @@ member function is smallest. Training minimizes a clipped ratio loss by
 perturbing one matrix/offset entry at a time and keeping only strict
 improvements. The trainer never recomputes the loss from scratch: a
 residual cache turns each single-entry perturbation into a rank-one
-update of the affected member values, and problems of one shape, such as
-the folds of a dataset, can share one cache and train together.
+update of the affected member values, and problems with the same number
+of classes, such as the folds of a dataset, can share one cache and train
+together whatever their feature dimensions.
 """
 
 from __future__ import annotations
@@ -320,13 +321,14 @@ class ResidualCache:
     Only loss terms involving f_i are revisited: the numerator terms of
     member set i and the terms where f_i sits in a denominator.
 
-    Problems that share m and p share one cache. Their samples are
-    concatenated along the sample axis, so each problem owns one
-    contiguous segment of [x; -1], of the residuals and of the member
-    values, and keeps its own W and loss. The elementwise work of a trial
-    runs once over all segments; each problem's loss is summed over its
-    own segment alone, so each problem gets the same bits as on its own.
-    With one problem the segment is the whole array.
+    Problems that share m share one cache, each owning one contiguous
+    segment of the samples, residuals and member values, and its own W and
+    loss. A trial's elementwise work runs once over all segments; each
+    problem's loss is summed over its own segment alone, with the bits it
+    gets on its own. A problem narrower than the model's p is zero-padded:
+    rows p_i..p-1 of its [x; -1] are 0, and b stays in column p of W. A
+    trial on a padded column leaves its f_c unchanged to the bit, a loss
+    change of exactly 0, so that entry of its W never moves.
 
     Training perturbs one class c at a time, and meanwhile only f_c moves,
     so a sample's share of the terms involving f_c depends on F = f_c(x)
@@ -346,8 +348,8 @@ class ResidualCache:
     in (2, n) buffers, a row per sign (the pieces too, so their passes do
     not broadcast), and forms 2 * step * x[l] * r[k] and step^2 * x[l]^2
     once for both rows; IEEE arithmetic is sign-symmetric, so each row
-    keeps its own bits. `try_entry` checks every problem before it commits any,
-    then commits each run of neighbours that took one step as one slice.
+    keeps its own bits. `try_entry` decides every problem, then commits
+    each run of neighbours that took one step as one slice.
 
     Attributes:
         problems: the training problems, in segment order.
@@ -362,7 +364,7 @@ class ResidualCache:
         if not self.problems:
             raise ValueError("need at least one training problem")
         for problem in self.problems:
-            if problem.m != model.m or problem.p != model.p:
+            if problem.m != model.m or problem.p > model.p:
                 raise ValueError(f"model has {model.m} member functions of "
                                  f"dimension {model.p}, a problem has "
                                  f"{problem.m} member sets of dimension "
@@ -377,13 +379,13 @@ class ResidualCache:
         # is contiguous; residuals as (m, q, n) so one matrix row is.
         # Each problem's part is written straight into its segment, and
         # so is its member weights: w_j where x is in S_j, else 0.
-        self._xa = np.empty((p + 1, n))
+        self._xa = np.zeros((p + 1, n))
         self._xa[p] = -1.0
         self._r = np.empty((model.m, w.shape[1], n))
         self._f = np.empty((model.m, n))
         self._weight = np.zeros((model.m, n))
         for problem, seg in zip(self.problems, self._segments):
-            self._xa[:p, seg] = problem.samples.T
+            self._xa[:problem.p, seg] = problem.samples.T
             r = self._r[:, :, seg]
             np.einsum("mqp,pn->mqn", w, self._xa[:, seg], out=r)
             np.einsum("mqn,mqn->mn", r, r, out=self._f[:, seg])
@@ -481,27 +483,22 @@ class ResidualCache:
                   step: float) -> list[tuple[int, float, float]]:
         """One CPM trial: add +step and -step to entry (k, l) of class c
         and, for each problem, commit the one that lowers its loss more,
-        +step on a tie, if it lowers it at all. A commit updates the
-        problem's entry, residuals, member values and tracked loss.
+        +step on a tie, if it lowers the tracked loss at all. A commit
+        updates the problem's entry, residuals, member values and tracked
+        loss, so every commit strictly lowers that loss.
 
         Returns (i, delta, loss) for each problem i that moved, with its
-        new tracked loss. Raises RuntimeError, and commits nothing, if a
-        move to commit would not lower the tracked loss.
+        new tracked loss.
         """
         fc, sums, left, new = self._trial(c, k, l, step)
         ups, downs = sums.tolist()
-        decided, runs = [], []   # nothing is committed before every check
+        decided, runs = [], []
         for i, total in enumerate(self._total):
             up, down = ups[i] - total, downs[i] - total
             s = 0 if up <= down else 1
-            change = down if s else up
-            if not change < 0.0:
-                continue
-            loss = self.losses[i] + change
+            loss = self.losses[i] + (down if s else up)
             if not loss < self.losses[i]:
-                raise RuntimeError(f"accepted move {(k, l)} of class {c} "
-                                   f"did not decrease the loss of problem "
-                                   f"{i} ({self.losses[i]!r} -> {loss!r})")
+                continue
             decided.append((i, s, loss))
             if runs and runs[-1][1:] == [i - 1, s]:   # [first, last, row]
                 runs[-1][1] = i
@@ -522,9 +519,9 @@ class ResidualCache:
         return [(i, -step if s else step, loss) for i, s, loss in decided]
 
     def members(self, i: int = 0) -> tuple[MemberFunction, ...]:
-        """Snapshot of the current member functions of problem i."""
+        """Snapshot of problem i's current member functions, p_i wide."""
         p = self.problems[i].p
-        return tuple(MemberFunction(w[:, :p].copy(), w[:, p].copy())
+        return tuple(MemberFunction(w[:, :p].copy(), w[:, -1].copy())
                      for w in self._w[i])
 
     def max_relative_drift(self) -> float:
@@ -585,17 +582,19 @@ def cpm_optimize_many(problems, hp: HyperParams,
     """Train one model per problem by coordinate perturbation, all of
     them in one residual cache.
 
-    The problems must share the number of member sets and the feature
-    dimension. They visit the same sweep, class and entry sequence, so
-    each trial evaluates every problem at once, while the accept
-    decisions, commits and strict-decrease checks stay per problem. Each
-    model is bitwise the one `cpm_optimize` trains on that problem alone.
+    The problems must share the number of member sets; a narrower problem
+    is zero-padded to the widest (see `ResidualCache`). All of them visit
+    the same sweep, class and entry sequence, so each trial evaluates
+    every problem at once, while the accept decisions and commits stay
+    per problem. Each model and its accepted moves are bitwise those
+    `cpm_optimize` gives on that problem alone.
 
     Args:
-        problems: training problems sharing m and p.
+        problems: training problems sharing m.
         hp: hyperparameters; hp.m must match the problems.
         on_accept: as for `cpm_optimize`, with the problem's index first:
-            on_accept(i, sweep, class_i, (k, l), delta, loss).
+            on_accept(i, sweep, class_i, (k, l), delta, loss), where
+            l == p_i, the problem's own dimension, is b[k].
 
     Returns:
         The trained models, in the order of `problems`.
@@ -603,11 +602,7 @@ def cpm_optimize_many(problems, hp: HyperParams,
     problems = tuple(problems)
     if not problems:
         raise ValueError("need at least one training problem")
-    for problem in problems:
-        if hp.m != problem.m:
-            raise ValueError(f"hp.m = {hp.m} but a problem has {problem.m} "
-                             f"member sets")
-    p = problems[0].p
+    p = max(problem.p for problem in problems)   # the cache checks m
     cache = ResidualCache(problems, QmsModel(_initial_members(hp, p), hp))
     entries = ([(k, l, hp.step_a) for k in range(hp.q) for l in range(p)]
                + [(k, p, hp.step_b) for k in range(hp.q)])
@@ -616,7 +611,9 @@ def cpm_optimize_many(problems, hp: HyperParams,
             for k, l, step in entries:
                 moved = cache.try_entry(c, k, l, step)
                 if on_accept is not None:
+                    # only l < p_i and b, column p of the cache, move
                     for i, delta, loss in moved:
-                        on_accept(i, sweep, c, (k, l), delta, loss)
+                        on_accept(i, sweep, c, (k, min(l, problems[i].p)),
+                                  delta, loss)
     return [QmsModel(cache.members(i), hp) for i in range(len(problems))]
 

@@ -56,6 +56,11 @@ class Attribute:
     def is_numeric(self) -> bool:
         return self.kind in ("real", "integer")
 
+    @property
+    def width(self) -> int:
+        """Encoded columns: one if numeric, else one per declared value."""
+        return 1 if self.is_numeric else len(self.domain)
+
 
 @dataclass(frozen=True)
 class RawDataset:
@@ -78,10 +83,8 @@ class RawDataset:
 
     @property
     def encoded_width(self) -> int:
-        """Columns after one-hot encoding: one per numeric input, one per
-        declared value of a categorical input."""
-        return sum(1 if a.is_numeric else len(a.domain)
-                   for a in self.input_attributes)
+        """Columns after one-hot encoding, as `Preprocessor.width`."""
+        return sum(a.width for a in self.input_attributes)
 
     @property
     def output_index(self) -> int:
@@ -115,6 +118,9 @@ def _parse_attribute(rest: str, source: str, line_no: int) -> Attribute:
         values = tuple(v.strip() for v in tail[:-1].split(","))
         if not all(values):
             raise KeelParseError(source, line_no, "empty categorical value")
+        if len(set(values)) != len(values):
+            raise KeelParseError(source, line_no,
+                                 "categorical domain repeats a value")
         name = name.strip()
         if not name:
             raise KeelParseError(source, line_no, "attribute needs a name")
@@ -309,8 +315,7 @@ class Preprocessor:
 
     @property
     def width(self) -> int:
-        return sum(1 if kind == "scale" else len(mapping)
-                   for kind, mapping in self.encoders)
+        return sum(a.width for a in self.attributes)
 
     def transform(self, data: RawDataset) -> tuple[np.ndarray, np.ndarray]:
         """Encode rows to an (n, width) float matrix and a boolean outlier

@@ -145,8 +145,9 @@ def run_qms22(problem: SsadProblem, hp: HyperParams | None = None) -> np.ndarray
 
 
 def run_qms22_many(problems, hp: HyperParams | None = None) -> list[np.ndarray]:
-    """`run_qms22` for several problems of one feature dimension, such as
-    the folds of a dataset, trained together by `cpm_optimize_many`.
+    """`run_qms22` for several problems, such as the folds of a dataset,
+    trained together by `cpm_optimize_many`; their feature dimensions may
+    differ.
 
     Returns one score array per problem, each bitwise what `run_qms22`
     returns for that problem alone.

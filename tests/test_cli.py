@@ -90,6 +90,30 @@ def inline_pool(monkeypatch):
     return record
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--out", "{missing}/roc.csv"],
+    ["run", "--out", "{tmp}/roc.csv", "--svg", "{missing}/roc.svg"],
+    ["bench", "--out", "{missing}/bench.csv"],
+], ids=["run-out", "run-svg", "bench-out"])
+def test_missing_output_directory_fails_before_training(tmp_path, capsys,
+                                                        monkeypatch, command):
+    def fail(*args):
+        raise AssertionError("parsed input before checking the output")
+
+    monkeypatch.setattr(cli, "parse_keel", fail)
+    monkeypatch.setattr(cli, "find_datasets", fail)
+    tra, tst = fold_pair_files(tmp_path)
+    missing = tmp_path / "missing"
+    argv = [arg.format(missing=missing, tmp=tmp_path) for arg in command]
+    inputs = (["--train", str(tra), "--test", str(tst)] if argv[0] == "run"
+              else ["--data-dir", str(tmp_path)])
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv + inputs + FAST_FLAGS) == 1
+    err = capsys.readouterr().err
+    assert f"{missing}/" in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestRun:
     def test_writes_roc_csv_and_prints_auc(self, tmp_path, capsys):
         tra, tst = fold_pair_files(tmp_path)
@@ -203,7 +227,7 @@ class TestBench:
 
     def test_fold_aucs_equal_score_fold(self, tmp_path, capsys):
         # folds of unequal size, and fold 3 one feature wider, so the
-        # bench trains folds 1, 2, 4 and 5 together and fold 3 alone
+        # bench trains the other folds padded to its width
         data_dir = tmp_path / "data"
         data_dir.mkdir()
         rng = np.random.default_rng(12)

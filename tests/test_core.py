@@ -575,9 +575,7 @@ class TestCpmOptimize:
         assert all(later < earlier
                    for earlier, later in zip([initial] + values, values))
 
-    def test_non_decreasing_accepted_move_raises(self):
-        # the strict-decrease check is a raise, not an assert, so it also
-        # holds under python -O
+    def test_absorbed_decrease_is_declined(self):
         trainings, hp = ssad_trainings([(221, 60, 20)])
         cache = ResidualCache(trainings,
                               QmsModel(_initial_members(hp, trainings[0].p), hp))
@@ -586,24 +584,25 @@ class TestCpmOptimize:
             raise AssertionError("expected a decreasing move")
         # a decrease this small vanishes against a tracked loss this large
         cache.losses[0] = 1e20
-        state = cache_state(cache)
-        with pytest.raises(RuntimeError, match="did not decrease the loss"):
-            cache.try_entry(0, 0, 0, 1.0)
-        assert cache_state(cache) == state
+        state = problem_state(cache, 0)
+        assert cache.try_entry(0, 0, 0, 1.0) == []
+        assert problem_state(cache, 0) == state
 
-    def test_failed_decrease_check_commits_no_problem(self):
-        # problem 0 could take its move, problem 1 fails the check: the
-        # raise comes before any commit, problem 0's included
+    def test_absorbed_decrease_declined_for_that_problem_only(self):
+        # both problems have a decreasing move, but problem 1's vanishes
+        # against its tracked loss: problem 0 commits as it would alone
         trainings, hp = ssad_trainings([(221, 60, 20), (222, 75, 15)])
         model = QmsModel(_initial_members(hp, trainings[0].p), hp)
-        cache = ResidualCache(trainings, model)
+        cache, alone = ResidualCache(trainings, model), ResidualCache(
+            trainings[0], model)
         if not all(min(pair) < 0.0 for pair in cache.deltas(0, 0, 0, 1.0)):
             raise AssertionError("expected a decreasing move for both")
         cache.losses[1] = 1e20
-        state = cache_state(cache)
-        with pytest.raises(RuntimeError, match="of problem 1"):
-            cache.try_entry(0, 0, 0, 1.0)
-        assert cache_state(cache) == state
+        state = problem_state(cache, 1)
+        moved = cache.try_entry(0, 0, 0, 1.0)
+        assert moved == alone.try_entry(0, 0, 0, 1.0) != []
+        assert problem_state(cache, 0) == problem_state(alone, 0)
+        assert problem_state(cache, 1) == state
 
     def test_cache_consistent_after_every_sweep(self):
         rng = np.random.default_rng(31)
@@ -611,7 +610,7 @@ class TestCpmOptimize:
             [rng.normal(size=(5, 2)) + i for i in range(4)])
         hp = HyperParams(m=4, q=3, iterations=4, step_a=0.5, step_b=1.5,
                          b_init=6.0)
-        [model] = train_checking_drift([problem], hp)
+        [model] = cache_models(train_checking_drift([problem], hp))
         assert model_bytes(model) == model_bytes(cpm_optimize(problem, hp))
 
     def test_deterministic_bit_identical(self):
@@ -651,8 +650,8 @@ def train_alone(problem, hp):
 def train_checking_drift(problems, hp):
     """The trials of `cpm_optimize_many`, in its sweep order, with the
     residual cache checked against a full recomputation after every
-    sweep; returns the trained models."""
-    p = problems[0].p
+    sweep; returns the trained cache."""
+    p = max(problem.p for problem in problems)
     cache = ResidualCache(problems, QmsModel(_initial_members(hp, p), hp))
     entries = ([(k, l, hp.step_a) for k in range(hp.q) for l in range(p)]
                + [(k, p, hp.step_b) for k in range(hp.q)])
@@ -665,21 +664,27 @@ def train_checking_drift(problems, hp):
         if not drift <= 1e-9:
             raise AssertionError(f"cache drifted by {drift!r} in sweep "
                                  f"{sweep}")
-    return [QmsModel(cache.members(i), hp) for i in range(len(problems))]
+    return cache
+
+
+def cache_models(cache):
+    return [QmsModel(cache.members(i), cache.hp)
+            for i in range(len(cache.problems))]
 
 
 def model_bytes(model):
     return b"".join(f.a.tobytes() + f.b.tobytes() for f in model.members)
 
 
-def cache_state(cache):
-    """The bytes of everything a commit changes: each problem's member
-    functions and tracked loss, the member values, residuals and pieces,
-    and each problem's sum of the terms involving f_c."""
-    members = [model_bytes(QmsModel(cache.members(i), cache.hp))
-               for i in range(len(cache.problems))]
-    return (members, list(cache.losses), cache._f.tobytes(),
-            cache._r.tobytes(), cache._piece.tobytes(), list(cache._total))
+def problem_state(cache, i):
+    """The bytes of everything a commit changes for problem i: its member
+    functions and tracked loss, the member values, residuals and pieces
+    of its segment, and its sum of the terms involving f_c."""
+    seg = cache._segments[i]
+    return (model_bytes(QmsModel(cache.members(i), cache.hp)),
+            cache.losses[i], cache._f[:, seg].tobytes(),
+            cache._r[:, :, seg].tobytes(), cache._piece[:, :, seg].tobytes(),
+            cache._total[i])
 
 
 def loss_bytes(moves):
@@ -718,7 +723,7 @@ class TestCpmOptimizeMany:
         moves = [[] for _ in problems]
         models = cpm_optimize_many(
             problems, hp, on_accept=lambda i, *move: moves[i].append(move))
-        checked = train_checking_drift(problems, hp)
+        checked = cache_models(train_checking_drift(problems, hp))
         for problem, model, got in zip(problems, models, moves):
             alone, want = train_alone(problem, hp)
             assert [move[:-1] for move in got] == [move[:-1] for move in want]
@@ -765,6 +770,30 @@ class TestCpmOptimizeMany:
             assert model_bytes(QmsModel(shared.members(i), hp)) == \
                 model_bytes(QmsModel(a.members(), hp))
 
+    def test_mixed_widths_bitwise_equal_to_one_problem_at_a_time(self):
+        # the cache pads problems of p = 1, 2, 3 to the widest, p = 5
+        made = [_ssad_problem(seed, 40 + 7 * seed, 12, p, 2)
+                for seed, p in ((231, 1), (232, 2), (233, 3), (234, 5),
+                                (235, 5))]
+        trainings, hp = [t for _, t, _ in made], made[0][2]
+        moves = [[] for _ in trainings]
+        models = cpm_optimize_many(
+            trainings, hp, on_accept=lambda i, *move: moves[i].append(move))
+        for training, model, got in zip(trainings, models, moves):
+            alone, want = train_alone(training, hp)
+            assert model.p == training.p
+            assert len(got) == len(want) > 0
+            assert [move[:-1] for move in got] == [move[:-1] for move in want]
+            assert loss_bytes(got) == loss_bytes(want)
+            assert model_bytes(model) == model_bytes(alone)
+        # with the drift checked after every sweep; the padded columns of
+        # W, between a problem's own columns and b, never move
+        cache = train_checking_drift(trainings, hp)
+        for i, training in enumerate(trainings):
+            assert not cache._w[i, :, :, training.p:-1].any()
+            assert model_bytes(QmsModel(cache.members(i), hp)) == \
+                model_bytes(models[i])
+
     def test_differing_m_or_p_rejected(self):
         rng = np.random.default_rng(59)
 
@@ -773,8 +802,6 @@ class TestCpmOptimizeMany:
                 [rng.normal(size=(4, p)) for _ in range(m)])
 
         hp = HyperParams(m=3, q=2, iterations=1)
-        with pytest.raises(ValueError, match="dimension"):
-            cpm_optimize_many([problem(3, 2), problem(3, 4)], hp)
         with pytest.raises(ValueError, match="member sets"):
             cpm_optimize_many([problem(3, 2), problem(4, 2)], hp)
         with pytest.raises(ValueError, match="at least one"):

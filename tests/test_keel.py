@@ -79,6 +79,21 @@ class TestParse:
         assert data.input_names == ("A", "B")
         assert data.output_name == "Class"
 
+    @pytest.mark.parametrize("first, second, line", [
+        ("@attribute C1 {a, a, b}", "@attribute X1 real", 2),
+        ("@attribute X1 real", "@attribute C1 {a, a, b}", 3),
+    ], ids=["categorical-first", "categorical-last"])
+    def test_repeated_categorical_value_rejected(self, first, second, line):
+        # one-hot columns are one per declared value, so a repeat would
+        # leave the width and the encoding disagreeing
+        text = (f"@relation r\n{first}\n{second}\n"
+                "@attribute Class {negative, positive}\n"
+                "@data\na, 1.0, negative\n")
+        with pytest.raises(KeelParseError,
+                           match=rf"f\.dat:{line}: categorical domain "
+                                 rf"repeats a value"):
+            parse_keel_text(text, source="f.dat")
+
     def test_value_outside_domain_names_line_and_value(self):
         text = MINIMAL + "5.0, 5.0, maybe\n"
         with pytest.raises(KeelParseError, match=r"<string>:11.*'maybe'"):

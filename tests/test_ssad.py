@@ -201,6 +201,19 @@ class TestRunQms22:
         for problem, scores in zip(problems, many):
             assert scores.tobytes() == run_qms22(problem, hp).tobytes()
 
+    def test_column_on_a_tiny_scale_trains(self):
+        # the decreases from moving column 3 are too small for the tracked
+        # loss to hold; such moves are declined rather than taken
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            train = rng.normal(size=(150, 5)) * 40
+            test = rng.normal(size=(40, 5)) * 40
+            train[:, 3] *= 1e-9
+            test[:, 3] *= 1e-9
+            scores = run_qms22(SsadProblem(train, test),
+                               HyperParams(iterations=6))
+            assert scores.shape == (40,) and np.isfinite(scores).all()
+
     def test_default_hyperparameters_used_when_omitted(self):
         # four training rows cannot be split six ways, so the error
         # proves the m=7 default was picked up
