@@ -123,15 +123,19 @@ def _roc_svg(curve: RocCurve) -> str:
 """
 
 
-def _check_out_dirs(*paths) -> None:
+def _check_out_paths(*paths) -> None:
     # before any parsing or training, so a bad path costs no work
     for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            raise IsADirectoryError(f"output file {path} is a directory")
+        if not Path(path).parent.is_dir():
             raise FileNotFoundError(f"no directory for output file {path}")
 
 
 def cmd_run(args) -> int:
-    _check_out_dirs(args.out, args.svg)
+    _check_out_paths(args.out, args.svg)
     # only the encoded arrays are kept while training, not the parsed rows
     problem = _encode_fold(FoldPair(parse_keel(args.train),
                                     parse_keel(args.test), 1))
@@ -188,7 +192,7 @@ def _training_cost(task) -> int:
 
 
 def cmd_bench(args) -> int:
-    _check_out_dirs(args.out)
+    _check_out_paths(args.out)
     hp = _hyper_from_args(args)
     datasets = find_datasets(args.data_dir)
     if not datasets:
@@ -294,6 +298,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_summary(args) -> int:
+    _check_out_paths(args.out)
     lines = ["classifier,min,q1,median,q3,max,mean,std"]
     for path in args.results:
         aucs = list(_read_representative_aucs(path).values())

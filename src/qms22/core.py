@@ -14,6 +14,7 @@ together whatever their feature dimensions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Callable
@@ -325,7 +326,9 @@ class ResidualCache:
     segment of the samples, residuals and member values, and its own W and
     loss. A trial's elementwise work runs once over all segments; each
     problem's loss is summed over its own segment alone, with the bits it
-    gets on its own. A problem narrower than the model's p is zero-padded:
+    gets on its own. Each run of neighbouring problems with equal sample
+    counts, such as the folds of a dataset, is summed by one reduce with a
+    row per problem. A problem narrower than the model's p is zero-padded:
     rows p_i..p-1 of its [x; -1] are 0, and b stays in column p of W. A
     trial on a padded column leaves its f_c unchanged to the bit, a loss
     change of exactly 0, so that entry of its W never moves.
@@ -337,12 +340,14 @@ class ResidualCache:
     w_j * max(alpha, f_j / (F + g)) break at f_j / alpha - g (never for
     alpha = 0). Between neighbouring breakpoints, lo < F <= hi, the share
     is a * F + b / (F + g) + c0; the sides agree on a breakpoint. Once per
-    class the cache stores each sample's piece (lo, hi, a, b, c0) and each
-    problem's sum of the terms involving f_c. A trial evaluates the pieces
-    at the new f_c, O(n), and recomputes the piece only of the samples
-    that left theirs. A trial is always the pair +step, -step on one
-    entry: `try_entry` evaluates it and commits each problem's move, and
-    `deltas` returns the same pair of loss changes and commits nothing.
+    class the cache tables every sample's breakpoints and the coefficients
+    that its pieces sum, and stores each sample's piece (lo, hi, a, b, c0)
+    and each problem's sum of the terms involving f_c. A trial evaluates
+    the pieces at the new f_c, O(n), and recomputes the piece only of the
+    samples that left theirs, from the table. A trial is always the pair
+    +step, -step on one entry: `try_entry` evaluates it and commits each
+    problem's move, and `deltas` returns the same pair of loss changes and
+    commits nothing.
 
     Unless a sample leaves its piece, a trial allocates nothing: it works
     in (2, n) buffers, a row per sign (the pieces too, so their passes do
@@ -371,7 +376,8 @@ class ResidualCache:
                                  f"{problem.p}")
         self.hp = model.hyperparams
         p = model.p
-        self._segments = _runs([pr.samples.shape[0] for pr in self.problems])
+        sizes = [pr.samples.shape[0] for pr in self.problems]
+        self._segments = _runs(sizes)
         n = self._segments[-1].stop
         w = np.stack([np.column_stack([f.a, f.b]) for f in model.members])
         self._w = np.stack([w] * len(self.problems))    # (problems, m, q, p+1)
@@ -396,46 +402,99 @@ class ResidualCache:
         self._fc, self._value, self._tmp = np.empty((3, 2, n))
         self._below, self._above = np.empty((2, 2, n), dtype=bool)
         self._sums = np.empty((2, len(self.problems)))
+        # each run of neighbouring problems of one size is summed by one
+        # reduce over a (2, count, size) view of _value, whose rows are the
+        # problems' segments, so each problem keeps its own reduce's bits
+        self._grouped = []
+        first = 0
+        for size, run in itertools.groupby(sizes):
+            count = len(list(run))
+            cols = slice(self._segments[first].start,
+                         self._segments[first + count - 1].stop)
+            self._grouped.append(
+                (self._value[:, cols].reshape(2, count, size),
+                 self._sums[:, first:first + count]))
+            first += count
         self._piece = np.empty((5, 2, n))
+        # class c's tables (see _pieces) and the scratch of their
+        # full-width pass, filled by _gather
+        self._table = np.empty((6, model.m - 1, n))
+        self._mask = np.empty((4, model.m - 1, n), dtype=bool)
+        self._terms = np.empty((4, model.m - 1, n))
         self._c = None   # the class of the pieces
         self.losses = [_ratio_loss(pr, self.hp, self._f[:, seg])
                        for pr, seg in zip(self.problems, self._segments)]
 
     def _gather(self, c: int) -> None:
-        # class c's pieces and each problem's sum _total of its terms now
+        # class c's table, its pieces and each problem's sum _total of its
+        # terms now, each in one pass over all n samples
         if self._c != c:
             self._c = c
-            # in blocks of samples, to keep the (m - 1, n) temporaries small
-            for s in range(0, self._f.shape[1], 512):
-                b = slice(s, s + 512)
-                self._piece[:, :, b] = self._pieces(b, self._f[c, b])[:, None]
+            alpha, g = self.hp.alpha, self.hp.denom_guard
+            others = [j for j in range(len(self._f)) if j != c]
+            at, own_a, den_b, w_own, w_den = (self._table[:2],
+                                              *self._table[2:])
+            # straight into the table ("clip" takes no buffered copy; the
+            # indices are valid)
+            np.take(self._f, others, axis=0, out=den_b, mode="clip")  # f_j
+            np.take(self._weight, others, axis=0, out=w_den, mode="clip")
+            w_own[...] = self._weight[c]
+            # -inf where the sample has the term, else +inf, so that the
+            # max with it leaves a breakpoint or makes one that no fc
+            # crosses; in the order of at: own, denominator
+            absent = np.greater(self._table[4:], 0.0, out=self._mask[:2])
+            absent = np.subtract(absent, 0.5, out=self._terms[:2])
+            absent *= -np.inf
+            np.add(den_b, g, out=own_a)   # f_j + g
+            np.multiply(alpha, own_a, out=at[0])
+            if alpha:
+                np.divide(den_b, alpha, out=at[1])
+                at[1] -= g
+            else:
+                at[1] = np.inf
+            np.maximum(at, absent, out=at)
+            np.divide(w_own, own_a, out=own_a)
+            np.multiply(w_den, den_b, out=den_b)
+            self._pieces(slice(None), self._f[c], self._piece[:, 0],
+                         self._mask, self._terms)
+            self._piece[:, 1] = self._piece[:, 0]
             self._total = self._evaluate(self._f[[c, c]])[0][0].tolist()
 
-    def _pieces(self, cols, fc: np.ndarray) -> np.ndarray:
+    def _pieces(self, cols, fc: np.ndarray, out=None, mask=None,
+                terms=None) -> np.ndarray:
         # (lo, hi, a, b, c0) of the piece holding fc for the samples cols,
-        # a (5, k) array (see the class docstring). A missing term gets a
-        # breakpoint that no fc crosses. The sums over j run in order,
-        # whatever k, so a sample gets the same bits in a batch or alone.
-        c, alpha, g = self._c, self.hp.alpha, self.hp.denom_guard
-        others = [j for j in range(len(self._f)) if j != c]
-        # columns first, so that no row copy spans all n samples
-        f, w_den = self._f[:, cols][others], self._weight[:, cols][others]
-        w_own = self._weight[c, cols]
-        fg = f + g
-        at = np.full((2,) + f.shape, np.inf)   # own, denominator
-        np.multiply(alpha, fg, out=at[0], where=w_own > 0.0)
-        if alpha:
-            np.subtract(f / alpha, g, out=at[1], where=w_den > 0.0)
-        past = fc > at   # at or below lo; the rest at or above hi
-        terms = np.stack([w_own / fg * past[0], w_den * f * ~past[1],
-                          w_own * ~past[0] + w_den * past[1]])
-        sums = terms[:, 0]
-        for j in range(1, len(others)):
-            sums += terms[:, j]
-        a, b, clipped = sums
-        return np.stack([np.where(past, at, -np.inf).max(axis=(0, 1)),
-                         np.where(past, np.inf, at).min(axis=(0, 1)),
-                         a, b, alpha * clipped])
+        # a (5, k) array (see the class docstring), read from class c's
+        # (6, m - 1, n) table: for each term j, the own and the
+        # denominator breakpoints, then the coefficients w_c / (f_j + g),
+        # w_j * f_j, w_c and w_j, which the sides of the breakpoints
+        # select. A missing term has a breakpoint that no fc crosses. The
+        # sums over j run in order, whatever k, so a sample gets the same
+        # bits in a batch or alone. The (4, m - 1, k) scratch mask and
+        # terms may be given.
+        table = self._table[:, :, cols]
+        at = table[:2]
+        shape = (4,) + at.shape[1:]
+        mask = np.empty(shape, dtype=bool) if mask is None else mask
+        terms = np.empty(shape) if terms is None else terms
+        out = np.empty((5, at.shape[2])) if out is None else out
+        # the sides in the order of the coefficients: own past,
+        # denominator not past, own not past, denominator past
+        past = np.greater(fc, at, out=mask[::3])
+        np.logical_not(mask[3::-3], out=mask[1:3])
+        # a breakpoint that fc is past bounds the piece from below, any
+        # other from above: min(at, +inf) is at, min(at, -inf) is -inf
+        side = np.subtract(past, 0.5, out=terms[:2])
+        side *= np.inf
+        np.minimum(at, side, out=terms[2:]).max(axis=(0, 1), out=out[0])
+        np.maximum(at, side, out=side).min(axis=(0, 1), out=out[1])
+        np.multiply(table[2:], mask, out=terms)
+        terms[2] += terms[3]   # w_c or w_j where a term is clipped
+        sums = out[2:]
+        sums[...] = terms[:3, 0]
+        for j in range(1, terms.shape[1]):
+            sums += terms[:3, j]
+        sums[2] *= self.hp.alpha
+        return out
 
     def _evaluate(self, fc: np.ndarray):
         # Each problem's sum of the terms involving f_c, for both rows of
@@ -451,8 +510,8 @@ class ResidualCache:
             left = np.nonzero(below | above)
             new = self._pieces(left[1], fc[left])
             value[left] = _piece_value(new[2:], fc[left], g)
-        for i, seg in enumerate(self._segments):
-            np.add.reduce(value[:, seg], axis=1, out=self._sums[:, i])
+        for run, sums in self._grouped:
+            np.add.reduce(run, axis=2, out=sums)
         return self._sums, left, new
 
     def _trial(self, c: int, k: int, l: int, step: float):

@@ -114,6 +114,34 @@ def test_missing_output_directory_fails_before_training(tmp_path, capsys,
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--out", "{taken}"],
+    ["run", "--out", "{tmp}/roc.csv", "--svg", "{taken}"],
+    ["bench", "--out", "{taken}"],
+    ["summary", "{tmp}/results.csv", "--out", "{taken}"],
+], ids=["run-out", "run-svg", "bench-out", "summary-out"])
+def test_directory_as_output_file_fails_before_reading(tmp_path, capsys,
+                                                       monkeypatch, command):
+    def fail(*args):
+        raise AssertionError("read input before checking the output")
+
+    for name in ("parse_keel", "find_datasets", "_read_representative_aucs"):
+        monkeypatch.setattr(cli, name, fail)
+    tra, tst = fold_pair_files(tmp_path)
+    make_results_csv(tmp_path / "results.csv", {"a": 0.5})
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    argv = [arg.format(taken=taken, tmp=tmp_path) for arg in command]
+    inputs = {"run": ["--train", str(tra), "--test", str(tst), *FAST_FLAGS],
+              "bench": ["--data-dir", str(tmp_path), *FAST_FLAGS],
+              "summary": []}[argv[0]]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv + inputs) == 1
+    err = capsys.readouterr().err
+    assert f"output file {taken} is a directory" in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestRun:
     def test_writes_roc_csv_and_prints_auc(self, tmp_path, capsys):
         tra, tst = fold_pair_files(tmp_path)

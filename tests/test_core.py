@@ -483,17 +483,15 @@ class TestLossPieces:
             assert cache.max_relative_drift() <= 1e-9
         assert relocated > 0
 
-    def test_gather_in_blocks_equals_gather_alone(self):
-        # a pooled n above two blocks of 512 and not a multiple of 512:
-        # every sample's piece, and each problem's sum, has the bits of
-        # its problem gathered alone and of one _pieces call over all n
+    def test_gather_whole_width_equals_gather_alone(self):
+        # every sample's piece, and each problem's sum, has the bits of its
+        # problem gathered alone and of one _pieces call over all n
         trainings, hp = ssad_trainings([(231, 420, 90), (232, 390, 70),
                                         (233, 360, 60)])
         model = QmsModel(_initial_members(hp, trainings[0].p), hp)
         shared = ResidualCache(trainings, model)
         alone = [ResidualCache(t, model) for t in trainings]
         n = shared._f.shape[1]
-        assert n > 1024 and n % 512
         p = trainings[0].p
         for c in range(hp.m):
             for k, l, step in ((0, 0, hp.step_a), (1, 3, hp.step_a),
@@ -509,6 +507,106 @@ class TestLossPieces:
             whole = shared._pieces(np.arange(n), shared._f[c])
             for row in shared._piece.transpose(1, 0, 2):
                 assert row.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.2])
+    def test_table_pieces_equal_pieces_from_the_values(self, alpha):
+        # across class switches and commits that relocate samples, each
+        # new piece a trial reads from the class tables, and every stored
+        # piece, has the bits of the piece computed from _f and _weight
+        rng = np.random.default_rng(89)
+        hp = HyperParams(m=4, q=2, alpha=alpha)
+        members = tuple(MemberFunction(rng.normal(size=(2, 3)),
+                                       rng.normal(size=2)) for _ in range(4))
+        problems = [TrainingProblem.from_member_sets(
+            [rng.normal(size=(int(rng.integers(3, 10)), 3))
+             for _ in range(4)], rng.uniform(0.2, 2.0, size=4))
+            for _ in range(3)]
+        cache = ResidualCache(problems, QmsModel(members, hp))
+        n = cache._f.shape[1]
+        relocated = switches = 0
+        for _ in range(120):
+            c = int(rng.integers(0, 4))
+            switches += c != cache._c
+            k, l = int(rng.integers(0, 2)), int(rng.integers(0, 4))
+            step = float(rng.uniform(0.1, 3.0))
+            fc, _, left, new = cache._trial(c, k, l, step)
+            if left is not None:
+                want = pieces_from_values(cache, c, left[1], fc[left])
+                assert new.tobytes() == want.tobytes()
+            pieces = cache._piece.copy()
+            cache.try_entry(c, k, l, step)
+            relocated += not np.array_equal(pieces, cache._piece)
+            want = pieces_from_values(cache, c, np.arange(n), cache._f[c])
+            for row in cache._piece.transpose(1, 0, 2):
+                assert row.tobytes() == want.tobytes()
+        assert relocated > 0 and switches > 10
+
+
+def pieces_from_values(cache, c, cols, fc):
+    """(lo, hi, a, b, c0) of the piece holding fc for the samples cols
+    while class c trains, computed from the member values and weights as
+    the `ResidualCache` docstring defines it; the sums over j run in
+    order."""
+    alpha, g = cache.hp.alpha, cache.hp.denom_guard
+    others = [j for j in range(len(cache._f)) if j != c]
+    f, w_den = cache._f[others][:, cols], cache._weight[others][:, cols]
+    w_own = cache._weight[c, cols]
+    fg = f + g
+    at = np.full((2,) + f.shape, np.inf)   # own, denominator
+    np.multiply(alpha, fg, out=at[0], where=w_own > 0.0)
+    if alpha:
+        np.subtract(f / alpha, g, out=at[1], where=w_den > 0.0)
+    past = fc > at
+    terms = np.stack([w_own / fg * past[0], w_den * f * ~past[1],
+                      w_own * ~past[0] + w_den * past[1]])
+    sums = terms[:, 0]
+    for j in range(1, len(others)):
+        sums += terms[:, j]
+    return np.stack([np.where(past, at, -np.inf).max(axis=(0, 1)),
+                     np.where(past, np.inf, at).min(axis=(0, 1)),
+                     sums[0], sums[1], alpha * sums[2]])
+
+
+class TestGroupedSums:
+    @pytest.mark.parametrize("sizes, widths, runs", [
+        ((163, 163, 163, 163, 162), (6,) * 5, [4, 1]),
+        ((190, 190, 185, 190, 190), (6,) * 5, [2, 1, 2]),
+        ((140,), (6,), [1]),
+        ((120, 120, 97, 97, 97), (1, 5, 2, 5, 3), [2, 3]),
+        ((9000, 9000, 30), (2, 2, 2), [2, 1]),
+    ], ids=["four-then-one", "equal-apart", "lone", "mixed-widths",
+            "long-rows"])
+    def test_sums_equal_per_segment_reduce(self, sizes, widths, runs):
+        # each run of equal sizes is one reduce; every problem's sum has
+        # the bytes of the reduce over its own segment alone. Rows of
+        # 9000 are longer than numpy's 8192-element reduce buffer, and
+        # the narrower problems are zero-padded
+        rng = np.random.default_rng(len(sizes) + sum(sizes))
+        problems = [TrainingProblem(
+            rng.normal(scale=60.0, size=(size, p)),
+            [np.arange(size), rng.permutation(size)[:size // 2],
+             rng.permutation(size)[:size // 3]], (0.4, 1.0, 1.0))
+            for size, p in zip(sizes, widths)]
+        members = tuple(MemberFunction(rng.normal(size=(2, max(widths))),
+                                       rng.normal(size=2)) for _ in range(3))
+        cache = ResidualCache(problems,
+                              QmsModel(members, HyperParams(m=3, q=2)))
+        assert [value.shape[1] for value, _ in cache._grouped] == runs
+        starts = [seg.start for seg in cache._segments]
+        sequential = 0
+        for c in range(3):
+            cache._gather(c)
+            fc = cache._f[[c, c]] * np.exp(
+                rng.normal(scale=2.0, size=cache._fc.shape))
+            sums = cache._evaluate(fc)[0]
+            want = np.column_stack([np.add.reduce(cache._value[:, seg], axis=1)
+                                    for seg in cache._segments])
+            assert sums.tobytes() == want.tobytes()
+            # the data tells the summation orders apart: reduceat, which
+            # sums each segment in sequence, gets other bits
+            sequential += np.add.reduceat(cache._value, starts,
+                                          axis=1).tobytes() != want.tobytes()
+        assert sequential > 0
 
 
 class TestCpmOptimize:
@@ -696,7 +794,13 @@ class TestCpmOptimizeMany:
         [(211, 150, 40)],
         [(211, 150, 40), (212, 171, 35), (213, 139, 44), (214, 160, 41),
          (215, 155, 30)],
-    ], ids=["F1", "F5"])
+        # pooled sizes as in real folds: 163 four times, then 162
+        [(216, 130, 33), (217, 131, 32), (218, 129, 34), (219, 130, 33),
+         (220, 130, 32)],
+        # 190, 190, 185, 190, 190: equal sizes apart from each other
+        [(241, 150, 40), (242, 152, 38), (243, 148, 37), (244, 151, 39),
+         (245, 150, 40)],
+    ], ids=["F1", "F5", "F4+1", "F2+1+2"])
     def test_bitwise_equal_to_one_problem_at_a_time(self, shapes):
         trainings, hp = ssad_trainings(shapes)
         moves = [[] for _ in trainings]
