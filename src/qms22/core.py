@@ -95,7 +95,7 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class MemberFunction:
-    """One quadratic form f(x) = ||a @ x - b||^2 with a of shape (q, p)."""
+    """One quadratic form f(x) = ||a x - b||^2 with a of shape (q, p)."""
 
     a: np.ndarray
     b: np.ndarray
@@ -119,13 +119,12 @@ class MemberFunction:
         return self.a.shape[1]
 
     def evaluate(self, x) -> float:
-        """Return ||a @ x - b||^2, always >= 0."""
+        """Return f(x) = ||a x - b||^2, always >= 0."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.p,):
             raise ValueError(f"expected a feature vector of length {self.p}, "
                              f"got shape {x.shape}")
-        r = self.a @ x - self.b
-        return float(r @ r)
+        return _forms(_stacked((self,)), _extended(x[None], self.p))[1].item()
 
 
 @dataclass(frozen=True)
@@ -156,17 +155,15 @@ class QmsModel:
     def member_values(self, samples) -> np.ndarray:
         """Evaluate every member function on rows of `samples`.
 
-        Returns an (n_samples, m) array with column i holding f_i.
+        Returns an (n_samples, m) array in C order with column i holding
+        f_i, by the trainer's formula, which uses no BLAS.
         """
         x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
         if x.shape[1] != self.p:
             raise ValueError(f"expected feature dimension {self.p}, "
                              f"got {x.shape[1]}")
-        out = np.empty((x.shape[0], self.m))
-        for i, f in enumerate(self.members):
-            r = x @ f.a.T - f.b
-            out[:, i] = np.einsum("ij,ij->i", r, r)
-        return out
+        f = _forms(_stacked(self.members), _extended(x, self.p))[1]
+        return f.T.copy()
 
     def classify(self, x) -> int:
         """Class label in {1, ..., m} of the smallest member value.
@@ -174,8 +171,7 @@ class QmsModel:
         Ties go to the lowest index, so a fresh symmetric model labels
         everything class 1. Labels are 1-based by convention.
         """
-        values = self.member_values(np.asarray(x, dtype=np.float64)[None, :])
-        return int(np.argmin(values[0])) + 1
+        return int(np.argmin(self.member_values([x])[0])) + 1
 
 
 class TrainingProblem:
@@ -190,8 +186,7 @@ class TrainingProblem:
 
     def __init__(self, samples, member_sets, class_weights=None):
         self.samples = np.ascontiguousarray(samples, dtype=np.float64)
-        if (self.samples.ndim != 2 or self.samples.shape[0] == 0
-                or self.samples.shape[1] == 0):
+        if self.samples.ndim != 2 or 0 in self.samples.shape:
             raise ValueError("samples must be a non-empty (n, p) matrix")
         if not np.isfinite(self.samples).all():
             raise ValueError("samples must be finite")
@@ -222,8 +217,10 @@ class TrainingProblem:
         if len(weights) != len(sets):
             raise ValueError(f"got {len(weights)} weights for "
                              f"{len(sets)} member sets")
-        if any(w <= 0 for w in weights):
-            raise ValueError("class weights must be positive")
+        for i, w in enumerate(weights):
+            if not (np.isfinite(w) and w > 0):
+                raise ValueError(f"class weight {i} must be finite and "
+                                 f"positive, got {w!r}")
         self.class_weights = weights
 
     @classmethod
@@ -259,9 +256,6 @@ def loss_full(problem: TrainingProblem, model: QmsModel) -> float:
     if model.m != problem.m:
         raise ValueError(f"model has {model.m} member functions, "
                          f"problem has {problem.m} member sets")
-    if model.p != problem.p:
-        raise ValueError(f"model expects dimension {model.p}, "
-                         f"problem has {problem.p}")
     return _ratio_loss(problem, model.hyperparams,
                        model.member_values(problem.samples).T)
 
@@ -281,6 +275,28 @@ def _ratio_loss(problem: TrainingProblem, hp: HyperParams, f: np.ndarray,
         ratios = np.maximum(hp.alpha, f[i, own] / den)
         total += w * float(ratios.sum())
     return total
+
+
+def _forms(w, xa, r=None, f=None):
+    # the one formula for f: residuals r = W [x; -1], (m, q, n), and member
+    # values ||r||^2, (m, n), of W = [A | b], (m, q, p + 1), on xa = [x; -1],
+    # (p + 1, n), into r and f if given; einsum uses no BLAS, so its bits
+    # do not depend on the OpenBLAS kernel the CPU picks
+    r = np.einsum("mqp,pn->mqn", w, xa, out=r)
+    return r, np.einsum("mqn,mqn->mn", r, r, out=f)
+
+
+def _stacked(members) -> np.ndarray:
+    # the member functions as one (m, q, p + 1) array of W_i = [A_i | b_i]
+    return np.stack([np.column_stack([f.a, f.b]) for f in members])
+
+
+def _extended(x, p: int) -> np.ndarray:
+    # the rows of x, (n, p_x <= p), as the columns of [x; 0; -1], C order
+    xa = np.zeros((p + 1, x.shape[0]))
+    xa[:x.shape[1]] = x.T
+    xa[p] = -1.0
+    return xa
 
 
 def _initial_members(hp: HyperParams, p: int) -> tuple[MemberFunction, ...]:
@@ -313,14 +329,12 @@ class ResidualCache:
 
     Each member function is held as one augmented matrix W_i = [A_i | b_i]
     of shape (q, p + 1) acting on samples extended to [x; -1], so the
-    residual is r_i(x) = W_i [x; -1] = A_i x - b_i. An entry is a pair
-    (k, l); l == p is b_i[k]. Perturbing W_i[k, l] by delta shifts
-    r_i(x)[k] by delta * x[l] (with x[p] = -1), so
+    residual is r_i(x) = W_i [x; -1] = A_i x - b_i, computed as in
+    `QmsModel.member_values`, without BLAS. An entry is a pair (k, l);
+    l == p is b_i[k]. Perturbing W_i[k, l] by delta shifts r_i(x)[k] by
+    delta * x[l] (with x[p] = -1), so
 
         f_i'(x) = f_i(x) + 2 * delta * x[l] * r_i(x)[k] + delta^2 * x[l]^2
-
-    Only loss terms involving f_i are revisited: the numerator terms of
-    member set i and the terms where f_i sits in a denominator.
 
     Problems that share m share one cache, each owning one contiguous
     segment of the samples, residuals and member values, and its own W and
@@ -375,26 +389,18 @@ class ResidualCache:
                                  f"{problem.m} member sets of dimension "
                                  f"{problem.p}")
         self.hp = model.hyperparams
-        p = model.p
         sizes = [pr.samples.shape[0] for pr in self.problems]
         self._segments = _runs(sizes)
         n = self._segments[-1].stop
-        w = np.stack([np.column_stack([f.a, f.b]) for f in model.members])
-        self._w = np.stack([w] * len(self.problems))    # (problems, m, q, p+1)
-        # samples as [x; -1], (p+1, n) in C order so that one feature row
-        # is contiguous; residuals as (m, q, n) so one matrix row is.
-        # Each problem's part is written straight into its segment, and
-        # so is its member weights: w_j where x is in S_j, else 0.
-        self._xa = np.zeros((p + 1, n))
-        self._xa[p] = -1.0
-        self._r = np.empty((model.m, w.shape[1], n))
-        self._f = np.empty((model.m, n))
+        self._w = np.stack([_stacked(model.members)] * len(self.problems))
+        # samples as [x; -1], residuals as (m, q, n) so that one matrix row
+        # is contiguous, and member weights: w_j where x is in S_j, else 0
+        self._xa = np.concatenate([_extended(pr.samples, model.p)
+                                   for pr in self.problems], axis=1)
+        self._r, self._f = self._exact(np.empty(self._w.shape[1:3] + (n,)),
+                                       np.empty((model.m, n)))
         self._weight = np.zeros((model.m, n))
         for problem, seg in zip(self.problems, self._segments):
-            self._xa[:problem.p, seg] = problem.samples.T
-            r = self._r[:, :, seg]
-            np.einsum("mqp,pn->mqn", w, self._xa[:, seg], out=r)
-            np.einsum("mqn,mqn->mn", r, r, out=self._f[:, seg])
             for j, own in enumerate(problem.member_sets):
                 self._weight[j, seg.start + own] = problem.class_weights[j]
         self._xa_sq = self._xa * self._xa
@@ -424,6 +430,12 @@ class ResidualCache:
         self._c = None   # the class of the pieces
         self.losses = [_ratio_loss(pr, self.hp, self._f[:, seg])
                        for pr, seg in zip(self.problems, self._segments)]
+
+    def _exact(self, r: np.ndarray, f: np.ndarray):
+        # _forms of each problem's W on its own segment, into r and f
+        for w, seg in zip(self._w, self._segments):
+            _forms(w, self._xa[:, seg], r[:, :, seg], f[:, seg])
+        return r, f
 
     def _gather(self, c: int) -> None:
         # class c's table, its pieces and each problem's sum _total of its
@@ -589,13 +601,9 @@ class ResidualCache:
         problem's sum of the terms involving f_c. It is inf if some
         sample's f_c lies outside its stored piece.
         """
-        r_exact = np.concatenate(
-            [np.einsum("mqp,pn->mqn", w, self._xa[:, seg])
-             for w, seg in zip(self._w, self._segments)], axis=2)
-        f_exact = np.einsum("mqn,mqn->mn", r_exact, r_exact)
-        f_err = np.abs(self._f - f_exact) / np.maximum(np.abs(f_exact), 1.0)
-        r_err = np.abs(self._r - r_exact) / np.maximum(np.abs(r_exact), 1.0)
-        drift = max(f_err.max(), r_err.max())
+        exact = self._exact(np.empty_like(self._r), np.empty_like(self._f))
+        drift = max((np.abs(now - ex) / np.maximum(np.abs(ex), 1.0)).max()
+                    for now, ex in zip((self._r, self._f), exact))
         if self._c is not None:
             lo, hi, fc = self._piece[0], self._piece[1], self._f[self._c]
             if not ((lo < fc) & (fc <= hi)).all():

@@ -9,7 +9,7 @@ from qms22 import (HyperParams, MemberFunction, QmsModel, TrainingProblem,
                    cpm_optimize, cpm_optimize_many, loss_full)
 from qms22.core import ResidualCache, _initial_members, _ratio_loss
 
-from oracles import cpm_reference, loss_direct
+from oracles import cpm_reference, loss_direct, member_value
 from test_golden import _ssad_problem
 
 
@@ -71,6 +71,26 @@ class TestMemberFunction:
         f = MemberFunction(np.array([[1.0, -2.0], [0.5, 3.0]]),
                            np.array([4.0, -1.0]))
         assert f.evaluate(x) >= 0.0
+
+    def test_member_values_and_evaluate_match_oracle(self):
+        rng = np.random.default_rng(11)
+        # (m, q, p, n), the edges q = 1, p = 1 and n = 1 first
+        shapes = [(2, 1, 1, 1), (3, 1, 4, 5), (2, 3, 1, 6), (4, 2, 3, 1)]
+        shapes += [tuple(int(v) for v in rng.integers(1, 8, size=4))
+                   for _ in range(12)]
+        for m, q, p, n in shapes:
+            m = max(m, 2)
+            members = tuple(MemberFunction(rng.normal(size=(q, p)),
+                                           rng.normal(scale=5.0, size=q))
+                            for _ in range(m))
+            x = rng.normal(scale=5.0, size=(n, p))
+            values = QmsModel(members, HyperParams(m=m, q=q)).member_values(x)
+            assert values.shape == (n, m) and values.flags.c_contiguous
+            for s, row in enumerate(x):
+                for i, f in enumerate(members):
+                    want = member_value(f.a, f.b, row)
+                    for got in (values[s, i], f.evaluate(row)):
+                        assert abs(got - want) <= 1e-12 * want
 
 
 class TestClassify:
@@ -176,6 +196,14 @@ class TestLossFull:
         with pytest.raises(ValueError, match="member sets"):
             loss_full(problem, model)
 
+    def test_dimension_mismatch(self):
+        x = np.array([[1.0, 2.0, 3.0]])
+        problem = TrainingProblem.from_member_sets([x, x])
+        model = QmsModel((constant_member(1.0), constant_member(1.0)),
+                         HyperParams(m=2, q=2))
+        with pytest.raises(ValueError, match="expected feature dimension 2"):
+            loss_full(problem, model)
+
 
 class TestTrainingProblem:
     def test_rejects_empty_member_set(self):
@@ -202,8 +230,13 @@ class TestTrainingProblem:
 
     def test_rejects_nonpositive_weight(self):
         x = np.ones((2, 2))
-        with pytest.raises(ValueError, match="positive"):
-            TrainingProblem.from_member_sets([x, x], class_weights=(1.0, 0.0))
+        # NaN and inf too: a NaN loss would decline every trial
+        for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="class weight 1 must be "
+                                                 "finite and positive"):
+                TrainingProblem.from_member_sets([x, x], (1.0, bad))
+            with pytest.raises(ValueError, match="class weight 0 "):
+                TrainingProblem(np.eye(4), [[0, 1], [2, 3]], (bad, 1.0))
 
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError, match="dimension"):
