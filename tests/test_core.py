@@ -76,10 +76,9 @@ class TestMemberFunction:
         rng = np.random.default_rng(11)
         # (m, q, p, n), the edges q = 1, p = 1 and n = 1 first
         shapes = [(2, 1, 1, 1), (3, 1, 4, 5), (2, 3, 1, 6), (4, 2, 3, 1)]
-        shapes += [tuple(int(v) for v in rng.integers(1, 8, size=4))
+        shapes += [tuple(int(v) for v in rng.integers([2, 1, 1, 1], 8))
                    for _ in range(12)]
         for m, q, p, n in shapes:
-            m = max(m, 2)
             members = tuple(MemberFunction(rng.normal(size=(q, p)),
                                            rng.normal(scale=5.0, size=q))
                             for _ in range(m))
