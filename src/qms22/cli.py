@@ -35,32 +35,32 @@ from .ssad import SsadProblem, run_qms22, run_qms22_many
 _DEFAULTS = HyperParams()
 
 
+# (flag, HyperParams field, help) for every hyperparameter; the type and
+# default of each flag are those of the field in HyperParams()
+_HYPER_FLAGS = (
+    ("--m", "m", "number of member functions"),
+    ("--q", "q", "rows per member matrix"),
+    ("--alpha", "alpha", "ratio clip threshold"),
+    ("--iterations", "iterations", "coordinate sweeps"),
+    ("--step-a", "step_a", "perturbation distance for matrix entries"),
+    ("--step-b", "step_b", "perturbation distance for offset entries"),
+    ("--b-init", "b_init", "initial first offset entry"),
+    ("--guard", "denom_guard", "denominator guard"),
+    ("--seed", "seed", "shuffle seed for the member-set split"),
+)
+
+
 def _add_hyper_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m", type=int, default=_DEFAULTS.m,
-                        help="number of member functions")
-    parser.add_argument("--q", type=int, default=_DEFAULTS.q,
-                        help="rows per member matrix")
-    parser.add_argument("--alpha", type=float, default=_DEFAULTS.alpha,
-                        help="ratio clip threshold")
-    parser.add_argument("--iterations", type=int, default=_DEFAULTS.iterations,
-                        help="coordinate sweeps")
-    parser.add_argument("--step-a", type=float, default=_DEFAULTS.step_a,
-                        help="perturbation distance for matrix entries")
-    parser.add_argument("--step-b", type=float, default=_DEFAULTS.step_b,
-                        help="perturbation distance for offset entries")
-    parser.add_argument("--b-init", type=float, default=_DEFAULTS.b_init,
-                        help="initial first offset entry")
-    parser.add_argument("--guard", type=float, default=_DEFAULTS.denom_guard,
-                        help="denominator guard")
-    parser.add_argument("--seed", type=int, default=_DEFAULTS.seed,
-                        help="shuffle seed for the member-set split")
+    for flag, field, text in _HYPER_FLAGS:
+        default = getattr(_DEFAULTS, field)
+        parser.add_argument(flag, type=type(default), default=default,
+                            help=text)
 
 
 def _hyper_from_args(args) -> HyperParams:
-    return HyperParams(m=args.m, q=args.q, alpha=args.alpha,
-                       iterations=args.iterations, step_a=args.step_a,
-                       step_b=args.step_b, b_init=args.b_init,
-                       denom_guard=args.guard, seed=args.seed)
+    # argparse stores --step-a as args.step_a
+    return HyperParams(**{field: getattr(args, flag[2:].replace("-", "_"))
+                          for flag, field, _ in _HYPER_FLAGS})
 
 
 def _encode_fold(fold: FoldPair) -> SsadProblem:
@@ -201,31 +201,21 @@ def cmd_bench(args) -> int:
     tasks = [(name, directory, hp) for name, directory in datasets]
     results = []
     failures = 0
-    # under fork the pool starts every worker at the first submit, so it
-    # gets no more workers than there are datasets
-    workers = min(args.workers, len(tasks))
-    if workers > 1:
-        # costliest first (ties by name), so the last dataset to start is
-        # a cheap one and the workers finish together (Graham's LPT list
-        # scheduling); rows are still written by name
-        order = sorted(tasks,
-                       key=lambda task: (-_training_cost(task), task[0]))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {task[0]: pool.submit(_bench_dataset, task)
-                       for task in order}
-            for name in sorted(futures):
-                try:
-                    results.extend(futures[name].result())
-                except Exception as exc:
-                    failures += 1
-                    print(f"error: {name}: {exc}", file=sys.stderr)
-    else:
-        for task in tasks:
+    # costliest first (ties by name), so the last dataset to start is a
+    # cheap one and the workers finish together (Graham's LPT list
+    # scheduling); rows are still written by name. Under fork the pool
+    # starts every worker at the first submit, so it gets no more
+    # workers than there are datasets.
+    order = sorted(tasks, key=lambda task: (-_training_cost(task), task[0]))
+    with ProcessPoolExecutor(min(args.workers, len(tasks))) as pool:
+        futures = {task[0]: pool.submit(_bench_dataset, task)
+                   for task in order}
+        for name in sorted(futures):
             try:
-                results.extend(_bench_dataset(task))
+                results.extend(futures[name].result())
             except Exception as exc:
                 failures += 1
-                print(f"error: {task[0]}: {exc}", file=sys.stderr)
+                print(f"error: {name}: {exc}", file=sys.stderr)
     if not results:
         print("error: all datasets failed", file=sys.stderr)
         return 1

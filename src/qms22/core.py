@@ -152,26 +152,37 @@ class QmsModel:
     def p(self) -> int:
         return self.members[0].p
 
+    def as_rows(self, samples, one: bool = False) -> np.ndarray:
+        """`samples`, a (p,) row or, unless `one`, an (n, p) batch, as an
+        (n, p) array; any other shape is a ValueError naming it."""
+        x = np.asarray(samples, dtype=np.float64)
+        if x.shape == (self.p,):
+            return x[None]
+        if one or x.ndim != 2 or x.shape[1] != self.p:
+            want = f"a ({self.p},) row" + ("" if one else
+                                           f" or an (n, {self.p}) batch")
+            raise ValueError(f"expected feature dimension {self.p} as "
+                             f"{want}, got shape {x.shape}")
+        return x
+
     def member_values(self, samples) -> np.ndarray:
         """Evaluate every member function on rows of `samples`.
 
         Returns an (n_samples, m) array in C order with column i holding
         f_i, by the trainer's formula, which uses no BLAS.
         """
-        x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-        if x.shape[1] != self.p:
-            raise ValueError(f"expected feature dimension {self.p}, "
-                             f"got {x.shape[1]}")
+        x = self.as_rows(samples)
         f = _forms(_stacked(self.members), _extended(x, self.p))[1]
         return f.T.copy()
 
     def classify(self, x) -> int:
-        """Class label in {1, ..., m} of the smallest member value.
+        """Class label in {1, ..., m} of the smallest member value at x.
 
         Ties go to the lowest index, so a fresh symmetric model labels
         everything class 1. Labels are 1-based by convention.
         """
-        return int(np.argmin(self.member_values([x])[0])) + 1
+        values = self.member_values(self.as_rows(x, one=True))
+        return int(np.argmin(values)) + 1
 
 
 class TrainingProblem:

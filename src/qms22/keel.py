@@ -39,8 +39,11 @@ class KeelParseError(ValueError):
 
     def __init__(self, source: str, line_no: int, message: str):
         super().__init__(f"{source}:{line_no}: {message}")
-        self.source = source
-        self.line_no = line_no
+        self.source, self.line_no, self.message = source, line_no, message
+
+    def __reduce__(self):
+        # rebuilt from its fields, so it crosses a process pool intact
+        return type(self), (self.source, self.line_no, self.message)
 
 
 @dataclass(frozen=True)
@@ -308,9 +311,9 @@ class Preprocessor:
             col = name_to_col[attr.name]
             if attr.is_numeric:
                 peak = max(abs(float(row[col])) for row in train.rows)
-                encoders.append(("scale", 255.0 / peak if peak > 0 else 1.0))
+                encoders.append(255.0 / peak if peak > 0 else 1.0)
             else:
-                encoders.append(("onehot", {v: i for i, v in enumerate(attr.domain)}))
+                encoders.append({v: i for i, v in enumerate(attr.domain)})
         return cls(train.input_attributes, encoders)
 
     @property
@@ -325,20 +328,20 @@ class Preprocessor:
             raise ValueError("dataset declarations do not match the "
                              "fitted preprocessor")
         name_to_col = {a.name: i for i, a in enumerate(data.attributes)}
-        out_col = data.output_index
         x = np.zeros((data.n, self.width))
-        y = np.zeros(data.n, dtype=bool)
-        for r, row in enumerate(data.rows):
-            offset = 0
-            for attr, (kind, enc) in zip(self.attributes, self.encoders):
-                tok = row[name_to_col[attr.name]]
-                if kind == "scale":
-                    x[r, offset] = float(tok) * enc
-                    offset += 1
-                else:
-                    x[r, offset + enc[tok]] = 1.0
-                    offset += len(enc)
-            y[r] = _label_to_outlier(row[out_col])
+        offset = 0
+        # a column at a time, so the branch is taken once per attribute
+        for attr, enc in zip(self.attributes, self.encoders):
+            tokens = [row[name_to_col[attr.name]] for row in data.rows]
+            if attr.is_numeric:
+                x[:, offset] = [float(tok) * enc for tok in tokens]
+            else:
+                hot = np.array([offset + enc[tok] for tok in tokens], dtype=int)
+                x[np.arange(data.n), hot] = 1.0
+            offset += attr.width
+        out_col = data.output_index
+        y = np.array([_label_to_outlier(row[out_col]) for row in data.rows],
+                     dtype=bool)
         return x, y
 
 

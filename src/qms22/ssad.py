@@ -127,9 +127,8 @@ def outlier_scores(model: QmsModel, samples) -> np.ndarray:
 
 
 def outlier_score(model: QmsModel, x) -> float:
-    """Score a single sample; see outlier_scores."""
-    return float(outlier_scores(model,
-                                np.asarray(x, dtype=np.float64)[None, :])[0])
+    """Score the (p,) row `x`; see outlier_scores."""
+    return float(outlier_scores(model, model.as_rows(x, one=True))[0])
 
 
 def run_qms22(problem: SsadProblem, hp: HyperParams | None = None) -> np.ndarray:

@@ -64,7 +64,9 @@ def stable_part(path):
 def inline_pool(monkeypatch):
     """Replace the bench process pool with one that runs each task when it
     is submitted, so no process starts. Returns the pool sizes asked for
-    and the dataset names in submission order."""
+    and the dataset names in submission order. Nothing is pickled, so a
+    task or an error that cannot cross a process boundary passes here:
+    error-path tests use the real pool."""
     record = {"sizes": [], "submitted": []}
 
     class InlinePool:
@@ -296,13 +298,14 @@ class TestBench:
             assert main(["bench", "--data-dir", str(data_dir),
                          "--out", str(out), *workers, *FAST_FLAGS]) == 0
         assert sizes == [2, 2, 2]
+        # one worker is a pool of one
         assert main(["bench", "--data-dir", str(data_dir), "--out", str(out),
                      "--workers", "1", *FAST_FLAGS]) == 0
-        assert sizes == [2, 2, 2]
+        assert sizes == [2, 2, 2, 1]
         write_dataset(tmp_path / "lone", "lone", seed=6)
         assert main(["bench", "--data-dir", str(tmp_path / "lone"),
                      "--out", str(out), "--workers", "8", *FAST_FLAGS]) == 0
-        assert sizes == [2, 2, 2]
+        assert sizes == [2, 2, 2, 1, 1]
 
     def test_default_workers_are_the_cpus_this_process_may_use(
             self, tmp_path, capsys, monkeypatch, inline_pool):
@@ -315,7 +318,7 @@ class TestBench:
                  *FAST_FLAGS]
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
         # pinned to fewer CPUs than the host has, as by taskset or a cpuset
-        for allowed, pool in (({5}, []), ({0, 3}, [2])):
+        for allowed, pool in (({5}, [1]), ({0, 3}, [1, 2])):
             monkeypatch.setattr(cli.os, "sched_getaffinity",
                                 lambda pid: allowed, raising=False)
             assert main(bench) == 0
@@ -323,7 +326,7 @@ class TestBench:
         # where the platform has no affinity call, the host's CPU count
         monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
         assert main(bench) == 0
-        assert sizes == [2, 3]
+        assert sizes == [1, 2, 3]
 
     def test_pool_gets_the_costliest_datasets_first(self, tmp_path, capsys,
                                                     inline_pool):
@@ -354,9 +357,10 @@ class TestBench:
                        for path in data_dir.glob(f"{name}-5-*.dat"))
 
         # rows x (width + 1) over five training files: 14·42, 92·3, 62·3,
-        # 42·3 and 26·3 per fold
-        assert inline_pool["submitted"] == ["wide", "broken", "big", "mid",
-                                            "aaa", "zzz"]
+        # 42·3 and 26·3 per fold; one worker or two, the same order
+        order = ["wide", "broken", "big", "mid", "aaa", "zzz"]
+        assert inline_pool["submitted"] == order * 2
+        assert inline_pool["sizes"] == [1, 2]
         assert fold_bytes("wide") < fold_bytes("big")
         assert stable_part(parallel) == stable_part(serial)
         names = [row[0] for row in stable_part(parallel)]
@@ -368,6 +372,31 @@ class TestBench:
         assert errors[0].startswith("error: broken: missing fold files")
         assert errors[0].endswith("broken-5-3tst.dat")
         assert "(30 rows, 1 failures)" in captured.out
+
+    def test_malformed_row_fails_only_its_dataset(self, tmp_path, capsys):
+        # the real pool, so the worker's parse error crosses a process
+        # boundary; one worker and two report it alike
+        data_dir = tmp_path / "data"
+        write_dataset(data_dir, "good", seed=1)
+        write_dataset(data_dir, "fine", seed=2)
+        write_dataset(data_dir, "bad", seed=3)
+        bad_file = data_dir / "bad-5-2tra.dat"
+        lines = bad_file.read_text().splitlines()
+        lines[9] = "1.0, negative"
+        bad_file.write_text("\n".join(lines) + "\n")
+        outputs = {}
+        for workers in ("2", "1"):
+            out = tmp_path / f"bench-{workers}.csv"
+            assert main(["bench", "--data-dir", str(data_dir),
+                         "--out", str(out), "--workers", workers,
+                         *FAST_FLAGS]) == 0
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                f"error: bad: {bad_file}:10: row has 2 values, expected 3"]
+            assert "(12 rows, 1 failures)" in captured.out
+            outputs[workers] = stable_part(out)
+        assert [row[0] for row in outputs["2"]] == ["fine"] * 6 + ["good"] * 6
+        assert outputs["2"] == outputs["1"]
 
     def test_training_cost_counts_unreadable_files_as_zero(self, tmp_path):
         write_dataset(tmp_path, "s", n_train=10)

@@ -1,5 +1,7 @@
 """Member functions, the ratio loss, the residual cache, and the trainer."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -92,6 +94,18 @@ class TestMemberFunction:
                         assert abs(got - want) <= 1e-12 * want
 
 
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (1, 1, 3), (), (2,),
+                                       (4, 2), (0,)], ids=str)
+    def test_member_values_takes_a_row_or_a_batch(self, shape):
+        model = QmsModel(tuple(constant_member(v, p=3) for v in (1.0, 2.0)),
+                         HyperParams(m=2, q=2))
+        assert model.member_values(np.ones(3)).shape == (1, 2)
+        assert model.member_values(np.ones((0, 3))).shape == (0, 2)
+        with pytest.raises(ValueError, match=rf"\(n, 3\) batch, got shape "
+                                             rf"{re.escape(str(shape))}$"):
+            model.member_values(np.ones(shape))
+
+
 class TestClassify:
     def model_with_values(self, values, alpha=0.5):
         hp = HyperParams(m=len(values), q=2, alpha=alpha)
@@ -114,6 +128,15 @@ class TestClassify:
     def test_labels_cover_all_classes(self):
         model = self.model_with_values([5.0, 1.0, 3.0])
         assert model.classify([0.0, 0.0]) == 2
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1), (2, 3), (), (2,),
+                                       (1, 1, 3)], ids=str)
+    def test_classify_takes_one_row(self, shape):
+        model = QmsModel(tuple(constant_member(v, p=3) for v in (1.0, 2.0)),
+                         HyperParams(m=2, q=2))
+        with pytest.raises(ValueError, match=rf"\(3,\) row, got shape "
+                                             rf"{re.escape(str(shape))}$"):
+            model.classify(np.ones(shape))
 
     @given(st.floats(0.1, 100.0))
     def test_scaling_invariance(self, c):

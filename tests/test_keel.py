@@ -1,5 +1,7 @@
 """.dat parsing, fold discovery, encoding, and train-fold stripping."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,17 @@ class TestParse:
         with pytest.raises(KeelParseError,
                            match=r":11:.*has 2 values, expected 3"):
             parse_keel_text(text)
+
+    def test_parse_error_survives_pickling(self):
+        # a bench worker's parse error reaches the parent through pickle
+        text = MINIMAL + "1.0, 2.0\n"
+        with pytest.raises(KeelParseError) as info:
+            parse_keel_text(text, source="fold.dat")
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert type(copy) is KeelParseError
+        assert str(copy) == str(info.value) == ("fold.dat:11: row has 2 "
+                                                "values, expected 3")
+        assert (copy.source, copy.line_no) == ("fold.dat", 11)
 
     def test_non_numeric_token(self):
         text = MINIMAL.replace("0.0, 9.0, negative", "0.0, abc, negative")
@@ -305,6 +318,14 @@ class TestPreprocessor:
                                 "@data\n")
         with pytest.raises(ValueError, match="empty"):
             Preprocessor.fit(empty)
+
+    def test_empty_test_data_encodes_to_no_rows(self):
+        header = ("@relation e\n@attribute V real\n@attribute C {a, b}\n"
+                  "@attribute Class {negative, positive}\n@data\n")
+        prep = Preprocessor.fit(parse_keel_text(header + "2, b, negative\n"))
+        x, y = prep.transform(parse_keel_text(header))
+        assert (x.shape, x.dtype, y.shape, y.dtype) == ((0, 3), np.float64,
+                                                        (0,), np.bool_)
 
 
 class TestStripOutliers:

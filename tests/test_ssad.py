@@ -1,5 +1,7 @@
 """Member-set planning, outlier scoring, and the end-to-end detector."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -136,6 +138,15 @@ class TestOutlierScore:
         model = model_with_values([1.0, 2.0])
         with pytest.raises(ValueError):
             outlier_score(model, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("x", [1.0, [[0.0, 0.0]], [[0.0], [0.0]],
+                                   [[[0.0, 0.0]]]])
+    def test_score_takes_one_row(self, x):
+        model = model_with_values([1.0, 2.0])
+        shape = np.shape(x)
+        with pytest.raises(ValueError, match=rf"\(2,\) row, got shape "
+                                             rf"{re.escape(str(shape))}$"):
+            outlier_score(model, x)
 
 
 class TestRunQms22:
