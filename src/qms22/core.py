@@ -93,6 +93,26 @@ class HyperParams:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
+def _rows(samples, p=None, one=False, name="samples") -> np.ndarray:
+    # the one rule for sample input: a (p,) row or, unless one, an (n, p)
+    # batch (p=None: any batch with p >= 1), as float64 (n, p), all finite
+    x = np.asarray(samples, dtype=np.float64)
+    if p is None:
+        if x.ndim != 2 or x.shape[1] < 1:
+            raise ValueError(f"{name}: expected an (n, p) batch with p >= 1, "
+                             f"got shape {x.shape}")
+    elif x.shape == (p,):
+        x = x[None]
+    elif one or x.ndim != 2 or x.shape[1] != p:
+        want = f"a ({p},) row" + ("" if one else f" or an (n, {p}) batch")
+        raise ValueError(f"{name}: expected feature dimension {p} as {want}, "
+                         f"got shape {x.shape}")
+    if not np.isfinite(x).all():
+        i, j = np.argwhere(~np.isfinite(x))[0]
+        raise ValueError(f"{name}: non-finite {x[i, j]} at row {i}, column {j}")
+    return x
+
+
 @dataclass(frozen=True)
 class MemberFunction:
     """One quadratic form f(x) = ||a x - b||^2 with a of shape (q, p)."""
@@ -119,12 +139,9 @@ class MemberFunction:
         return self.a.shape[1]
 
     def evaluate(self, x) -> float:
-        """Return f(x) = ||a x - b||^2, always >= 0."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.p,):
-            raise ValueError(f"expected a feature vector of length {self.p}, "
-                             f"got shape {x.shape}")
-        return _forms(_stacked((self,)), _extended(x[None], self.p))[1].item()
+        """Return f(x) = ||a x - b||^2, always >= 0, for the (p,) row x."""
+        x = _rows(x, self.p, one=True, name="x")
+        return _forms(_stacked((self,)), _extended(x, self.p))[1].item()
 
 
 @dataclass(frozen=True)
@@ -152,26 +169,13 @@ class QmsModel:
     def p(self) -> int:
         return self.members[0].p
 
-    def as_rows(self, samples, one: bool = False) -> np.ndarray:
-        """`samples`, a (p,) row or, unless `one`, an (n, p) batch, as an
-        (n, p) array; any other shape is a ValueError naming it."""
-        x = np.asarray(samples, dtype=np.float64)
-        if x.shape == (self.p,):
-            return x[None]
-        if one or x.ndim != 2 or x.shape[1] != self.p:
-            want = f"a ({self.p},) row" + ("" if one else
-                                           f" or an (n, {self.p}) batch")
-            raise ValueError(f"expected feature dimension {self.p} as "
-                             f"{want}, got shape {x.shape}")
-        return x
-
     def member_values(self, samples) -> np.ndarray:
         """Evaluate every member function on rows of `samples`.
 
         Returns an (n_samples, m) array in C order with column i holding
         f_i, by the trainer's formula, which uses no BLAS.
         """
-        x = self.as_rows(samples)
+        x = _rows(samples, self.p)
         f = _forms(_stacked(self.members), _extended(x, self.p))[1]
         return f.T.copy()
 
@@ -181,7 +185,7 @@ class QmsModel:
         Ties go to the lowest index, so a fresh symmetric model labels
         everything class 1. Labels are 1-based by convention.
         """
-        values = self.member_values(self.as_rows(x, one=True))
+        values = self.member_values(_rows(x, self.p, one=True, name="x"))
         return int(np.argmin(values)) + 1
 
 
@@ -196,12 +200,10 @@ class TrainingProblem:
     """
 
     def __init__(self, samples, member_sets, class_weights=None):
-        self.samples = np.ascontiguousarray(samples, dtype=np.float64)
-        if self.samples.ndim != 2 or 0 in self.samples.shape:
-            raise ValueError("samples must be a non-empty (n, p) matrix")
-        if not np.isfinite(self.samples).all():
-            raise ValueError("samples must be finite")
+        self.samples = np.ascontiguousarray(_rows(samples))
         n = self.samples.shape[0]
+        if n == 0:
+            raise ValueError("samples must be non-empty")
         sets = []
         for i, idx in enumerate(member_sets):
             idx = np.asarray(idx)
@@ -237,13 +239,12 @@ class TrainingProblem:
     @classmethod
     def from_member_sets(cls, member_sets, class_weights=None):
         """Build a problem from one sample collection per class."""
-        arrays = [np.atleast_2d(np.asarray(s, dtype=np.float64))
-                  for s in member_sets]
+        arrays = []
+        for i, s in enumerate(member_sets):
+            arrays.append(_rows(s, arrays[0].shape[1] if arrays else None,
+                                name=f"member set {i}"))
         if not arrays:
             raise ValueError("need at least two member sets")
-        dims = {a.shape[1] for a in arrays}
-        if len(dims) != 1:
-            raise ValueError(f"member sets disagree on feature dimension: {dims}")
         pooled = np.vstack(arrays)
         sets = [np.arange(run.start, run.stop)
                 for run in _runs([a.shape[0] for a in arrays])]

@@ -335,6 +335,10 @@ class Preprocessor:
             tokens = [row[name_to_col[attr.name]] for row in data.rows]
             if attr.is_numeric:
                 x[:, offset] = [float(tok) * enc for tok in tokens]
+                # a peak under 1.4e-306 scales by inf; test values may overflow
+                if not np.isfinite(x[:, offset]).all():
+                    raise ValueError(f"attribute {attr.name!r} does not scale "
+                                     f"to finite values by {enc!r}")
             else:
                 hot = np.array([offset + enc[tok] for tok in tokens], dtype=int)
                 x[np.arange(data.n), hot] = 1.0
@@ -381,7 +385,7 @@ def find_datasets(root) -> list[tuple[str, Path]]:
     two directories is an error naming both.
     """
     root = Path(root)
-    suffix = "-5-1tra.dat"
+    suffix = fold_file_names("", 1)[0]
     found: dict[str, Path] = {}
     for path in sorted(root.rglob(f"*{suffix}")):
         name = path.name[: -len(suffix)]

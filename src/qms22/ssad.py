@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HyperParams, QmsModel, TrainingProblem, cpm_optimize_many
+from .core import (HyperParams, QmsModel, TrainingProblem, _rows,
+                   cpm_optimize_many)
 
 __all__ = [
     "SsadProblem",
@@ -32,8 +33,8 @@ __all__ = [
 class SsadProblem:
     """Normal-only training samples plus the test batch to score.
 
-    test_labels (truthy = outlier) are optional and used only for
-    evaluation, never by the detector.
+    All values are finite, and a (p,) test row is one sample. test_labels
+    (truthy = outlier) are optional and used only for evaluation.
     """
 
     train_normals: np.ndarray
@@ -41,13 +42,10 @@ class SsadProblem:
     test_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        train = np.atleast_2d(np.asarray(self.train_normals, dtype=np.float64))
-        test = np.atleast_2d(np.asarray(self.test_samples, dtype=np.float64))
+        train = _rows(self.train_normals, name="train_normals")
+        test = _rows(self.test_samples, train.shape[1], name="test_samples")
         if train.shape[0] == 0 or test.shape[0] == 0:
             raise ValueError("need non-empty training and test sets")
-        if train.shape[1] != test.shape[1]:
-            raise ValueError(f"feature dimensions differ: train "
-                             f"{train.shape[1]}, test {test.shape[1]}")
         object.__setattr__(self, "train_normals", train)
         object.__setattr__(self, "test_samples", test)
         if self.test_labels is not None:
@@ -95,12 +93,8 @@ def build_member_sets(problem: SsadProblem, m: int, seed: int) -> MemberSetPlan:
     if n_train < m - 1:
         raise ValueError(f"need at least m - 1 = {m - 1} training normals "
                          f"to split into parts, got {n_train}")
-    rng = np.random.default_rng(seed)
-    shuffled = rng.permutation(n_train)
-    base, leftover = divmod(n_train, m - 1)
-    sizes = [base + 1 if i < leftover else base for i in range(m - 1)]
-    bounds = np.cumsum(sizes)
-    parts = tuple(np.sort(piece) for piece in np.split(shuffled, bounds[:-1]))
+    shuffled = np.random.default_rng(seed).permutation(n_train)
+    parts = tuple(np.sort(part) for part in np.array_split(shuffled, m - 1))
 
     full = np.arange(n_test + n_train)
     member_sets = [full]
@@ -128,7 +122,8 @@ def outlier_scores(model: QmsModel, samples) -> np.ndarray:
 
 def outlier_score(model: QmsModel, x) -> float:
     """Score the (p,) row `x`; see outlier_scores."""
-    return float(outlier_scores(model, model.as_rows(x, one=True))[0])
+    return float(outlier_scores(model, _rows(x, model.p, one=True,
+                                             name="x"))[0])
 
 
 def run_qms22(problem: SsadProblem, hp: HyperParams | None = None) -> np.ndarray:

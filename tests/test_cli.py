@@ -215,6 +215,23 @@ class TestRun:
         assert "step_a must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unscalable_column_fails_naming_it(self, tmp_path, capsys):
+        # a training peak of 1e-320 would scale X2 by 255 / 1e-320 = inf
+        header = ("@relation tiny\n@attribute X1 real\n@attribute X2 real\n"
+                  "@attribute Class {negative, positive}\n@data\n")
+        rows = "".join(f"{i}, {'1e-320' if i % 2 else '0.0'}, negative\n"
+                       for i in range(8))
+        tra, tst = tmp_path / "tiny-tra.dat", tmp_path / "tiny-tst.dat"
+        tra.write_text(header + rows)
+        tst.write_text(header + "1, 0.0, negative\n9, 1e-320, positive\n")
+        out = tmp_path / "roc.csv"
+        code = main(["run", "--train", str(tra), "--test", str(tst),
+                     "--out", str(out), *FAST_FLAGS])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: attribute 'X2' does not "
+                                           "scale to finite values by inf\n")
+        assert not out.exists()
+
 
 class TestBench:
     def test_single_dataset_six_sorted_rows(self, tmp_path, capsys):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qms22 import (HyperParams, MemberFunction, QmsModel, TrainingProblem,
-                   cpm_optimize, cpm_optimize_many, loss_full)
+from qms22 import (HyperParams, MemberFunction, QmsModel, SsadProblem,
+                   TrainingProblem, cpm_optimize, cpm_optimize_many,
+                   loss_full, outlier_score, outlier_scores)
 from qms22.core import ResidualCache, _initial_members, _ratio_loss
 
 from oracles import cpm_reference, loss_direct, member_value
@@ -61,12 +62,22 @@ class TestMemberFunction:
 
     def test_dimension_mismatch_names_sizes(self):
         f = MemberFunction(np.eye(3), np.zeros(3))
-        with pytest.raises(ValueError, match="length 3"):
+        with pytest.raises(ValueError, match=r"^x: expected feature dimension "
+                                             r"3 as a \(3,\) row, got shape "
+                                             r"\(2,\)$"):
             f.evaluate([1.0, 2.0])
 
     def test_rejects_nonfinite_entries(self):
         with pytest.raises(ValueError, match="finite"):
             MemberFunction(np.array([[np.nan]]), np.zeros(1))
+
+    @pytest.mark.parametrize("a, b", [((2,), (2,)), ((2, 3), (2, 1)),
+                                      ((2, 3), (3,)), ((1, 2, 3), (1,))],
+                             ids=str)
+    def test_rejects_mismatched_shapes(self, a, b):
+        with pytest.raises(ValueError, match=re.escape(
+                f"got shapes {a} and {b}")):
+            MemberFunction(np.zeros(a), np.zeros(b))
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2))
     def test_never_negative(self, x):
@@ -104,6 +115,17 @@ class TestMemberFunction:
         with pytest.raises(ValueError, match=rf"\(n, 3\) batch, got shape "
                                              rf"{re.escape(str(shape))}$"):
             model.member_values(np.ones(shape))
+
+
+class TestQmsModel:
+    def test_rejects_wrong_member_count_or_mixed_shapes(self):
+        hp = HyperParams(m=2, q=2)
+        with pytest.raises(ValueError, match="expected 2 member functions, "
+                                             "got 3"):
+            QmsModel(tuple(constant_member(1.0) for _ in range(3)), hp)
+        with pytest.raises(ValueError, match="member functions disagree on "
+                                             "shape"):
+            QmsModel((constant_member(1.0), constant_member(1.0, p=3)), hp)
 
 
 class TestClassify:
@@ -260,6 +282,28 @@ class TestTrainingProblem:
             with pytest.raises(ValueError, match="class weight 0 "):
                 TrainingProblem(np.eye(4), [[0, 1], [2, 3]], (bad, 1.0))
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: TrainingProblem(np.eye(3), [[0, 3], [1]]),
+         "member set index out of range"),
+        (lambda: TrainingProblem(np.eye(3), [[0], [-1]]),
+         "member set index out of range"),
+        (lambda: TrainingProblem(np.eye(3), [[0], [1]], (1.0,)),
+         "got 1 weights for 2 member sets"),
+        (lambda: TrainingProblem(np.eye(3), [[0, 1, 2]]),
+         "need at least two member sets"),
+        (lambda: TrainingProblem.from_member_sets([np.eye(3)]),
+         "need at least two member sets"),
+        (lambda: TrainingProblem.from_member_sets([]),
+         "need at least two member sets"),
+        (lambda: TrainingProblem(np.ones((0, 2)), [[0], [0]]),
+         "samples must be non-empty"),
+    ], ids=["index-high", "index-negative", "weight-count", "one-set",
+            "one-set-per-class-form", "no-sets-per-class-form",
+            "no-samples"])
+    def test_rejects_bad_indices_weights_and_set_counts(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError, match="dimension"):
             TrainingProblem.from_member_sets([np.ones((2, 2)), np.ones((2, 3))])
@@ -276,6 +320,65 @@ class TestTrainingProblem:
                                        rng.normal(size=2)) for _ in range(2))
         model = QmsModel(members, hp)
         assert loss_full(split, model) == loss_full(pooled, model)
+
+
+def two_members(p=2):
+    return QmsModel((constant_member(1.0, p=p), constant_member(2.0, p=p)),
+                    HyperParams(m=2, q=2))
+
+
+GOOD = np.ones((3, 2))
+
+# every entry point that takes sample input: (the name its errors give the
+# input, whether it takes one (p,) row, a call that passes the input)
+SAMPLE_ENTRY_POINTS = {
+    "member_values": ("samples", False,
+                      lambda x: two_members().member_values(x)),
+    "classify": ("x", True, lambda x: two_members().classify(x)),
+    "evaluate": ("x", True, lambda x: constant_member(1.0).evaluate(x)),
+    "outlier_score": ("x", True, lambda x: outlier_score(two_members(), x)),
+    "outlier_scores": ("samples", False,
+                       lambda x: outlier_scores(two_members(), x)),
+    "TrainingProblem": ("samples", False,
+                        lambda x: TrainingProblem(x, [[0], [0]])),
+    "from_member_sets-first": ("member set 0", False,
+                               lambda x: TrainingProblem.from_member_sets(
+                                   [x, GOOD])),
+    "from_member_sets-later": ("member set 1", False,
+                               lambda x: TrainingProblem.from_member_sets(
+                                   [GOOD, x])),
+    "SsadProblem-train": ("train_normals", False,
+                          lambda x: SsadProblem(x, GOOD)),
+    "SsadProblem-test": ("test_samples", False,
+                         lambda x: SsadProblem(GOOD, x)),
+}
+
+# sample input that no entry point takes, for p = 2; an entry point that
+# takes one row gets a one-row batch as that row
+BAD_SAMPLES = {
+    "3-D": np.ones((2, 1, 2)),
+    "wrong-length": np.ones(3),
+    "no-features": np.ones((1, 0)),
+    "nan": np.array([[1.0, np.nan]]),
+    "+inf": np.array([[np.inf, 1.0]]),
+    "-inf": np.array([[1.0, -np.inf]]),
+}
+
+
+class TestSampleInput:
+    @pytest.mark.parametrize("bad", BAD_SAMPLES)
+    @pytest.mark.parametrize("entry", SAMPLE_ENTRY_POINTS)
+    def test_bad_samples_rejected_naming_the_input(self, entry, bad):
+        name, one_row, call = SAMPLE_ENTRY_POINTS[entry]
+        x = BAD_SAMPLES[bad]
+        if one_row and x.ndim == 2 and len(x) == 1:
+            x = x[0]
+        # the shape when it is wrong, else the first value that is not finite
+        got = (f"got shape {x.shape}" if np.isfinite(x).all() else
+               f"non-finite {x[~np.isfinite(x)][0]} at row 0")
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(name)}: .*{re.escape(got)}"):
+            call(x)
 
 
 class TestResidualCache:
@@ -344,6 +447,15 @@ class TestResidualCache:
         rebuilt = QmsModel(cache.members(), model.hyperparams)
         assert cache.losses[0] == pytest.approx(loss_full(problem, rebuilt),
                                                 rel=1e-9)
+
+    def test_drift_is_inf_when_a_sample_leaves_its_piece(self):
+        rng = np.random.default_rng(29)
+        problem, model = random_instance(rng, m=3, q=2, p=3)
+        cache = ResidualCache(problem, model)
+        cache.deltas(1, 0, 0, 0.5)   # stores class 1's pieces
+        assert cache.max_relative_drift() <= 1e-9
+        cache._piece[1, :, 0] = cache._piece[0, :, 0]   # hi = lo holds no f_c
+        assert cache.max_relative_drift() == float("inf")
 
     def test_try_entry_commits_the_larger_strict_decrease(self):
         rng = np.random.default_rng(37)
@@ -968,6 +1080,8 @@ class TestCpmOptimizeMany:
         model = QmsModel(_initial_members(hp, 2), hp)
         with pytest.raises(ValueError, match="dimension"):
             ResidualCache([problem(3, 2), problem(3, 4)], model)
+        with pytest.raises(ValueError, match="at least one"):
+            ResidualCache([], model)
 
     def test_apply_commits_one_problem_only(self):
         trainings, hp = ssad_trainings([(221, 60, 20), (222, 75, 15)])

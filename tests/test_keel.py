@@ -1,6 +1,7 @@
 """.dat parsing, fold discovery, encoding, and train-fold stripping."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,9 @@ MINIMAL = """\
 3.5, 4.0, positive
 0.0, 9.0, negative
 """
+
+
+CLASS = "@attribute Class {negative, positive}\n"
 
 
 def numeric_dataset(train_values, label="negative"):
@@ -190,6 +194,23 @@ class TestParse:
                             "@outputs Class\n"
                             "@data\n1, negative\n", source="fold.dat")
 
+    @pytest.mark.parametrize("header, line, message", [
+        ("@attribute C {a, b\n" + CLASS, 2, "unterminated categorical domain"),
+        ("@attribute C {a, , b}\n" + CLASS, 2, "empty categorical value"),
+        ("@attribute {a, b}\n" + CLASS, 2, "attribute needs a name"),
+        ("@attribute V\n" + CLASS, 2, "attribute needs a type: 'V'"),
+        ("@attribute V complex\n" + CLASS, 2,
+         "unknown attribute type 'complex'"),
+        ("", 1, "no attributes declared"),
+        ("@attribute V real\n" + CLASS + "@outputs V, Class\n", 1,
+         "expected exactly one output attribute, got 2"),
+    ], ids=["unterminated-domain", "empty-value", "no-name", "no-type",
+            "unknown-type", "no-attributes", "two-outputs"])
+    def test_malformed_header_rejected(self, header, line, message):
+        with pytest.raises(KeelParseError,
+                           match=rf"^f\.dat:{line}: {re.escape(message)}$"):
+            parse_keel_text(f"@relation r\n{header}@data\n", source="f.dat")
+
     def test_parse_from_file_names_path(self, tmp_path):
         bad = tmp_path / "broken.dat"
         bad.write_text(MINIMAL + "oops\n")
@@ -215,6 +236,16 @@ class TestPreprocessor:
         test = numeric_dataset([8])
         x, _ = Preprocessor.fit(train).transform(test)
         assert x[0, 0] == 510.0
+
+    @pytest.mark.parametrize("train, test", [
+        (["1e-320", "0.0"], ["1e-320", "0.0"]),   # scale 255 / 1e-320 = inf
+        (["1", "-2"], ["1e308"]),                  # 127.5 * 1e308 overflows
+    ], ids=["subnormal-peak", "test-overflow"])
+    def test_unscalable_column_names_its_attribute(self, train, test):
+        prep = Preprocessor.fit(numeric_dataset(train))
+        with pytest.raises(ValueError, match="^attribute 'V' does not scale "
+                                             "to finite values by "):
+            prep.transform(numeric_dataset(test))
 
     def test_one_hot_over_declared_domain(self):
         text = ("@relation c\n"

@@ -29,6 +29,26 @@ def problem_of_sizes(n_train, n_test, p=3, seed=0):
                        rng.normal(size=(n_test, p)))
 
 
+class TestSsadProblem:
+    @pytest.mark.parametrize("train, test, labels, message", [
+        ((0, 2), (3, 2), None, "need non-empty training and test sets"),
+        ((3, 2), (0, 2), None, "need non-empty training and test sets"),
+        ((3, 2), (2, 3), None, "test_samples: expected feature dimension 2 "
+                               "as a (2,) row or an (n, 2) batch, got shape "
+                               "(2, 3)"),
+        ((3, 2), (2, 2), [True], "test_labels length must match "
+                                 "test_samples"),
+    ], ids=["no-train", "no-test", "dimensions-differ", "label-count"])
+    def test_rejects_bad_sides(self, train, test, labels, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SsadProblem(np.ones(train), np.ones(test), labels)
+
+    def test_a_test_row_is_one_sample(self):
+        problem = SsadProblem(np.ones((3, 2)), [1.0, 2.0], [True])
+        assert problem.test_samples.tolist() == [[1.0, 2.0]]
+        assert problem.test_labels.tolist() == [True]
+
+
 class TestBuildMemberSets:
     def test_exact_division(self):
         plan = build_member_sets(problem_of_sizes(12, 4), m=7, seed=0)
