@@ -9,6 +9,10 @@ Subcommands:
 `bench` output rows follow `dataset,fold,auc,n,p,seconds` with an `avg`
 row per dataset; `compare` and `summary` accept those files (using the
 avg rows) or any CSV with `dataset` and `auc` columns.
+
+Each command imports what its own work needs when it runs: `summary`
+and `--help` load no numpy, `compare` loads numpy and the metrics but
+not the trainer, and only `bench` loads the process pool.
 """
 
 from __future__ import annotations
@@ -19,18 +23,9 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
-from .core import HyperParams
-from .keel import (FoldPair, discover_folds, find_datasets, fold_paths,
-                   parse_keel, read_shape, strip_outliers_from_train,
-                   Preprocessor)
-from .metrics import RocCurve, five_number_summary, mean_std, roc_curve, \
-    wilcoxon_signed_rank
-from .ssad import SsadProblem, run_qms22, run_qms22_many
+from .hyper import HyperParams
 
 _DEFAULTS = HyperParams()
 
@@ -63,9 +58,11 @@ def _hyper_from_args(args) -> HyperParams:
                           for flag, field, _ in _HYPER_FLAGS})
 
 
-def _encode_fold(fold: FoldPair) -> SsadProblem:
+def _encode_fold(fold):
     """The fold's training normals and labelled test side, encoded by a
-    preprocessor fitted on the normals."""
+    preprocessor fitted on the normals, as an SsadProblem."""
+    from .keel import Preprocessor, strip_outliers_from_train
+    from .ssad import SsadProblem
     train = strip_outliers_from_train(fold)
     prep = Preprocessor.fit(train)
     x_train, _ = prep.transform(train)
@@ -73,25 +70,27 @@ def _encode_fold(fold: FoldPair) -> SsadProblem:
     return SsadProblem(x_train, x_test, y_test)
 
 
-def _curve(problem: SsadProblem, hp: HyperParams) -> RocCurve:
+def _curve(problem, hp: HyperParams):
     """Train on an encoded fold's normals; the ROC of its test side."""
+    from .metrics import roc_curve
+    from .ssad import run_qms22
     return roc_curve(run_qms22(problem, hp), problem.test_labels)
 
 
-def _score_fold(fold: FoldPair, hp: HyperParams) -> tuple[float, int, int]:
+def _score_fold(fold, hp: HyperParams) -> tuple[float, int, int]:
     """AUC, dataset size, and raw feature count for one fold."""
     return (_curve(_encode_fold(fold), hp).auc, fold.train.n + fold.test.n,
             len(fold.train.input_names))
 
 
-def _write_roc_csv(path, curve: RocCurve) -> None:
+def _write_roc_csv(path, curve) -> None:
     with open(path, "w", newline="") as f:
         f.write("threshold,fpr,tpr\n")
         for t, x, y in zip(curve.thresholds, curve.fpr, curve.tpr):
             f.write(f"{float(t)!r},{float(x)!r},{float(y)!r}\n")
 
 
-def _roc_svg(curve: RocCurve) -> str:
+def _roc_svg(curve) -> str:
     size, margin = 360, 40
     span = size - 2 * margin
 
@@ -136,6 +135,7 @@ def _check_out_paths(*paths) -> None:
 
 def cmd_run(args) -> int:
     _check_out_paths(args.out, args.svg)
+    from .keel import FoldPair, parse_keel
     # only the encoded arrays are kept while training, not the parsed rows
     problem = _encode_fold(FoldPair(parse_keel(args.train),
                                     parse_keel(args.test), 1))
@@ -154,6 +154,11 @@ def _bench_dataset(task) -> list[tuple]:
     together in one `run_qms22_many` call. Each fold row gets the
     dataset's seconds divided by its folds; the avg row holds the sum.
     """
+    import numpy as np
+
+    from .keel import discover_folds
+    from .metrics import roc_curve
+    from .ssad import run_qms22_many
     name, directory, hp = task
     folds = discover_folds(directory, name)
     started = time.perf_counter()
@@ -180,6 +185,7 @@ def _training_cost(task) -> int:
     attribute is a short token that encodes to many columns. A missing or
     malformed file counts 0; the worker reports it.
     """
+    from .keel import fold_paths, read_shape
     name, directory, _ = task
     total = 0
     for train_path, _ in fold_paths(directory, name):
@@ -193,6 +199,13 @@ def _training_cost(task) -> int:
 
 def cmd_bench(args) -> int:
     _check_out_paths(args.out)
+    from concurrent.futures import ProcessPoolExecutor
+
+    # the pool forks its workers from this process: importing what
+    # _bench_dataset needs here (ssad brings core, metrics and numpy)
+    # spares each worker importing it again
+    from . import ssad  # noqa: F401
+    from .keel import find_datasets
     hp = _hyper_from_args(args)
     datasets = find_datasets(args.data_dir)
     if not datasets:
@@ -267,6 +280,7 @@ def _read_representative_aucs(path) -> dict[str, float]:
 
 
 def cmd_compare(args) -> int:
+    from .metrics import wilcoxon_signed_rank
     ours = _read_representative_aucs(args.ours)
     baseline = _read_representative_aucs(args.baseline)
     common = sorted(set(ours) & set(baseline))
@@ -289,6 +303,7 @@ def cmd_compare(args) -> int:
 
 def cmd_summary(args) -> int:
     _check_out_paths(args.out)
+    from .metrics import five_number_summary, mean_std
     lines = ["classifier,min,q1,median,q3,max,mean,std"]
     for path in args.results:
         aucs = list(_read_representative_aucs(path).values())

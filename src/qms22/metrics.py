@@ -1,11 +1,13 @@
-"""ROC curves, AUC, the Wilcoxon signed-rank test, and summary statistics."""
+"""ROC curves, AUC, the Wilcoxon signed-rank test, and summary statistics.
+
+The summary statistics are plain Python, so `qms22 summary` runs without
+numpy; the functions that build arrays import numpy when they run.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "RocCurve",
@@ -55,26 +57,49 @@ class FiveNumberSummary:
     max: float
 
 
-def _finite(name: str, values) -> np.ndarray:
-    # float64 view of `values`, rejecting NaN and infinities, which would
-    # otherwise sort, rank or average into a silently wrong statistic
-    v = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(v).all():
+def _finite(name: str, values) -> list[float]:
+    # the floats of a flat sequence, rejecting NaN and infinities, which
+    # would otherwise sort, rank or average into a silently wrong statistic
+    try:
+        v = [float(x) for x in values]
+    except TypeError:
+        raise ValueError(f"{name} must be a flat sequence of numbers") \
+            from None
+    if not all(map(math.isfinite, v)):
         raise ValueError(f"{name} must be finite")
     return v
 
 
+def _labels(name: str, labels):
+    # the one rule for outlier labels: booleans, or numbers equal to 0 or
+    # 1 (True = outlier); a cast to bool would read '0', 2, 0.5 or NaN as
+    # an outlier without a word
+    import numpy as np
+    y = np.asarray(labels)
+    if y.dtype.kind != "b":
+        # strings and the like are never labels (and numpy 1.x compares
+        # them with a number as one scalar, not elementwise)
+        ok = ((y == 0) | (y == 1) if y.dtype.kind in "iufcO"
+              else np.zeros(y.shape, dtype=bool))
+        if not ok.all():
+            raise ValueError(f"{name}: expected booleans or 0/1 numbers, "
+                             f"got {y[~ok].tolist()[0]!r}")
+    return y.astype(bool)
+
+
 def roc_curve(scores, labels) -> RocCurve:
-    """ROC curve of outlier scores against binary labels (truthy = outlier).
+    """ROC curve of outlier scores against labels: booleans or 0/1
+    numbers, True = outlier.
 
     One point per distinct score, thresholds descending, preceded by the
     (0, 0) endpoint; the final point is always (1, 1). The stored AUC is
     the trapezoidal area, which on this staircase equals the pairwise
     win + half-tie count.
     """
-    scores = _finite("scores", scores)
-    labels = np.asarray(labels).astype(bool)
-    if scores.shape != labels.shape or scores.ndim != 1:
+    import numpy as np
+    scores = np.array(_finite("scores", scores))
+    labels = _labels("labels", labels)
+    if scores.shape != labels.shape:
         raise ValueError("scores and labels must be equal-length vectors")
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
@@ -96,11 +121,12 @@ def roc_curve(scores, labels) -> RocCurve:
 
 
 def _trapezoid(x, y) -> float:
-    return float(0.5 * np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1])))
+    return float(0.5 * ((x[1:] - x[:-1]) * (y[1:] + y[:-1])).sum())
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ascending ranks starting at 1 with ties averaged."""
+    import numpy as np
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]
     boundary = np.nonzero(np.append(sorted_vals[1:] != sorted_vals[:-1], True))[0]
@@ -128,6 +154,7 @@ def _exact_tail_p(ranks: np.ndarray, r_plus: float, r_minus: float) -> float:
     (each step adds the same two entries at mirrored positions), so the
     upper tail, from hi = total - lo up, is the lower one read backwards.
     """
+    import numpy as np
     doubled = np.rint(2.0 * ranks).astype(np.int64)
     lo = int(round(2.0 * min(r_plus, r_minus)))
     size = lo + 1
@@ -146,6 +173,7 @@ def _normal_tail_p(ranks: np.ndarray, r_plus: float, r_minus: float) -> float:
     """Two-sided normal approximation with tie-corrected variance and a
     0.5 continuity correction on W = min(R+, R-).
     """
+    import numpy as np
     n = ranks.size
     mean = n * (n + 1) / 4.0
     _, tie_counts = np.unique(ranks, return_counts=True)
@@ -168,9 +196,10 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
     n_effective <= 25; larger n uses the normal approximation. Pass
     method="exact" or "normal" to force one.
     """
-    a = _finite("paired values", a)
-    b = _finite("paired values", b)
-    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
+    import numpy as np
+    a = np.array(_finite("paired values", a))
+    b = np.array(_finite("paired values", b))
+    if a.shape != b.shape or a.size == 0:
         raise ValueError("need two equal-length non-empty vectors")
     if method not in ("auto", "exact", "normal"):
         raise ValueError(f"unknown method {method!r}")
@@ -192,12 +221,26 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
 
 
 def five_number_summary(values) -> FiveNumberSummary:
-    """Min, quartiles, max with linear interpolation at (n-1)*{.25,.5,.75}."""
-    v = _finite("values", values)
-    if v.size == 0:
+    """Min, quartiles, max with linear interpolation at (n-1)*{.25,.5,.75}.
+
+    The same bits as np.percentile(values, [0, 25, 50, 75, 100]): each
+    value is numpy's "linear" step, rounding included.
+    """
+    v = sorted(_finite("values", values))
+    if not v:
         raise ValueError("five_number_summary needs a non-empty input")
-    lo, q1, med, q3, hi = np.percentile(v, [0, 25, 50, 75, 100])
-    return FiveNumberSummary(float(lo), float(q1), float(med), float(q3), float(hi))
+    last = len(v) - 1
+
+    def at(q: float) -> float:
+        x = last * q
+        i = math.floor(x)
+        t = x - i
+        if x >= last:   # numpy takes the last value, with weight x + 1
+            i, t = last, x + 1
+        a, b = v[i], v[min(i + 1, last)]
+        return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+
+    return FiveNumberSummary(*map(at, (0.0, 0.25, 0.5, 0.75, 1.0)))
 
 
 def mean_std(values) -> tuple[float, float]:
@@ -205,12 +248,15 @@ def mean_std(values) -> tuple[float, float]:
 
     The sample convention is what reproduces the reference spread of the
     bundled benchmark results (0.1483; the population convention gives
-    0.1475). A single value has spread 0 by definition here.
+    0.1475). A single value has spread 0 by definition here. Both sums
+    are correctly rounded (math.fsum), so no summation order moves them.
     """
     v = _finite("values", values)
-    if v.size == 0:
+    if not v:
         raise ValueError("mean_std needs a non-empty input")
-    if v.size == 1 or v.min() == v.max():
+    if min(v) == max(v):
         # a lone or constant sequence has zero spread, exactly
-        return float(v[0]), 0.0
-    return float(v.mean()), float(v.std(ddof=1))
+        return v[0], 0.0
+    mean = math.fsum(v) / len(v)
+    return mean, math.sqrt(math.fsum((x - mean) ** 2 for x in v)
+                           / (len(v) - 1))

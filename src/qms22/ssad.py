@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import (HyperParams, QmsModel, TrainingProblem, _rows,
                    cpm_optimize_many)
+from .metrics import _labels
 
 __all__ = [
     "SsadProblem",
@@ -49,7 +50,7 @@ class SsadProblem:
         object.__setattr__(self, "train_normals", train)
         object.__setattr__(self, "test_samples", test)
         if self.test_labels is not None:
-            labels = np.asarray(self.test_labels).astype(bool)
+            labels = _labels("test_labels", self.test_labels)
             if labels.shape != (test.shape[0],):
                 raise ValueError("test_labels length must match test_samples")
             object.__setattr__(self, "test_labels", labels)
@@ -99,8 +100,9 @@ def build_member_sets(problem: SsadProblem, m: int, seed: int) -> MemberSetPlan:
     full = np.arange(n_test + n_train)
     member_sets = [full]
     for part in parts:
-        keep = np.setdiff1d(np.arange(n_train), part, assume_unique=True)
-        member_sets.append(keep + n_test)
+        keep = np.ones(n_train, dtype=bool)
+        keep[part] = False
+        member_sets.append(np.flatnonzero(keep) + n_test)
     weight_1 = member_sets[1].size / full.size
     return MemberSetPlan(parts=parts, member_sets=tuple(member_sets),
                          weight_1=weight_1)

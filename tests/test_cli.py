@@ -1,5 +1,6 @@
 """End-to-end command-line behavior on synthetic fold files."""
 
+import concurrent.futures
 import csv
 import shutil
 from concurrent.futures import Future
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qms22 import cli
+from qms22 import cli, keel
 from qms22.cli import build_parser, main
 from qms22.keel import discover_folds, fold_paths
 
@@ -88,7 +89,8 @@ def inline_pool(monkeypatch):
                 future.set_exception(exc)
             return future
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    # cmd_bench imports the pool class from here when it runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return record
 
 
@@ -102,8 +104,9 @@ def test_missing_output_directory_fails_before_training(tmp_path, capsys,
     def fail(*args):
         raise AssertionError("parsed input before checking the output")
 
-    monkeypatch.setattr(cli, "parse_keel", fail)
-    monkeypatch.setattr(cli, "find_datasets", fail)
+    # the commands import these from keel when they run
+    monkeypatch.setattr(keel, "parse_keel", fail)
+    monkeypatch.setattr(keel, "find_datasets", fail)
     tra, tst = fold_pair_files(tmp_path)
     missing = tmp_path / "missing"
     argv = [arg.format(missing=missing, tmp=tmp_path) for arg in command]
@@ -127,8 +130,9 @@ def test_directory_as_output_file_fails_before_reading(tmp_path, capsys,
     def fail(*args):
         raise AssertionError("read input before checking the output")
 
-    for name in ("parse_keel", "find_datasets", "_read_representative_aucs"):
-        monkeypatch.setattr(cli, name, fail)
+    for module, name in ((keel, "parse_keel"), (keel, "find_datasets"),
+                         (cli, "_read_representative_aucs")):
+        monkeypatch.setattr(module, name, fail)
     tra, tst = fold_pair_files(tmp_path)
     make_results_csv(tmp_path / "results.csv", {"a": 0.5})
     taken = tmp_path / "taken"

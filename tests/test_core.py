@@ -72,7 +72,8 @@ class TestMemberFunction:
             MemberFunction(np.array([[np.nan]]), np.zeros(1))
 
     @pytest.mark.parametrize("a, b", [((2,), (2,)), ((2, 3), (2, 1)),
-                                      ((2, 3), (3,)), ((1, 2, 3), (1,))],
+                                      ((2, 3), (3,)), ((1, 2, 3), (1,)),
+                                      ((2, 0), (2,)), ((0, 3), (0,))],
                              ids=str)
     def test_rejects_mismatched_shapes(self, a, b):
         with pytest.raises(ValueError, match=re.escape(

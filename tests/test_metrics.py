@@ -1,11 +1,13 @@
 """ROC/AUC, the signed-rank test, and the summary statistics."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qms22 import (five_number_summary, mean_std, roc_curve,
+from qms22 import (SsadProblem, five_number_summary, mean_std, roc_curve,
                    wilcoxon_signed_rank)
 from qms22.metrics import _trapezoid
 
@@ -55,6 +57,10 @@ class TestRocCurve:
         with pytest.raises(ValueError, match="finite"):
             roc_curve([bad, 0.5, 0.2, 0.1], [1, 0, 1, 0])
 
+    def test_scores_must_be_flat(self):
+        with pytest.raises(ValueError, match="flat sequence"):
+            roc_curve(np.ones((3, 1)), [1, 0, 1])
+
     def test_endpoints_and_monotonicity(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
@@ -91,6 +97,43 @@ class TestRocCurve:
         for transform in (np.exp, lambda s: 3 * s + 10, np.arctan):
             assert roc_curve(transform(scores), labels).auc == pytest.approx(
                 base, abs=1e-12)
+
+
+def roc_of(labels):
+    return roc_curve(np.arange(len(labels), dtype=float), labels)
+
+
+def ssad_of(labels):
+    return SsadProblem(np.ones((2, 1)), np.ones((len(labels), 1)), labels)
+
+
+class TestLabels:
+    """One rule for labels, at both entry points: booleans, or numbers
+    equal to 0 or 1."""
+
+    @pytest.mark.parametrize("call, name", [(roc_of, "labels"),
+                                            (ssad_of, "test_labels")],
+                             ids=["roc_curve", "SsadProblem"])
+    @pytest.mark.parametrize("labels, first_bad", [
+        (["0", "1", ""], "'0'"),
+        ([0, 2, 1], "2"),
+        ([1.0, 0.5, 0.0], "0.5"),
+        ([0.0, np.nan, 1.0], "nan"),
+        ([True, None, False], "None"),
+    ], ids=["strings", "two", "half", "nan", "none"])
+    def test_bad_labels_rejected(self, call, name, labels, first_bad):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name}: expected booleans or 0/1 numbers, got {first_bad}")):
+            call(labels)
+
+    @pytest.mark.parametrize("labels", [
+        [True, False, True], [1, 0, 1], np.array([1.0, 0.0, 1.0]),
+    ], ids=["bool", "int", "float"])
+    def test_good_labels_read_as_booleans(self, labels):
+        assert roc_of(labels).auc == 0.5
+        stored = ssad_of(labels).test_labels
+        assert stored.dtype == bool
+        assert stored.tolist() == [True, False, True]
 
 
 class TestAuc:
@@ -236,6 +279,13 @@ class TestFiveNumberSummary:
         with pytest.raises(ValueError, match="finite"):
             five_number_summary([0.5, bad, 0.7])
 
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=95))
+    def test_same_bits_as_numpy_percentile(self, values):
+        s = five_number_summary(values)
+        got = np.array([s.min, s.q1, s.median, s.q3, s.max])
+        want = np.percentile(values, [0, 25, 50, 75, 100])
+        assert got.tobytes() == want.tobytes()
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
     def test_ordering_chain_and_oracle(self, values):
         s = five_number_summary(values)
@@ -264,6 +314,19 @@ class TestMeanStd:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mean_std([])
+
+    # AUC-like values on a 1e-6 grid: a spread of a few ulps would make
+    # the deviations from the mean cancel, and any two summation orders
+    # disagree there. A constant sequence has spread 0 exactly (above),
+    # where numpy's rounded mean can leave a trace
+    @given(st.lists(st.integers(0, 10 ** 6).map(lambda k: k / 10 ** 6),
+                    min_size=2, max_size=95))
+    def test_close_to_numpy(self, values):
+        assume(min(values) != max(values))
+        mean, std = mean_std(values)
+        v = np.array(values)
+        assert mean == pytest.approx(v.mean(), rel=1e-15, abs=0.0)
+        assert std == pytest.approx(v.std(ddof=1), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_rejected(self, bad):
