@@ -57,16 +57,26 @@ class FiveNumberSummary:
     max: float
 
 
-def _finite(name: str, values) -> list[float]:
-    # the floats of a flat sequence, rejecting NaN and infinities, which
-    # would otherwise sort, rank or average into a silently wrong statistic
+def _finite(name: str, values) -> None:
+    # the one finiteness rule, on flat values: NaN and infinities would
+    # otherwise sort, rank or average into a silently wrong statistic
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} must be finite")
+
+
+def _floats(name: str, values) -> list[float]:
+    # the finite floats of a flat sequence, for the statistics that run
+    # without numpy. An element with dimensions is refused before float()
+    # sees it, as numpy before 2.4 turns a one-element array into its value.
     try:
-        v = [float(x) for x in values]
+        items = list(values)
+        if any(getattr(x, "ndim", 0) for x in items):
+            raise TypeError
+        v = [float(x) for x in items]
     except TypeError:
         raise ValueError(f"{name} must be a flat sequence of numbers") \
             from None
-    if not all(map(math.isfinite, v)):
-        raise ValueError(f"{name} must be finite")
+    _finite(name, v)
     return v
 
 
@@ -97,10 +107,11 @@ def roc_curve(scores, labels) -> RocCurve:
     win + half-tie count.
     """
     import numpy as np
-    scores = np.array(_finite("scores", scores))
+    scores = np.asarray(scores, dtype=np.float64)
     labels = _labels("labels", labels)
-    if scores.shape != labels.shape:
+    if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be equal-length vectors")
+    _finite("scores", scores)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -197,10 +208,12 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
     method="exact" or "normal" to force one.
     """
     import numpy as np
-    a = np.array(_finite("paired values", a))
-    b = np.array(_finite("paired values", b))
-    if a.shape != b.shape or a.size == 0:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ValueError("need two equal-length non-empty vectors")
+    _finite("paired values", a)
+    _finite("paired values", b)
     if method not in ("auto", "exact", "normal"):
         raise ValueError(f"unknown method {method!r}")
     d = a - b
@@ -226,7 +239,7 @@ def five_number_summary(values) -> FiveNumberSummary:
     The same bits as np.percentile(values, [0, 25, 50, 75, 100]): each
     value is numpy's "linear" step, rounding included.
     """
-    v = sorted(_finite("values", values))
+    v = sorted(_floats("values", values))
     if not v:
         raise ValueError("five_number_summary needs a non-empty input")
     last = len(v) - 1
@@ -251,7 +264,7 @@ def mean_std(values) -> tuple[float, float]:
     0.1475). A single value has spread 0 by definition here. Both sums
     are correctly rounded (math.fsum), so no summation order moves them.
     """
-    v = _finite("values", values)
+    v = _floats("values", values)
     if not v:
         raise ValueError("mean_std needs a non-empty input")
     if min(v) == max(v):

@@ -58,7 +58,7 @@ class TestRocCurve:
             roc_curve([bad, 0.5, 0.2, 0.1], [1, 0, 1, 0])
 
     def test_scores_must_be_flat(self):
-        with pytest.raises(ValueError, match="flat sequence"):
+        with pytest.raises(ValueError, match="equal-length vectors"):
             roc_curve(np.ones((3, 1)), [1, 0, 1])
 
     def test_endpoints_and_monotonicity(self):
@@ -238,6 +238,8 @@ class TestWilcoxonSignedRank:
             wilcoxon_signed_rank([], [])
         with pytest.raises(ValueError, match="method"):
             wilcoxon_signed_rank([1.0], [2.0], method="bootstrap")
+        with pytest.raises(ValueError, match="equal-length"):
+            wilcoxon_signed_rank(np.ones((3, 1)), np.zeros((3, 1)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_values_rejected(self, bad):
@@ -334,3 +336,30 @@ class TestMeanStd:
             mean_std([0.5, bad, 0.7])
         with pytest.raises(ValueError, match="finite"):
             mean_std([bad])
+
+
+class OneElementRow:
+    """A one-element row as numpy before 2.4 has it: float() gives its value."""
+
+    ndim = 1
+
+    def __init__(self, value):
+        self.value = value
+
+    def __float__(self):
+        return self.value
+
+
+# the summaries must find a column vector by its dimensions, not by
+# float(), on every numpy version
+@pytest.mark.parametrize("summary", [five_number_summary, mean_std])
+@pytest.mark.parametrize("values", [
+    np.ones((3, 1)),
+    [OneElementRow(0.5), OneElementRow(0.7)],
+    [np.array([0.5]), np.array([0.7])],
+    [[0.5], [0.7]],
+    0.5,
+])
+def test_summaries_take_only_flat_values(summary, values):
+    with pytest.raises(ValueError, match="flat sequence"):
+        summary(values)
