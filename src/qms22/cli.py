@@ -8,7 +8,8 @@ Subcommands:
 
 `bench` output rows follow `dataset,fold,auc,n,p,seconds` with an `avg`
 row per dataset; `compare` and `summary` accept those files (using the
-avg rows) or any CSV with `dataset` and `auc` columns.
+avg rows) or any CSV with `dataset` and `auc` columns. Every file is
+read and written as UTF-8, whatever the locale.
 
 Each command imports what its own work needs when it runs: `summary`
 and `--help` load no numpy, `compare` loads numpy and the metrics but
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
@@ -70,24 +72,36 @@ def _encode_fold(fold):
     return SsadProblem(x_train, x_test, y_test)
 
 
-def _curve(problem, hp: HyperParams):
-    """Train on an encoded fold's normals; the ROC of its test side."""
+def _curves(problems, hp: HyperParams) -> list:
+    """Train on encoded folds' normals, together in one `run_qms22_many`
+    call; the ROC of each fold's test side. The CLI's one call into
+    training: `bench` passes a dataset's folds, `run` a batch of one.
+    """
     from .metrics import roc_curve
-    from .ssad import run_qms22
-    return roc_curve(run_qms22(problem, hp), problem.test_labels)
+    from .ssad import run_qms22_many
+    return [roc_curve(scores, problem.test_labels)
+            for problem, scores in zip(problems,
+                                       run_qms22_many(problems, hp))]
 
 
 def _score_fold(fold, hp: HyperParams) -> tuple[float, int, int]:
     """AUC, dataset size, and raw feature count for one fold."""
-    return (_curve(_encode_fold(fold), hp).auc, fold.train.n + fold.test.n,
-            len(fold.train.input_names))
+    (curve,) = _curves([_encode_fold(fold)], hp)
+    return curve.auc, fold.train.n + fold.test.n, len(fold.train.input_names)
 
 
-def _write_roc_csv(path, curve) -> None:
-    with open(path, "w", newline="") as f:
-        f.write("threshold,fpr,tpr\n")
-        for t, x, y in zip(curve.thresholds, curve.fpr, curve.tpr):
-            f.write(f"{float(t)!r},{float(x)!r},{float(y)!r}\n")
+def _write_text(path, text: str) -> None:
+    # UTF-8 whatever the locale, newlines as written; a name taken from a
+    # file name that the locale could not decode keeps its bytes
+    with open(path, "w", encoding="utf-8", errors="surrogateescape",
+              newline="") as f:
+        f.write(text)
+
+
+def _roc_csv(curve) -> str:
+    return "threshold,fpr,tpr\n" + "".join(
+        f"{float(t)!r},{float(x)!r},{float(y)!r}\n"
+        for t, x, y in zip(curve.thresholds, curve.fpr, curve.tpr))
 
 
 def _roc_svg(curve) -> str:
@@ -139,10 +153,10 @@ def cmd_run(args) -> int:
     # only the encoded arrays are kept while training, not the parsed rows
     problem = _encode_fold(FoldPair(parse_keel(args.train),
                                     parse_keel(args.test), 1))
-    curve = _curve(problem, _hyper_from_args(args))
-    _write_roc_csv(args.out, curve)
+    (curve,) = _curves([problem], _hyper_from_args(args))
+    _write_text(args.out, _roc_csv(curve))
     if args.svg:
-        Path(args.svg).write_text(_roc_svg(curve))
+        _write_text(args.svg, _roc_svg(curve))
     print(f"AUC {curve.auc!r}")
     return 0
 
@@ -151,14 +165,10 @@ def _bench_dataset(task) -> list[tuple]:
     """Rows for one dataset: five folds plus the avg row.
 
     The folds are encoded first, keeping only their arrays, then trained
-    together in one `run_qms22_many` call. Each fold row gets the
-    dataset's seconds divided by its folds; the avg row holds the sum.
+    together by `_curves`. Each fold row gets the dataset's seconds
+    divided by its folds; the avg row holds the sum.
     """
-    import numpy as np
-
     from .keel import discover_folds
-    from .metrics import roc_curve
-    from .ssad import run_qms22_many
     name, directory, hp = task
     folds = discover_folds(directory, name)
     started = time.perf_counter()
@@ -166,13 +176,14 @@ def _bench_dataset(task) -> list[tuple]:
                len(fold.train.input_names)) for fold in folds]
     problems = [_encode_fold(fold) for fold in folds]
     del folds   # the parsed rows are no longer needed
-    aucs = [roc_curve(scores, problem.test_labels).auc
-            for problem, scores in zip(problems, run_qms22_many(problems, hp))]
+    aucs = [curve.auc for curve in _curves(problems, hp)]
     seconds = time.perf_counter() - started
     rows = [(name, index, auc, n, p, seconds / len(problems))
             for (index, n, p), auc in zip(shapes, aucs)]
-    rows.append((name, "avg", float(np.mean([row[2] for row in rows])),
-                 rows[-1][3], rows[-1][4], seconds))
+    # below eight values numpy's pairwise sum is this left-to-right one,
+    # so the mean has np.mean's bits
+    rows.append((name, "avg", sum(aucs) / len(aucs), rows[-1][3],
+                 rows[-1][4], seconds))
     return rows
 
 
@@ -232,10 +243,9 @@ def cmd_bench(args) -> int:
     if not results:
         print("error: all datasets failed", file=sys.stderr)
         return 1
-    with open(args.out, "w", newline="") as f:
-        f.write("dataset,fold,auc,n,p,seconds\n")
-        for name, fold, auc_value, n, p, seconds in results:
-            f.write(f"{name},{fold},{auc_value!r},{n},{p},{seconds:.3f}\n")
+    _write_text(args.out, "dataset,fold,auc,n,p,seconds\n" + "".join(
+        f"{name},{fold},{auc_value!r},{n},{p},{seconds:.3f}\n"
+        for name, fold, auc_value, n, p, seconds in results))
     print(f"wrote {args.out} ({len(results)} rows, {failures} failures)")
     return 0
 
@@ -245,13 +255,22 @@ def _read_representative_aucs(path) -> dict[str, float]:
 
     Benchmark files contribute their `avg` rows; plain `dataset,auc`
     files contribute every row. A used row must hold a finite AUC in
-    [0, 1] and a dataset not named by an earlier used row; otherwise
-    the error names the file and line.
+    [0, 1] and a dataset not named by an earlier used row. The file is
+    read as UTF-8. Each error names the file and, where it has one, the
+    line.
     """
     out: dict[str, float] = {}
     lines: dict[str, int] = {}
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
+    # decoded in one piece, so that a bad byte's offset is the file's
+    data = Path(path).read_bytes()
+    try:
+        content = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: byte {data[exc.start]:#04x} is not "
+                         f"UTF-8 ({exc.reason})") from None
+    reader = csv.DictReader(io.StringIO(content, newline=""))
+    try:
         fields = reader.fieldnames or []
         if "dataset" not in fields or "auc" not in fields:
             raise ValueError(f"{path}: expected 'dataset' and 'auc' columns, "
@@ -274,6 +293,10 @@ def _read_representative_aucs(path) -> dict[str, float]:
                 raise ValueError(f"{path}:{line}: dataset {name!r} is "
                                  f"already on line {lines[name]}")
             out[name], lines[name] = value, line
+    except csv.Error as exc:   # such as a field over csv.field_size_limit()
+        # DictReader counts a line only once it parses; its reader has
+        # counted the failed one
+        raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from None
     if not out:
         raise ValueError(f"{path}: no usable result rows")
     return out
@@ -314,7 +337,7 @@ def cmd_summary(args) -> int:
                      f"{s.max!r},{mean!r},{std!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

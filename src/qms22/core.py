@@ -406,12 +406,6 @@ class ResidualCache:
             np.take(self._f, others, axis=0, out=den_b, mode="clip")  # f_j
             np.take(self._weight, others, axis=0, out=w_den, mode="clip")
             w_own[...] = self._weight[c]
-            # -inf where the sample has the term, else +inf, so that the
-            # max with it leaves a breakpoint or makes one that no fc
-            # crosses; in the order of at: own, denominator
-            absent = np.greater(self._table[4:], 0.0, out=self._mask[:2])
-            absent = np.subtract(absent, 0.5, out=self._terms[:2])
-            absent *= -np.inf
             np.add(den_b, g, out=own_a)   # f_j + g
             np.multiply(alpha, own_a, out=at[0])
             if alpha:
@@ -419,7 +413,10 @@ class ResidualCache:
                 at[1] -= g
             else:
                 at[1] = np.inf
-            np.maximum(at, absent, out=at)
+            # a sample without the term (weight 0, as class weights are
+            # positive) gets a breakpoint that no fc crosses; in the order
+            # of at: own, denominator
+            np.copyto(at, np.inf, where=self._table[4:] == 0.0)
             np.divide(w_own, own_a, out=own_a)
             np.multiply(w_den, den_b, out=den_b)
             self._pieces(slice(None), self._f[c], self._piece[:, 0],

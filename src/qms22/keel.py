@@ -262,18 +262,33 @@ def parse_keel_text(text: str, source: str = "<string>") -> RawDataset:
                       rows=tuple(rows))
 
 
+def _read_text(path: Path) -> str:
+    # UTF-8 whatever the locale, decoded in one piece so that a bad
+    # byte's offset, and so its line, is the file's; newlines are
+    # translated as text-mode reading does
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise KeelParseError(str(path), data.count(b"\n", 0, exc.start) + 1,
+                             f"byte {data[exc.start]:#04x} is not UTF-8 "
+                             f"({exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def parse_keel(path) -> RawDataset:
-    """Parse a .dat file from disk."""
+    """Parse a UTF-8 .dat file from disk."""
     path = Path(path)
-    return parse_keel_text(path.read_text(), source=str(path))
+    return parse_keel_text(_read_text(path), source=str(path))
 
 
 def read_shape(path) -> tuple[int, int]:
-    """(rows, encoded width) of a .dat file. The header is parsed as by
-    `parse_keel`; the rows after ``@data`` are counted, not validated.
+    """(rows, encoded width) of a .dat file. The file is read and its
+    header parsed as by `parse_keel`; the rows after ``@data`` are
+    counted, not validated.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_text(path).splitlines()
     data_at = next((i for i, line in enumerate(lines)
                     if line.lower().split(None, 1)[:1] == ["@data"]),
                    len(lines))

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qms22 import cli, keel
 from qms22.cli import build_parser, main
@@ -236,6 +238,18 @@ class TestRun:
                                            "scale to finite values by inf\n")
         assert not out.exists()
 
+    def test_bad_byte_fails_naming_file_and_line(self, tmp_path, capsys):
+        tra, tst = fold_pair_files(tmp_path)
+        lines = tst.read_bytes().split(b"\n")
+        lines[8] += b"\xff"
+        tst.write_bytes(b"\n".join(lines))
+        out = tmp_path / "roc.csv"
+        assert main(["run", "--train", str(tra), "--test", str(tst),
+                     "--out", str(out), *FAST_FLAGS]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tst}:9: byte 0xff is not UTF-8 (invalid start byte)\n")
+        assert not out.exists()
+
 
 class TestBench:
     def test_single_dataset_six_sorted_rows(self, tmp_path, capsys):
@@ -247,12 +261,18 @@ class TestBench:
         rows = read_csv_rows(out)
         assert [r["fold"] for r in rows] == ["1", "2", "3", "4", "5", "avg"]
         fold_aucs = [float(r["auc"]) for r in rows[:5]]
-        assert float(rows[5]["auc"]) == pytest.approx(np.mean(fold_aucs),
-                                                      abs=1e-12)
+        assert rows[5]["auc"] == repr(float(np.mean(fold_aucs)))
         # n = train rows + test rows before stripping; p = raw inputs
         assert all(r["n"] == "41" and r["p"] == "2" for r in rows)
         assert float(rows[5]["seconds"]) == pytest.approx(
             sum(float(r["seconds"]) for r in rows[:5]), abs=5e-3)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5))
+    def test_avg_has_the_bits_of_np_mean(self, aucs):
+        # the avg row's mean of a dataset's five fold AUCs, as
+        # _bench_dataset takes it without numpy
+        assert sum(aucs) / len(aucs) == float(np.mean(aucs))
 
     def test_datasets_sorted_by_name(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
@@ -395,6 +415,15 @@ class TestBench:
         assert "(30 rows, 1 failures)" in captured.out
 
     def test_malformed_row_fails_only_its_dataset(self, tmp_path, capsys):
+        self.check_one_bad_row(tmp_path, capsys, b"1.0, negative",
+                               "row has 2 values, expected 3")
+
+    def test_bad_byte_fails_only_its_dataset(self, tmp_path, capsys):
+        self.check_one_bad_row(tmp_path, capsys, b"1.0, 2.0, neg\xffative",
+                               "byte 0xff is not UTF-8 (invalid start byte)")
+
+    @staticmethod
+    def check_one_bad_row(tmp_path, capsys, row, message):
         # the real pool, so the worker's parse error crosses a process
         # boundary; one worker and two report it alike
         data_dir = tmp_path / "data"
@@ -402,9 +431,9 @@ class TestBench:
         write_dataset(data_dir, "fine", seed=2)
         write_dataset(data_dir, "bad", seed=3)
         bad_file = data_dir / "bad-5-2tra.dat"
-        lines = bad_file.read_text().splitlines()
-        lines[9] = "1.0, negative"
-        bad_file.write_text("\n".join(lines) + "\n")
+        lines = bad_file.read_bytes().splitlines()
+        lines[9] = row
+        bad_file.write_bytes(b"\n".join(lines) + b"\n")
         outputs = {}
         for workers in ("2", "1"):
             out = tmp_path / f"bench-{workers}.csv"
@@ -413,7 +442,7 @@ class TestBench:
                          *FAST_FLAGS]) == 0
             captured = capsys.readouterr()
             assert captured.err.splitlines() == [
-                f"error: bad: {bad_file}:10: row has 2 values, expected 3"]
+                f"error: bad: {bad_file}:10: {message}"]
             assert "(12 rows, 1 failures)" in captured.out
             outputs[workers] = stable_part(out)
         assert [row[0] for row in outputs["2"]] == ["fine"] * 6 + ["good"] * 6
@@ -425,6 +454,8 @@ class TestBench:
         (tmp_path / "s-5-2tra.dat").write_text("@relation s\nno header\n")
         (tmp_path / "s-5-4tra.dat").unlink()
         assert cli._training_cost(("s", tmp_path, None)) == 3 * 12 * 3
+        (tmp_path / "s-5-5tra.dat").write_bytes(b"@relation \xff\n")
+        assert cli._training_cost(("s", tmp_path, None)) == 2 * 12 * 3
         assert cli._training_cost(("gone", tmp_path, None)) == 0
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -521,12 +552,18 @@ class TestResultsValidation:
         ("-inf", "AUC '-inf' is not finite"),
         ("1.7", "AUC 1.7 is outside [0, 1]"),
         ("-0.25", "AUC -0.25 is outside [0, 1]"),
+        # "\udcff" is written as the byte 0xff
+        pytest.param("0.\udcff5", "byte 0xff is not UTF-8 (invalid start "
+                     "byte)", id="bad-byte"),
+        pytest.param("0" * 131_073, "field larger than field limit (131072)",
+                     id="field-limit"),
     ])
     @pytest.mark.parametrize("command", ["compare", "summary"])
     def test_bad_auc_rejected_with_file_and_line(self, tmp_path, capsys,
                                                  command, auc, message):
         bad = tmp_path / "bad.csv"
-        bad.write_text(f"dataset,auc\na,0.5\nb,{auc}\nc,0.75\n")
+        bad.write_bytes(f"dataset,auc\na,0.5\nb,{auc}\nc,0.75\n".encode(
+            "utf-8", "surrogateescape"))
         good = make_results_csv(tmp_path / "good.csv",
                                 {"a": 0.6, "b": 0.7, "c": 0.8})
         files = [str(bad), str(good)] if command == "compare" else [str(bad)]

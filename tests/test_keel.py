@@ -217,6 +217,39 @@ class TestParse:
         with pytest.raises(KeelParseError, match="broken.dat:11"):
             parse_keel(bad)
 
+    @pytest.mark.parametrize("read", [parse_keel, read_shape])
+    @pytest.mark.parametrize("line, byte, reason", [
+        (1, b"\xff", "invalid start byte"),
+        (9, b"\xe9", "invalid continuation byte"),
+        (11, b"\xc3", "unexpected end of data"),
+    ])
+    def test_bad_byte_names_path_and_line(self, tmp_path, read, line, byte,
+                                          reason):
+        # the byte ends the line, or the file when there is no next line
+        lines = MINIMAL.encode().split(b"\n")
+        lines[line - 1] += byte
+        bad = tmp_path / "broken.dat"
+        bad.write_bytes(b"\n".join(lines))
+        with pytest.raises(KeelParseError) as info:
+            read(bad)
+        assert (info.value.source, info.value.line_no) == (str(bad), line)
+        assert info.value.message == (f"byte {byte[0]:#04x} is not UTF-8 "
+                                      f"({reason})")
+
+    def test_file_is_utf8_with_any_line_ending(self, tmp_path):
+        path = tmp_path / "café.dat"
+        expected = parse_keel_text(MINIMAL.replace("tiny", "café"),
+                                   source=str(path))
+        for newline in ("\n", "\r\n", "\r"):
+            text = MINIMAL.replace("tiny", "café").replace("\n", newline)
+            path.write_bytes(text.encode("utf-8"))
+            assert parse_keel(path) == expected
+            assert read_shape(path) == (3, 2)
+            # the line of a missing @data counts the file's line breaks
+            path.write_bytes(text.split("@data")[0].encode("utf-8"))
+            with pytest.raises(KeelParseError, match=r"café\.dat:7: missing"):
+                parse_keel(path)
+
 
 class TestPreprocessor:
     def test_scale_is_255_over_max_abs(self):
