@@ -9,7 +9,7 @@ Subcommands:
 `bench` output rows follow `dataset,fold,auc,n,p,seconds` with an `avg`
 row per dataset; `compare` and `summary` accept those files (using the
 avg rows) or any CSV with `dataset` and `auc` columns. Every file is
-read and written as UTF-8, whatever the locale.
+read and written as UTF-8, whatever the locale, and so is the terminal.
 
 Each command imports what its own work needs when it runs: `summary`
 and `--help` load no numpy, `compare` loads numpy and the metrics but
@@ -98,10 +98,11 @@ def _write_text(path, text: str) -> None:
         f.write(text)
 
 
-def _roc_csv(curve) -> str:
-    return "threshold,fpr,tpr\n" + "".join(
-        f"{float(t)!r},{float(x)!r},{float(y)!r}\n"
-        for t, x, y in zip(curve.thresholds, curve.fpr, curve.tpr))
+def _csv_text(rows) -> str:
+    # quotes only a field that holds a comma, a quote or a line break
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
 
 
 def _roc_svg(curve) -> str:
@@ -154,7 +155,9 @@ def cmd_run(args) -> int:
     problem = _encode_fold(FoldPair(parse_keel(args.train),
                                     parse_keel(args.test), 1))
     (curve,) = _curves([problem], _hyper_from_args(args))
-    _write_text(args.out, _roc_csv(curve))
+    _write_text(args.out, _csv_text([("threshold", "fpr", "tpr"), *(
+        [repr(float(v)) for v in point]
+        for point in zip(curve.thresholds, curve.fpr, curve.tpr))]))
     if args.svg:
         _write_text(args.svg, _roc_svg(curve))
     print(f"AUC {curve.auc!r}")
@@ -162,7 +165,8 @@ def cmd_run(args) -> int:
 
 
 def _bench_dataset(task) -> list[tuple]:
-    """Rows for one dataset: five folds plus the avg row.
+    """CSV rows for one dataset: five folds plus the avg row, with AUCs
+    as their repr and seconds to the millisecond.
 
     The folds are encoded first, keeping only their arrays, then trained
     together by `_curves`. Each fold row gets the dataset's seconds
@@ -178,12 +182,12 @@ def _bench_dataset(task) -> list[tuple]:
     del folds   # the parsed rows are no longer needed
     aucs = [curve.auc for curve in _curves(problems, hp)]
     seconds = time.perf_counter() - started
-    rows = [(name, index, auc, n, p, seconds / len(problems))
+    rows = [(name, index, repr(auc), n, p, f"{seconds / len(problems):.3f}")
             for (index, n, p), auc in zip(shapes, aucs)]
     # below eight values numpy's pairwise sum is this left-to-right one,
     # so the mean has np.mean's bits
-    rows.append((name, "avg", sum(aucs) / len(aucs), rows[-1][3],
-                 rows[-1][4], seconds))
+    rows.append((name, "avg", repr(sum(aucs) / len(aucs)), rows[-1][3],
+                 rows[-1][4], f"{seconds:.3f}"))
     return rows
 
 
@@ -220,8 +224,10 @@ def cmd_bench(args) -> int:
     hp = _hyper_from_args(args)
     datasets = find_datasets(args.data_dir)
     if not datasets:
-        print(f"error: no datasets found in {args.data_dir}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no datasets found in {args.data_dir}")
+    workers = args.workers or (  # taskset or a cpuset may allow fewer CPUs
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1)
     tasks = [(name, directory, hp) for name, directory in datasets]
     results = []
     failures = 0
@@ -231,7 +237,7 @@ def cmd_bench(args) -> int:
     # starts every worker at the first submit, so it gets no more
     # workers than there are datasets.
     order = sorted(tasks, key=lambda task: (-_training_cost(task), task[0]))
-    with ProcessPoolExecutor(min(args.workers, len(tasks))) as pool:
+    with ProcessPoolExecutor(min(workers, len(tasks))) as pool:
         futures = {task[0]: pool.submit(_bench_dataset, task)
                    for task in order}
         for name in sorted(futures):
@@ -241,11 +247,9 @@ def cmd_bench(args) -> int:
                 failures += 1
                 print(f"error: {name}: {exc}", file=sys.stderr)
     if not results:
-        print("error: all datasets failed", file=sys.stderr)
-        return 1
-    _write_text(args.out, "dataset,fold,auc,n,p,seconds\n" + "".join(
-        f"{name},{fold},{auc_value!r},{n},{p},{seconds:.3f}\n"
-        for name, fold, auc_value, n, p, seconds in results))
+        raise ValueError("all datasets failed")
+    _write_text(args.out, _csv_text(
+        [("dataset", "fold", "auc", "n", "p", "seconds"), *results]))
     print(f"wrote {args.out} ({len(results)} rows, {failures} failures)")
     return 0
 
@@ -327,19 +331,16 @@ def cmd_compare(args) -> int:
 def cmd_summary(args) -> int:
     _check_out_paths(args.out)
     from .metrics import five_number_summary, mean_std
-    lines = ["classifier,min,q1,median,q3,max,mean,std"]
+    rows = [("classifier", "min", "q1", "median", "q3", "max", "mean", "std")]
     for path in args.results:
         aucs = list(_read_representative_aucs(path).values())
         s = five_number_summary(aucs)
-        mean, std = mean_std(aucs)
-        name = Path(path).stem
-        lines.append(f"{name},{s.min!r},{s.q1!r},{s.median!r},{s.q3!r},"
-                     f"{s.max!r},{mean!r},{std!r}")
-    text = "\n".join(lines) + "\n"
+        rows.append((Path(path).stem, *map(repr, (
+            s.min, s.q1, s.median, s.q3, s.max, *mean_std(aucs)))))
     if args.out:
-        _write_text(args.out, text)
+        _write_text(args.out, _csv_text(rows))
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(_csv_text(rows))
     return 0
 
 
@@ -392,12 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # stdio writes as _write_text does; a StringIO has no reconfigure
+    for stream in (sys.stdout, sys.stderr):
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(encoding="utf-8", errors="surrogateescape")
     args = build_parser().parse_args(argv)
-    if args.command == "bench" and args.workers is None:
-        # taskset or a cpuset may allow fewer CPUs than the host has
-        args.workers = (len(os.sched_getaffinity(0))
-                        if hasattr(os, "sched_getaffinity")
-                        else os.cpu_count() or 1)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

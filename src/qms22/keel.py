@@ -397,9 +397,12 @@ def fold_paths(directory, name: str):
 def find_datasets(root) -> list[tuple[str, Path]]:
     """Locate datasets anywhere under `root` by their fold-1 training
     file. Returns (name, directory) pairs sorted by name. A name found in
-    two directories is an error naming both.
+    two directories is an error naming both; a `root` that is not a
+    directory is an error naming it.
     """
     root = Path(root)
+    if not root.is_dir():   # rglob would find nothing there
+        raise NotADirectoryError(f"{root}: no such directory")
     suffix = fold_file_names("", 1)[0]
     found: dict[str, Path] = {}
     for path in sorted(root.rglob(f"*{suffix}")):

@@ -472,6 +472,16 @@ class TestBench:
         assert code == 1
         assert "no datasets found" in capsys.readouterr().err
 
+    def test_data_dir_that_is_not_a_directory(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("not a directory\n")
+        for root in (tmp_path / "missing", tmp_path / "file"):
+            code = main(["bench", "--data-dir", str(root),
+                         "--out", str(tmp_path / "bench.csv")])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"error: {root}: no such directory\n")
+        assert not (tmp_path / "bench.csv").exists()
+
     def test_broken_dataset_skipped(self, tmp_path, capsys):
         data_dir = write_dataset(tmp_path / "data", "good")
         # fold-1 train file alone makes "bad" discoverable but unloadable

@@ -497,3 +497,10 @@ class TestFoldDiscovery:
 
     def test_find_datasets_empty(self, tmp_path):
         assert find_datasets(tmp_path) == []
+
+    def test_find_datasets_needs_a_directory(self, tmp_path):
+        (tmp_path / "file").write_text("not a directory\n")
+        for root in (tmp_path / "missing", tmp_path / "file"):
+            with pytest.raises(NotADirectoryError) as error:
+                find_datasets(root)
+            assert str(error.value) == f"{root}: no such directory"
