@@ -11,9 +11,12 @@ row per dataset; `compare` and `summary` accept those files (using the
 avg rows) or any CSV with `dataset` and `auc` columns. Every file is
 read and written as UTF-8, whatever the locale, and so is the terminal.
 
-Each command imports what its own work needs when it runs: `summary`
-and `--help` load no numpy, `compare` loads numpy and the metrics but
-not the trainer, and only `bench` loads the process pool.
+Each command imports what its own work needs when it runs: only `run`
+and `bench` load numpy, `compare` loads the metrics but not the trainer,
+only `bench` loads the process pool, and no command loads
+`numpy.random`. The package makes no BLAS call, so `main` asks OpenBLAS
+for one thread, unless OPENBLAS_NUM_THREADS is set or numpy is already
+loaded.
 """
 
 from __future__ import annotations
@@ -88,6 +91,14 @@ def _score_fold(fold, hp: HyperParams) -> tuple[float, int, int]:
     """AUC, dataset size, and raw feature count for one fold."""
     (curve,) = _curves([_encode_fold(fold)], hp)
     return curve.auc, fold.train.n + fold.test.n, len(fold.train.input_names)
+
+
+def _error_text(exc: Exception) -> str:
+    # a system error's own str() shows its file name as a repr, with
+    # escapes for any byte the locale could not decode
+    if getattr(exc, "filename", None) is not None:
+        return f"{exc.filename}: {exc.strerror}"
+    return str(exc)
 
 
 def _write_text(path, text: str) -> None:
@@ -245,7 +256,7 @@ def cmd_bench(args) -> int:
                 results.extend(futures[name].result())
             except Exception as exc:
                 failures += 1
-                print(f"error: {name}: {exc}", file=sys.stderr)
+                print(f"error: {name}: {_error_text(exc)}", file=sys.stderr)
     if not results:
         raise ValueError("all datasets failed")
     _write_text(args.out, _csv_text(
@@ -397,11 +408,15 @@ def main(argv=None) -> int:
     for stream in (sys.stdout, sys.stderr):
         if hasattr(stream, "reconfigure"):
             stream.reconfigure(encoding="utf-8", errors="surrogateescape")
+    # OpenBLAS starts a spinning thread per CPU when numpy loads, for BLAS
+    # calls this package never makes; once numpy is loaded, it is too late
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 1
 
 

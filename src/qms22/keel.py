@@ -408,7 +408,7 @@ def find_datasets(root) -> list[tuple[str, Path]]:
     for path in sorted(root.rglob(f"*{suffix}")):
         name = path.name[: -len(suffix)]
         if name in found:
-            raise ValueError(f"dataset {name!r} is in two directories: "
+            raise ValueError(f"dataset '{name}' is in two directories: "
                              f"{found[name]} and {path.parent}")
         found[name] = path.parent
     return sorted(found.items())
@@ -422,7 +422,7 @@ def discover_folds(directory, name: str) -> list[FoldPair]:
     paths = list(fold_paths(directory, name))
     missing = [str(p) for pair in paths for p in pair if not p.is_file()]
     if missing:
-        raise FileNotFoundError(f"missing fold files for {name!r}: "
+        raise FileNotFoundError(f"missing fold files for '{name}': "
                                 + ", ".join(missing))
     return [FoldPair(train=parse_keel(tra), test=parse_keel(tst), fold_index=k)
             for k, (tra, tst) in enumerate(paths, start=1)]

@@ -1,13 +1,16 @@
 """ROC curves, AUC, the Wilcoxon signed-rank test, and summary statistics.
 
-The summary statistics are plain Python, so `qms22 summary` runs without
-numpy; the functions that build arrays import numpy when they run.
+The Wilcoxon test and the summary statistics are plain Python, so
+`qms22 compare` and `qms22 summary` run without numpy; the functions that
+build arrays import numpy when they run.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 
 __all__ = [
     "RocCurve",
@@ -64,18 +67,24 @@ def _finite(name: str, values) -> None:
         raise ValueError(f"{name} must be finite")
 
 
-def _floats(name: str, values) -> list[float]:
-    # the finite floats of a flat sequence, for the statistics that run
-    # without numpy. An element with dimensions is refused before float()
-    # sees it, as numpy before 2.4 turns a one-element array into its value.
+def _flat(values) -> list[float] | None:
+    # the floats of a flat sequence, or None. An element with dimensions
+    # is refused before float() sees it, as numpy before 2.4 turns a
+    # one-element array into its value.
     try:
         items = list(values)
         if any(getattr(x, "ndim", 0) for x in items):
-            raise TypeError
-        v = [float(x) for x in items]
+            return None
+        return [float(x) for x in items]
     except TypeError:
-        raise ValueError(f"{name} must be a flat sequence of numbers") \
-            from None
+        return None
+
+
+def _floats(name: str, values) -> list[float]:
+    # the finite floats of a flat sequence, for the summary statistics
+    v = _flat(values)
+    if v is None:
+        raise ValueError(f"{name} must be a flat sequence of numbers")
     _finite(name, v)
     return v
 
@@ -135,61 +144,75 @@ def _trapezoid(x, y) -> float:
     return float(0.5 * ((x[1:] - x[:-1]) * (y[1:] + y[:-1])).sum())
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
+def _average_ranks(values: list[float]) -> list[float]:
     """Ascending ranks starting at 1 with ties averaged."""
-    import numpy as np
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    boundary = np.nonzero(np.append(sorted_vals[1:] != sorted_vals[:-1], True))[0]
-    start = np.concatenate([[0], boundary[:-1] + 1])
-    # averaged rank of a run [a, b] (0-based) is (a + b) / 2 + 1
-    run_rank = (start + boundary) / 2.0 + 1.0
-    run_len = boundary - start + 1
-    ranks = np.empty(values.size)
-    ranks[order] = np.repeat(run_rank, run_len)
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    start = 0
+    for _, run in groupby(order, key=values.__getitem__):
+        run = list(run)
+        end = start + len(run) - 1
+        for i in run:   # the averaged rank of a 0-based run [start, end]
+            ranks[i] = (start + end) / 2.0 + 1.0
+        start = end + 1
     return ranks
 
 
-def _exact_tail_p(ranks: np.ndarray, r_plus: float, r_minus: float) -> float:
-    """P(R+ <= min) + P(R+ >= max) over all 2^n sign assignments.
+def _exact_tail_p(doubled: list[int], lo: int) -> float:
+    """P(2R+ <= lo) + P(2R+ >= total - lo) over all 2^n sign assignments,
+    where total is the sum of the doubled ranks: averaged ranks are
+    multiples of 0.5, so doubling makes them integers.
 
-    Computed by dynamic programming over rank sums, which enumerates the
-    same distribution as brute force. Averaged ranks are multiples of
-    0.5, so doubling makes them integers. Each step halves the table, so
-    it holds probabilities rather than counts and cannot overflow. Halving
-    is exact while 2^-n is a normal float, so up to n = 1022 the result
-    is bitwise the count over 2^n.
+    A dynamic program over rank sums counts the same distribution as
+    brute force. A count depends only on counts below it, so the table
+    keeps just the lo + 1 lowest sums, and the distribution is symmetric,
+    so the upper tail holds as many patterns as the lower one. Up to
+    n = 53 the counts are Python integers and the result is the exact
+    count over 2^n, correctly rounded; above that `_halved_tail_p` runs.
+    """
+    n = len(doubled)
+    if n > 53:
+        return _halved_tail_p(doubled, lo)
+    count = [1] + [0] * lo
+    top = 1   # count[top:] is all zero, so the steps skip it
+    for r in doubled:
+        top = min(top + r, lo + 1)
+        if r < top:   # else adding r lands past the kept entries
+            count[r:top] = map(int.__add__, count[r:top], count[:top - r])
+    return min(1.0, 2 * sum(count) / 2 ** n)
 
-    An entry depends only on entries below it, so the table keeps just
-    the lo + 1 lowest rank sums. The full table is symmetric bit for bit
-    (each step adds the same two entries at mirrored positions), so the
-    upper tail, from hi = total - lo up, is the lower one read backwards.
+
+def _halved_tail_p(doubled: list[int], lo: int) -> float:
+    """`_exact_tail_p` in float64 for any n: each step halves the table,
+    so it holds probabilities rather than counts and cannot overflow.
+
+    While the counts fit 53 bits (n <= 53) every step is exact and the
+    result has the bits of the integer count; above that an entry may
+    be rounded by an ulp.
     """
     import numpy as np
-    doubled = np.rint(2.0 * ranks).astype(np.int64)
-    lo = int(round(2.0 * min(r_plus, r_minus)))
-    size = lo + 1
-    prob = np.zeros(size)
+    prob = np.zeros(lo + 1)
     prob[0] = 1.0
-    top = 1   # prob[top:] is all zero, so the steps skip it
+    top = 1
     for r in doubled:
-        top = min(top + r, size)
-        if r < top:   # else adding r lands past the kept entries
+        top = min(top + r, lo + 1)
+        if r < top:
             prob[r:top] = prob[r:top] + prob[:top - r]
         prob[:top] *= 0.5
+    # the full table is symmetric bit for bit (each step adds the same
+    # two entries at mirrored positions), so the upper tail is the lower
+    # one read backwards
     return min(1.0, float(prob.sum() + prob[::-1].sum()))
 
 
-def _normal_tail_p(ranks: np.ndarray, r_plus: float, r_minus: float) -> float:
+def _normal_tail_p(ranks: list[float], r_plus: float, r_minus: float) -> float:
     """Two-sided normal approximation with tie-corrected variance and a
     0.5 continuity correction on W = min(R+, R-).
     """
-    import numpy as np
-    n = ranks.size
+    n = len(ranks)
     mean = n * (n + 1) / 4.0
-    _, tie_counts = np.unique(ranks, return_counts=True)
-    t = tie_counts.astype(np.float64)
-    var = (n * (n + 1) * (2 * n + 1) - ((t ** 3 - t).sum()) / 2.0) / 24.0
+    ties = sum(t ** 3 - t for t in Counter(ranks).values())
+    var = (n * (n + 1) * (2 * n + 1) - ties / 2.0) / 24.0
     sd = math.sqrt(var)
     w = min(r_plus, r_minus)
     z = (w - mean + 0.5) / sd
@@ -203,31 +226,34 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
 
     Zero differences are dropped; tied absolute differences receive
     averaged ranks (preserving r_plus + r_minus = n'(n'+1)/2). The exact
-    p-value enumerates all 2^n sign patterns and is used for
+    p-value counts all 2^n sign patterns and is used for
     n_effective <= 25; larger n uses the normal approximation. Pass
     method="exact" or "normal" to force one.
+
+    Plain Python, so `qms22 compare` loads no numpy; only a forced exact
+    test on more than 53 differences imports it.
     """
-    import numpy as np
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
+    a, b = _flat(a), _flat(b)
+    if a is None or b is None or len(a) != len(b) or not a:
         raise ValueError("need two equal-length non-empty vectors")
     _finite("paired values", a)
     _finite("paired values", b)
     if method not in ("auto", "exact", "normal"):
         raise ValueError(f"unknown method {method!r}")
-    d = a - b
-    d = d[d != 0.0]
-    n = d.size
+    d = [x - y for x, y in zip(a, b)]
+    d = [x for x in d if x != 0.0]
+    n = len(d)
     if n == 0:
         return WilcoxonResult(0.0, 0.0, 0, 1.0, "exact")
-    ranks = _average_ranks(np.abs(d))
-    r_plus = float(ranks[d > 0].sum())
-    r_minus = float(ranks[d < 0].sum())
+    ranks = _average_ranks([abs(x) for x in d])
+    # sums of multiples of 0.5, exact in any order
+    r_plus = sum((r for r, x in zip(ranks, d) if x > 0), 0.0)
+    r_minus = sum((r for r, x in zip(ranks, d) if x < 0), 0.0)
     if method == "auto":
         method = "exact" if n <= 25 else "normal"
     if method == "exact":
-        p = _exact_tail_p(ranks, r_plus, r_minus)
+        p = _exact_tail_p([round(2.0 * r) for r in ranks],
+                          round(2.0 * min(r_plus, r_minus)))
     else:
         p = _normal_tail_p(ranks, r_plus, r_minus)
     return WilcoxonResult(r_plus, r_minus, n, p, method)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pcg64 import permutation
 from .core import (HyperParams, QmsModel, TrainingProblem, _rows,
                    cpm_optimize_many)
 from .metrics import _labels
@@ -82,10 +83,11 @@ class MemberSetPlan:
 def build_member_sets(problem: SsadProblem, m: int, seed: int) -> MemberSetPlan:
     """Shuffle the training normals and plan the m member sets.
 
-    The shuffle uses numpy's seeded default generator (PCG64), so the
-    split is reproducible across platforms. The m-1 parts differ in size
-    by at most one: |train| mod (m-1) leftovers go one each to the
-    lowest-indexed parts.
+    The shuffle is `np.random.default_rng(seed).permutation`, computed in
+    plain Python by `qms22._pcg64`, so the split is the same on every
+    platform and numpy version, and training loads no `numpy.random`.
+    The m-1 parts differ in size by at most one: |train| mod (m-1)
+    leftovers go one each to the lowest-indexed parts.
     """
     n_train = problem.train_normals.shape[0]
     n_test = problem.test_samples.shape[0]
@@ -94,7 +96,7 @@ def build_member_sets(problem: SsadProblem, m: int, seed: int) -> MemberSetPlan:
     if n_train < m - 1:
         raise ValueError(f"need at least m - 1 = {m - 1} training normals "
                          f"to split into parts, got {n_train}")
-    shuffled = np.random.default_rng(seed).permutation(n_train)
+    shuffled = np.array(permutation(seed, n_train), dtype=np.intp)
     parts = tuple(np.sort(part) for part in np.array_split(shuffled, m - 1))
 
     full = np.arange(n_test + n_train)

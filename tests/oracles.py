@@ -2,13 +2,18 @@
 
 Everything here is written with plain loops against the mathematical
 definitions, deliberately avoiding the vectorized code paths in the
-package. Oracles stay independent of the thing they check.
+package. Oracles stay independent of the thing they check. The one
+exception is `wilcoxon_numpy`, the package's former numpy
+implementation, kept as the bitwise reference for the plain-Python test
+that replaced it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 
 def member_value(a, b, x):
@@ -147,6 +152,52 @@ def wilcoxon_bruteforce(a, b):
             count += 1
     p = min(1.0, count / 2.0 ** n)
     return r_plus, r_minus, n, p
+
+
+def wilcoxon_numpy(a, b, method="auto"):
+    """The signed-rank test as numpy computes it: argsort ranks, pairwise
+    sums, np.unique tie counts and the halving float DP for the exact
+    tail. Returns (r_plus, r_minus, n_effective, p_value, method).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    d = a - b
+    d = d[d != 0.0]
+    n = d.size
+    if n == 0:
+        return 0.0, 0.0, 0, 1.0, "exact"
+    values = np.abs(d)
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    boundary = np.nonzero(np.append(sorted_vals[1:] != sorted_vals[:-1],
+                                    True))[0]
+    start = np.concatenate([[0], boundary[:-1] + 1])
+    ranks = np.empty(n)
+    ranks[order] = np.repeat((start + boundary) / 2.0 + 1.0,
+                             boundary - start + 1)
+    r_plus = float(ranks[d > 0].sum())
+    r_minus = float(ranks[d < 0].sum())
+    if method == "auto":
+        method = "exact" if n <= 25 else "normal"
+    if method == "exact":
+        doubled = np.rint(2.0 * ranks).astype(np.int64)
+        size = int(round(2.0 * min(r_plus, r_minus))) + 1
+        prob = np.zeros(size)
+        prob[0] = 1.0
+        top = 1
+        for r in doubled:
+            top = min(top + r, size)
+            if r < top:
+                prob[r:top] = prob[r:top] + prob[:top - r]
+            prob[:top] *= 0.5
+        p = min(1.0, float(prob.sum() + prob[::-1].sum()))
+    else:
+        _, tie_counts = np.unique(ranks, return_counts=True)
+        t = tie_counts.astype(np.float64)
+        var = (n * (n + 1) * (2 * n + 1) - ((t ** 3 - t).sum()) / 2.0) / 24.0
+        z = (min(r_plus, r_minus) - n * (n + 1) / 4.0 + 0.5) / math.sqrt(var)
+        p = min(1.0, math.erfc(-z / math.sqrt(2.0)))
+    return r_plus, r_minus, n, p, method
 
 
 def five_number_direct(values):

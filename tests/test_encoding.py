@@ -139,9 +139,23 @@ def test_c_locale_error_lines_are_utf8(tmp_path):
                   "--workers", "1", *FAST_FLAGS, env=C_LOCALE, text=False)
     assert benched.returncode == 1
     (line, last) = benched.stderr.splitlines()
-    assert line.startswith("error: café: missing fold files".encode())
-    assert line.endswith(os.fsencode(data / "café-5-3tst.dat"))
+    # a name inside quotes is not a repr, which would escape its bytes
+    assert line == ("error: café: missing fold files for 'café': ".encode()
+                    + os.fsencode(data / "café-5-3tst.dat"))
     assert last == b"error: all datasets failed"
+    write_dataset(tmp_path / "data" / "again", "café")
+    benched = cli("bench", "--data-dir", tmp_path / "data", "--out",
+                  tmp_path / "b.csv", *FAST_FLAGS, env=C_LOCALE, text=False)
+    assert benched.returncode == 1
+    assert benched.stderr.startswith(
+        "error: dataset 'café' is in two directories: ".encode())
+    # an error from the system names its file as it is, not by its repr
+    missing = data / "café-5-3tst.dat"
+    ran = cli("run", "--train", missing, "--test", missing, "--out",
+              tmp_path / "roc.csv", env=C_LOCALE, text=False)
+    assert ran.returncode == 1
+    assert ran.stderr == (b"error: " + os.fsencode(missing)
+                          + b": No such file or directory\n")
     tra, tst = write_fold_pair(tmp_path, "synth", 1, np.random.default_rng(3))
     tst.write_text(tst.read_text().replace(", negative\n", ", négative\n", 1),
                    encoding="utf-8")

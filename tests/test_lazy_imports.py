@@ -61,10 +61,29 @@ def test_summary_loads_no_numpy():
     assert "numpy" not in modules_after("summary", str(REFERENCE_CSV))
 
 
+def test_compare_runs_without_site_packages(tmp_path, capsys):
+    # the reference AUCs against a copy with a few of them lowered
+    lowered = tmp_path / "lowered.csv"
+    lines = REFERENCE_CSV.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",").index("auc")
+    for i in (1, 5, 9):
+        fields = lines[i].split(",")
+        fields[header] = repr(float(fields[header]) - 0.01)
+        lines[i] = ",".join(fields)
+    lowered.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for argv in ([str(REFERENCE_CSV), str(lowered)],
+                 [str(lowered), str(REFERENCE_CSV)]):
+        child = cli("compare", *argv, flags=["-S"])
+        assert child.returncode == 0, child.stderr
+        assert main(["compare", *argv]) == 0
+        assert child.stdout == capsys.readouterr().out
+        assert "n_effective 3\n" in child.stdout
+
+
 def test_compare_loads_no_trainer_and_no_pool():
     loaded = modules_after("compare", str(REFERENCE_CSV), str(REFERENCE_CSV))
-    assert {"numpy", "qms22.metrics"} <= loaded
-    for name in ("qms22.core", "qms22.keel", "qms22.ssad",
+    assert "qms22.metrics" in loaded
+    for name in ("numpy", "qms22.core", "qms22.keel", "qms22.ssad",
                  "concurrent.futures"):
         assert name not in loaded
 
@@ -78,6 +97,45 @@ def test_run_loads_no_pool_and_no_masked_arrays(tmp_path):
     assert "qms22.ssad" in loaded
     assert "concurrent.futures" not in loaded
     assert "numpy.ma" not in loaded
+
+
+def test_run_loads_no_numpy_random(tmp_path):
+    # the member-set shuffle is qms22._pcg64, not numpy.random
+    bare = subprocess.run([sys.executable, "-c", "import sys, numpy; "
+                           "print('numpy.random' in sys.modules)"],
+                          capture_output=True, text=True, check=True)
+    if bare.stdout.strip() == "True":
+        pytest.skip("this numpy loads numpy.random with numpy itself")
+    tra, tst = write_fold_pair(tmp_path, "synth", 1,
+                               np.random.default_rng(3))
+    loaded = modules_after("run", "--train", str(tra), "--test", str(tst),
+                           "--out", str(tmp_path / "roc.csv"),
+                           "--iterations", "1")
+    assert {"numpy", "qms22._pcg64"} <= loaded
+    assert "numpy.random" not in loaded
+
+
+def openblas_threads_after(env_threads=None, preload=""):
+    """OPENBLAS_NUM_THREADS once `main` has run `summary`
+    in a fresh interpreter, after `preload`."""
+    env = dict(ENV)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if env_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = env_threads
+    code = (f"import os\n{preload}\n"
+            "from qms22.cli import main\n"
+            f"main(['summary', {str(REFERENCE_CSV)!r}])\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, check=True)
+    return child.stdout.splitlines()[-1]
+
+
+def test_main_asks_openblas_for_one_thread():
+    assert openblas_threads_after() == "1"
+    # a caller's setting stands, and once numpy is loaded it is too late
+    assert openblas_threads_after("3") == "3"
+    assert openblas_threads_after(preload="import numpy") == "None"
 
 
 @pytest.mark.parametrize("name", [n for n in qms22.__all__

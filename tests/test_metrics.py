@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from qms22 import (SsadProblem, five_number_summary, mean_std, roc_curve,
                    wilcoxon_signed_rank)
-from qms22.metrics import _trapezoid
+from qms22.metrics import (_average_ranks, _exact_tail_p, _halved_tail_p,
+                           _trapezoid)
 
-from oracles import auc_pairwise, five_number_direct, wilcoxon_bruteforce
+from oracles import (auc_pairwise, five_number_direct, wilcoxon_bruteforce,
+                     wilcoxon_numpy)
 
 
 def area(points):
@@ -247,6 +249,37 @@ class TestWilcoxonSignedRank:
             wilcoxon_signed_rank([bad, 0.5, 0.7], [0.3, 0.2, 0.1])
         with pytest.raises(ValueError, match="finite"):
             wilcoxon_signed_rank([0.3, 0.2, 0.1], [0.5, bad, 0.7])
+
+    def test_same_bits_as_numpy_reference(self):
+        # ties and zero differences on a coarse grid, distinct values on
+        # a fine one; every method, across the exact and normal sizes
+        rng = np.random.default_rng(18)
+        for _ in range(600):
+            n = int(rng.integers(1, 60))
+            if rng.random() < 0.5:
+                a = rng.integers(-4, 5, size=n) / 4.0
+                b = rng.integers(-4, 5, size=n) / 4.0
+            else:
+                a = rng.random(n)
+                b = a + rng.choice([-0.2, -0.1, 0.0, 0.1, 0.3], size=n)
+            method = str(rng.choice(["auto", "exact", "normal"]))
+            result = wilcoxon_signed_rank(a.tolist(), b.tolist(), method)
+            got = (result.r_plus, result.r_minus, result.n_effective,
+                   result.p_value, result.method)
+            assert repr(got) == repr(wilcoxon_numpy(a, b, method))
+
+    def test_counting_dp_has_the_bits_of_the_halving_dp(self):
+        # up to 53 ranks both are exact: the counts fit a float's 53 bits
+        rng = np.random.default_rng(53)
+        for n in range(1, 54):
+            for _ in range(5):
+                ranks = _average_ranks(rng.integers(1, n + 2, size=n)
+                                       .tolist())
+                doubled = [round(2.0 * r) for r in ranks]
+                middle = sum(doubled) // 2   # both tails: p clipped to 1
+                for lo in (int(rng.integers(0, middle + 1)), middle):
+                    assert (_exact_tail_p(doubled, lo)
+                            == _halved_tail_p(doubled, lo))
 
     @given(st.lists(st.integers(-20, 20), min_size=1, max_size=14))
     def test_rank_sum_identity_property(self, deltas):
