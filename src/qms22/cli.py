@@ -38,7 +38,7 @@ _DEFAULTS = HyperParams()
 # (flag, HyperParams field, help) for every hyperparameter; the type and
 # default of each flag are those of the field in HyperParams()
 _HYPER_FLAGS = (
-    ("--m", "m", "number of member functions"),
+    ("--m", "m", "number of member functions, >= 3"),
     ("--q", "q", "rows per member matrix"),
     ("--alpha", "alpha", "ratio clip threshold"),
     ("--iterations", "iterations", "coordinate sweeps"),
@@ -68,7 +68,7 @@ def _encode_fold(fold):
     preprocessor fitted on the normals, as an SsadProblem."""
     from .keel import Preprocessor, strip_outliers_from_train
     from .ssad import SsadProblem
-    train = strip_outliers_from_train(fold)
+    train = strip_outliers_from_train(fold.train)
     prep = Preprocessor.fit(train)
     x_train, _ = prep.transform(train)
     x_test, y_test = prep.transform(fold.test)
@@ -161,11 +161,12 @@ def _check_out_paths(*paths) -> None:
 
 def cmd_run(args) -> int:
     _check_out_paths(args.out, args.svg)
+    hp = _hyper_from_args(args)
     from .keel import FoldPair, parse_keel
     # only the encoded arrays are kept while training, not the parsed rows
     problem = _encode_fold(FoldPair(parse_keel(args.train),
                                     parse_keel(args.test), 1))
-    (curve,) = _curves([problem], _hyper_from_args(args))
+    (curve,) = _curves([problem], hp)
     _write_text(args.out, _csv_text([("threshold", "fpr", "tpr"), *(
         [repr(float(v)) for v in point]
         for point in zip(curve.thresholds, curve.fpr, curve.tpr))]))

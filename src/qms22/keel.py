@@ -364,12 +364,10 @@ class Preprocessor:
         return x, y
 
 
-def strip_outliers_from_train(fold_or_train) -> RawDataset:
-    """Drop positive-class rows from a training dataset (or the train
-    side of a FoldPair); the detector must never see outliers in
-    training. Raises when nothing is left.
+def strip_outliers_from_train(train: RawDataset) -> RawDataset:
+    """Drop positive-class rows from a training dataset; the detector
+    must never see outliers in training. Raises when nothing is left.
     """
-    train = fold_or_train.train if isinstance(fold_or_train, FoldPair) else fold_or_train
     col = train.output_index
     kept = tuple(row for row in train.rows
                  if not _label_to_outlier(row[col]))

@@ -2,7 +2,9 @@
 
 The Wilcoxon test and the summary statistics are plain Python, so
 `qms22 compare` and `qms22 summary` run without numpy; the functions that
-build arrays import numpy when they run.
+build arrays import numpy when they run. The Wilcoxon test has one rule
+for its tail: the exact count up to 25 non-zero differences, the normal
+approximation above.
 """
 
 from __future__ import annotations
@@ -166,43 +168,14 @@ def _exact_tail_p(doubled: list[int], lo: int) -> float:
     A dynamic program over rank sums counts the same distribution as
     brute force. A count depends only on counts below it, so the table
     keeps just the lo + 1 lowest sums, and the distribution is symmetric,
-    so the upper tail holds as many patterns as the lower one. Up to
-    n = 53 the counts are Python integers and the result is the exact
-    count over 2^n, correctly rounded; above that `_halved_tail_p` runs.
+    so the upper tail holds as many patterns as the lower one. The counts
+    are Python integers, so the result is the exact count over 2^n,
+    correctly rounded.
     """
-    n = len(doubled)
-    if n > 53:
-        return _halved_tail_p(doubled, lo)
     count = [1] + [0] * lo
-    top = 1   # count[top:] is all zero, so the steps skip it
     for r in doubled:
-        top = min(top + r, lo + 1)
-        if r < top:   # else adding r lands past the kept entries
-            count[r:top] = map(int.__add__, count[r:top], count[:top - r])
-    return min(1.0, 2 * sum(count) / 2 ** n)
-
-
-def _halved_tail_p(doubled: list[int], lo: int) -> float:
-    """`_exact_tail_p` in float64 for any n: each step halves the table,
-    so it holds probabilities rather than counts and cannot overflow.
-
-    While the counts fit 53 bits (n <= 53) every step is exact and the
-    result has the bits of the integer count; above that an entry may
-    be rounded by an ulp.
-    """
-    import numpy as np
-    prob = np.zeros(lo + 1)
-    prob[0] = 1.0
-    top = 1
-    for r in doubled:
-        top = min(top + r, lo + 1)
-        if r < top:
-            prob[r:top] = prob[r:top] + prob[:top - r]
-        prob[:top] *= 0.5
-    # the full table is symmetric bit for bit (each step adds the same
-    # two entries at mirrored positions), so the upper tail is the lower
-    # one read backwards
-    return min(1.0, float(prob.sum() + prob[::-1].sum()))
+        count[r:] = [x + y for x, y in zip(count[r:], count)]
+    return min(1.0, 2 * sum(count) / 2 ** len(doubled))
 
 
 def _normal_tail_p(ranks: list[float], r_plus: float, r_minus: float) -> float:
@@ -221,25 +194,20 @@ def _normal_tail_p(ranks: list[float], r_plus: float, r_minus: float) -> float:
     return min(1.0, p)
 
 
-def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
+def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     """Two-sided Wilcoxon signed-rank test on paired values.
 
     Zero differences are dropped; tied absolute differences receive
-    averaged ranks (preserving r_plus + r_minus = n'(n'+1)/2). The exact
-    p-value counts all 2^n sign patterns and is used for
-    n_effective <= 25; larger n uses the normal approximation. Pass
-    method="exact" or "normal" to force one.
-
-    Plain Python, so `qms22 compare` loads no numpy; only a forced exact
-    test on more than 53 differences imports it.
+    averaged ranks (preserving r_plus + r_minus = n'(n'+1)/2). The count
+    n' of the remaining differences picks the tail: up to 25, the exact
+    p-value over all 2^n' sign patterns; above, the normal approximation.
+    Plain Python, so `qms22 compare` loads no numpy.
     """
     a, b = _flat(a), _flat(b)
     if a is None or b is None or len(a) != len(b) or not a:
         raise ValueError("need two equal-length non-empty vectors")
     _finite("paired values", a)
     _finite("paired values", b)
-    if method not in ("auto", "exact", "normal"):
-        raise ValueError(f"unknown method {method!r}")
     d = [x - y for x, y in zip(a, b)]
     d = [x for x in d if x != 0.0]
     n = len(d)
@@ -249,13 +217,11 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
     # sums of multiples of 0.5, exact in any order
     r_plus = sum((r for r, x in zip(ranks, d) if x > 0), 0.0)
     r_minus = sum((r for r, x in zip(ranks, d) if x < 0), 0.0)
-    if method == "auto":
-        method = "exact" if n <= 25 else "normal"
-    if method == "exact":
-        p = _exact_tail_p([round(2.0 * r) for r in ranks],
-                          round(2.0 * min(r_plus, r_minus)))
+    if n <= 25:
+        p, method = _exact_tail_p([round(2.0 * r) for r in ranks],
+                                  round(2.0 * min(r_plus, r_minus))), "exact"
     else:
-        p = _normal_tail_p(ranks, r_plus, r_minus)
+        p, method = _normal_tail_p(ranks, r_plus, r_minus), "normal"
     return WilcoxonResult(r_plus, r_minus, n, p, method)
 
 
@@ -263,9 +229,11 @@ def five_number_summary(values) -> FiveNumberSummary:
     """Min, quartiles, max with linear interpolation at (n-1)*{.25,.5,.75}.
 
     The same bits as np.percentile(values, [0, 25, 50, 75, 100]): each
-    value is numpy's "linear" step, rounding included.
+    value is numpy's "linear" step, rounding included. A -0.0 reads as
+    0.0: which of two equal zeros numpy interpolates from depends on how
+    its partition orders them, so its sign of a zero result is arbitrary.
     """
-    v = sorted(_floats("values", values))
+    v = sorted(x + 0.0 for x in _floats("values", values))
     if not v:
         raise ValueError("five_number_summary needs a non-empty input")
     last = len(v) - 1

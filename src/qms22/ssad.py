@@ -11,13 +11,14 @@ one that every f_i >= 2 beats is an outlier.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from ._pcg64 import permutation
 from .core import (HyperParams, QmsModel, TrainingProblem, _rows,
                    cpm_optimize_many)
-from .metrics import _labels
+from .metrics import _finite, _labels
 
 __all__ = [
     "SsadProblem",
@@ -87,12 +88,17 @@ def build_member_sets(problem: SsadProblem, m: int, seed: int) -> MemberSetPlan:
     plain Python by `qms22._pcg64`, so the split is the same on every
     platform and numpy version, and training loads no `numpy.random`.
     The m-1 parts differ in size by at most one: |train| mod (m-1)
-    leftovers go one each to the lowest-indexed parts.
+    leftovers go one each to the lowest-indexed parts. m must be >= 3:
+    with m = 2 the one part holds every training normal, and member set 2
+    would be empty.
     """
     n_train = problem.train_normals.shape[0]
     n_test = problem.test_samples.shape[0]
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    if m < 3:
+        raise ValueError(f"m must be >= 3 for the detector, got {m}: member "
+                         f"sets 2..m each drop one of m - 1 parts of the "
+                         f"training normals, and one part would leave set 2 "
+                         f"empty")
     if n_train < m - 1:
         raise ValueError(f"need at least m - 1 = {m - 1} training normals "
                          f"to split into parts, got {n_train}")
@@ -133,7 +139,8 @@ def outlier_score(model: QmsModel, x) -> float:
 def run_qms22(problem: SsadProblem, hp: HyperParams | None = None) -> np.ndarray:
     """Train the detector and score every test sample.
 
-    Builds the member-set plan from hp.seed, trains with class weights
+    Builds the member-set plan from hp.seed, which needs hp.m >= 3 (see
+    `build_member_sets`), trains with class weights
     (|set 2| / |set 1|, 1, ..., 1), and returns one nonnegative score per
     test sample (higher = more anomalous). Deterministic given (problem,
     hp). With iterations=0 all member functions are identical and every
@@ -167,9 +174,16 @@ def run_qms22_many(problems, hp: HyperParams | None = None) -> list[np.ndarray]:
 def select_top_k(scores, k: int) -> np.ndarray:
     """0-based indices of the k largest scores, ascending.
 
-    Ties at the selection boundary are broken toward the lower index.
+    `scores` is a vector of finite numbers and k an integer in
+    [0, len(scores)]. Ties at the selection boundary are broken toward the
+    lower index.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1:
+        raise ValueError("scores must be a vector")
+    _finite("scores", scores)
+    if isinstance(k, bool) or not isinstance(k, Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 0 <= k <= scores.size:
         raise ValueError(f"k must be between 0 and {scores.size}, got {k}")
     # lexsort: primary key descending score, secondary ascending index

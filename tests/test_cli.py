@@ -212,6 +212,26 @@ class TestRun:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_hyperparameter_reported_before_missing_file(self, tmp_path,
+                                                             capsys):
+        code = main(["run", "--train", str(tmp_path / "nope.dat"),
+                     "--test", str(tmp_path / "nope.dat"),
+                     "--out", str(tmp_path / "roc.csv"), "--alpha", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "alpha must be in [0, 1)" in err
+        assert "nope.dat" not in err
+
+    def test_two_member_functions_fail(self, tmp_path, capsys):
+        tra, tst = fold_pair_files(tmp_path)
+        out = tmp_path / "roc.csv"
+        code = main(["run", "--train", str(tra), "--test", str(tst),
+                     "--out", str(out), *FAST_FLAGS, "--m", "2"])
+        assert code == 1
+        assert ("error: m must be >= 3 for the detector, got 2"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_non_finite_step_fails(self, tmp_path, capsys):
         tra, tst = fold_pair_files(tmp_path)
         out = tmp_path / "roc.csv"

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qms22.keel import (Attribute, FoldPair, KeelParseError, Preprocessor,
+from qms22.keel import (Attribute, KeelParseError, Preprocessor,
                         discover_folds, find_datasets, fold_file_names,
                         fold_paths, read_shape,
                         parse_keel, parse_keel_text, strip_outliers_from_train)
 
-from synthdata import dataset_text, write_dataset, write_fold_pair
+from synthdata import dataset_text, write_dataset
 
 MINIMAL = """\
 @relation tiny
@@ -408,14 +408,6 @@ class TestStripOutliers:
         data = numeric_dataset([1, 2], label="positive")
         with pytest.raises(ValueError, match="no normal rows"):
             strip_outliers_from_train(data)
-
-    def test_accepts_fold_pair(self, tmp_path):
-        rng = np.random.default_rng(1)
-        write_fold_pair(tmp_path, "s", 1, rng, n_train=6, n_test=3,
-                        train_outliers=2)
-        pair = FoldPair(parse_keel(tmp_path / "s-5-1tra.dat"),
-                        parse_keel(tmp_path / "s-5-1tst.dat"), 1)
-        assert strip_outliers_from_train(pair).n == 6
 
 
 class TestFoldDiscovery:

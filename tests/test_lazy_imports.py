@@ -62,22 +62,26 @@ def test_summary_loads_no_numpy():
 
 
 def test_compare_runs_without_site_packages(tmp_path, capsys):
-    # the reference AUCs against a copy with a few of them lowered
-    lowered = tmp_path / "lowered.csv"
+    # the reference AUCs against copies with some of them lowered: three,
+    # for the exact tail, and thirty, for the normal one
     lines = REFERENCE_CSV.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",").index("auc")
-    for i in (1, 5, 9):
-        fields = lines[i].split(",")
-        fields[header] = repr(float(fields[header]) - 0.01)
-        lines[i] = ",".join(fields)
-    lowered.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for argv in ([str(REFERENCE_CSV), str(lowered)],
-                 [str(lowered), str(REFERENCE_CSV)]):
-        child = cli("compare", *argv, flags=["-S"])
-        assert child.returncode == 0, child.stderr
-        assert main(["compare", *argv]) == 0
-        assert child.stdout == capsys.readouterr().out
-        assert "n_effective 3\n" in child.stdout
+    for rows, tail in (((1, 5, 9), "exact"), (range(1, 31), "normal")):
+        lowered = tmp_path / f"lowered{len(rows)}.csv"
+        changed = list(lines)
+        for i in rows:
+            fields = changed[i].split(",")
+            fields[header] = repr(float(fields[header]) - 0.01)
+            changed[i] = ",".join(fields)
+        lowered.write_text("\n".join(changed) + "\n", encoding="utf-8")
+        for argv in ([str(REFERENCE_CSV), str(lowered)],
+                     [str(lowered), str(REFERENCE_CSV)]):
+            child = cli("compare", *argv, flags=["-S"])
+            assert child.returncode == 0, child.stderr
+            assert main(["compare", *argv]) == 0
+            assert child.stdout == capsys.readouterr().out
+            assert f"n_effective {len(rows)}\n" in child.stdout
+            assert f" ({tail})\n" in child.stdout
 
 
 def test_compare_loads_no_trainer_and_no_pool():

@@ -4,13 +4,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from qms22 import (SsadProblem, five_number_summary, mean_std, roc_curve,
                    wilcoxon_signed_rank)
-from qms22.metrics import (_average_ranks, _exact_tail_p, _halved_tail_p,
-                           _trapezoid)
+from qms22.metrics import _trapezoid
 
 from oracles import (auc_pairwise, five_number_direct, wilcoxon_bruteforce,
                      wilcoxon_numpy)
@@ -200,7 +199,7 @@ class TestWilcoxonSignedRank:
             n = int(rng.integers(1, 11))
             a = rng.integers(-4, 5, size=n).astype(float)
             b = rng.integers(-4, 5, size=n).astype(float)
-            result = wilcoxon_signed_rank(a, b, method="exact")
+            result = wilcoxon_signed_rank(a, b)
             rp, rm, n_eff, p = wilcoxon_bruteforce(a, b)
             assert (result.r_plus, result.r_minus) == (rp, rm)
             assert result.n_effective == n_eff
@@ -211,20 +210,10 @@ class TestWilcoxonSignedRank:
         for n in (20, 22, 25):
             a = rng.normal(size=n)
             b = a + rng.normal(scale=0.5, size=n)
-            exact = wilcoxon_signed_rank(a, b, method="exact")
-            approx = wilcoxon_signed_rank(a, b, method="normal")
-            assert abs(exact.p_value - approx.p_value) < 0.01
-
-    def test_exact_holds_beyond_float_count_range(self):
-        # 2^1100 sign assignments overflow a float count; probabilities don't
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=1100) + 0.06
-        b = np.zeros(1100)
-        exact = wilcoxon_signed_rank(a, b, method="exact")
-        approx = wilcoxon_signed_rank(a, b, method="normal")
-        assert exact.n_effective == 1100
-        assert 0.0 <= exact.p_value <= 1.0
-        assert exact.p_value == pytest.approx(approx.p_value, rel=0.02)
+            exact = wilcoxon_signed_rank(a, b)
+            *_, p_normal, _ = wilcoxon_numpy(a, b, "normal")
+            assert exact.method == "exact"
+            assert abs(exact.p_value - p_normal) < 0.01
 
     def test_zero_differences_dropped(self):
         a = [1.0, 2.0, 3.0, 4.0]
@@ -238,10 +227,11 @@ class TestWilcoxonSignedRank:
             wilcoxon_signed_rank([1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([], [])
-        with pytest.raises(ValueError, match="method"):
-            wilcoxon_signed_rank([1.0], [2.0], method="bootstrap")
         with pytest.raises(ValueError, match="equal-length"):
             wilcoxon_signed_rank(np.ones((3, 1)), np.zeros((3, 1)))
+        # the sample size alone picks the tail
+        with pytest.raises(TypeError, match="method"):
+            wilcoxon_signed_rank([1.0], [2.0], method="exact")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_values_rejected(self, bad):
@@ -252,7 +242,7 @@ class TestWilcoxonSignedRank:
 
     def test_same_bits_as_numpy_reference(self):
         # ties and zero differences on a coarse grid, distinct values on
-        # a fine one; every method, across the exact and normal sizes
+        # a fine one; across the exact and normal sizes
         rng = np.random.default_rng(18)
         for _ in range(600):
             n = int(rng.integers(1, 60))
@@ -262,24 +252,10 @@ class TestWilcoxonSignedRank:
             else:
                 a = rng.random(n)
                 b = a + rng.choice([-0.2, -0.1, 0.0, 0.1, 0.3], size=n)
-            method = str(rng.choice(["auto", "exact", "normal"]))
-            result = wilcoxon_signed_rank(a.tolist(), b.tolist(), method)
+            result = wilcoxon_signed_rank(a.tolist(), b.tolist())
             got = (result.r_plus, result.r_minus, result.n_effective,
                    result.p_value, result.method)
-            assert repr(got) == repr(wilcoxon_numpy(a, b, method))
-
-    def test_counting_dp_has_the_bits_of_the_halving_dp(self):
-        # up to 53 ranks both are exact: the counts fit a float's 53 bits
-        rng = np.random.default_rng(53)
-        for n in range(1, 54):
-            for _ in range(5):
-                ranks = _average_ranks(rng.integers(1, n + 2, size=n)
-                                       .tolist())
-                doubled = [round(2.0 * r) for r in ranks]
-                middle = sum(doubled) // 2   # both tails: p clipped to 1
-                for lo in (int(rng.integers(0, middle + 1)), middle):
-                    assert (_exact_tail_p(doubled, lo)
-                            == _halved_tail_p(doubled, lo))
+            assert repr(got) == repr(wilcoxon_numpy(a, b))
 
     @given(st.lists(st.integers(-20, 20), min_size=1, max_size=14))
     def test_rank_sum_identity_property(self, deltas):
@@ -315,10 +291,12 @@ class TestFiveNumberSummary:
             five_number_summary([0.5, bad, 0.7])
 
     @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=95))
+    @example([-0.0, -0.0, -1.0])
     def test_same_bits_as_numpy_percentile(self, values):
         s = five_number_summary(values)
         got = np.array([s.min, s.q1, s.median, s.q3, s.max])
-        want = np.percentile(values, [0, 25, 50, 75, 100])
+        # -0.0 reads as 0.0 (see five_number_summary)
+        want = np.percentile(np.add(values, 0.0), [0, 25, 50, 75, 100])
         assert got.tobytes() == want.tobytes()
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))

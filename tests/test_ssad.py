@@ -90,12 +90,19 @@ class TestBuildMemberSets:
             build_member_sets(problem_of_sizes(5, 3), m=7, seed=0)
 
     def test_m_below_two(self):
-        with pytest.raises(ValueError, match=">= 2"):
+        with pytest.raises(ValueError, match=">= 3 for the detector, got 1"):
             build_member_sets(problem_of_sizes(5, 3), m=1, seed=0)
+
+    def test_m_two_rejected(self):
+        # one part would hold every training normal: set 2 would be empty
+        with pytest.raises(ValueError, match="got 2: .* set 2 empty"):
+            build_member_sets(problem_of_sizes(5, 3), m=2, seed=0)
+        with pytest.raises(ValueError, match=">= 3 for the detector"):
+            run_qms22(problem_of_sizes(5, 3), HyperParams(m=2, iterations=0))
 
     @settings(deadline=None)
     @given(n_train=st.integers(2, 60), n_test=st.integers(1, 10),
-           m=st.integers(2, 8), seed=st.integers(0, 10_000))
+           m=st.integers(3, 8), seed=st.integers(0, 10_000))
     def test_partition_invariants(self, n_train, n_test, m, seed):
         assume(n_train >= m - 1)
         plan = build_member_sets(problem_of_sizes(n_train, n_test), m, seed)
@@ -271,6 +278,20 @@ class TestSelectTopK:
             select_top_k([1.0, 2.0, 3.0], 4)
         with pytest.raises(ValueError):
             select_top_k([1.0], -1)
+        # k counts rows: no fraction, and no bool standing in for 1
+        for k in (1.5, True, "1"):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                select_top_k([1.0, 2.0, 3.0], k)
+
+    @pytest.mark.parametrize("scores, text", [
+        ([np.nan, 0.5, np.inf], "scores must be finite"),
+        ([0.5, -np.inf], "scores must be finite"),
+        ([[0.1, 0.2], [0.3, 0.4]], "scores must be a vector"),
+        (0.5, "scores must be a vector"),
+    ])
+    def test_bad_scores_rejected(self, scores, text):
+        with pytest.raises(ValueError, match=text):
+            select_top_k(scores, 1)
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=25,
                     unique=True))
