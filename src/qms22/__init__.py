@@ -20,8 +20,8 @@ _HOMES = {
                      "five_number_summary", "mean_std", "roc_curve",
                      "wilcoxon_signed_rank"), "metrics"),
     **dict.fromkeys(("MemberSetPlan", "SsadProblem", "build_member_sets",
-                     "outlier_score", "outlier_scores", "run_qms22",
-                     "run_qms22_many", "select_top_k"), "ssad"),
+                     "outlier_scores", "run_qms22", "run_qms22_many",
+                     "select_top_k"), "ssad"),
 }
 
 __all__ = [*_HOMES, "__version__"]

@@ -162,6 +162,8 @@ def _check_out_paths(*paths) -> None:
 def cmd_run(args) -> int:
     _check_out_paths(args.out, args.svg)
     hp = _hyper_from_args(args)
+    from .ssad import _check_m
+    _check_m(hp.m)
     from .keel import FoldPair, parse_keel
     # only the encoded arrays are kept while training, not the parsed rows
     problem = _encode_fold(FoldPair(parse_keel(args.train),
@@ -231,9 +233,10 @@ def cmd_bench(args) -> int:
     # the pool forks its workers from this process: importing what
     # _bench_dataset needs here (ssad brings core, metrics and numpy)
     # spares each worker importing it again
-    from . import ssad  # noqa: F401
+    from . import ssad
     from .keel import find_datasets
     hp = _hyper_from_args(args)
+    ssad._check_m(hp.m)
     datasets = find_datasets(args.data_dir)
     if not datasets:
         raise ValueError(f"no datasets found in {args.data_dir}")

@@ -80,11 +80,6 @@ class MemberFunction:
     def p(self) -> int:
         return self.a.shape[1]
 
-    def evaluate(self, x) -> float:
-        """Return f(x) = ||a x - b||^2, always >= 0, for the (p,) row x."""
-        x = _rows(x, self.p, one=True, name="x")
-        return _forms(_stacked((self,)), _extended(x, self.p))[1].item()
-
 
 @dataclass(frozen=True)
 class QmsModel:
@@ -137,8 +132,6 @@ class TrainingProblem:
     Samples live in one pooled (n, p) matrix and each member set is an
     index array into it, so a sample shared by several member sets is
     stored once; within one member set an index may appear only once.
-    `from_member_sets` accepts the plain one-list-per-class form and pools
-    it.
     """
 
     def __init__(self, samples, member_sets, class_weights=None):
@@ -178,20 +171,6 @@ class TrainingProblem:
                 raise ValueError(f"class weight {i} must be finite and "
                                  f"positive, got {w!r}")
         self.class_weights = weights
-
-    @classmethod
-    def from_member_sets(cls, member_sets, class_weights=None):
-        """Build a problem from one sample collection per class."""
-        arrays = []
-        for i, s in enumerate(member_sets):
-            arrays.append(_rows(s, arrays[0].shape[1] if arrays else None,
-                                name=f"member set {i}"))
-        if not arrays:
-            raise ValueError("need at least two member sets")
-        pooled = np.vstack(arrays)
-        sets = [np.arange(run.start, run.stop)
-                for run in _runs([a.shape[0] for a in arrays])]
-        return cls(pooled, sets, class_weights)
 
     @property
     def m(self) -> int:
@@ -271,12 +250,6 @@ def _piece_value(abc, fc, g: float, out=None, tmp=None) -> np.ndarray:
     return value
 
 
-def _runs(sizes) -> list[slice]:
-    # back-to-back slices of the given sizes, the first at 0
-    ends = np.cumsum(sizes)
-    return [slice(int(e - s), int(e)) for s, e in zip(sizes, ends)]
-
-
 class ResidualCache:
     """Residuals and member values for every class and pooled sample of
     one or more training problems, kept consistent under single-entry
@@ -315,15 +288,14 @@ class ResidualCache:
     the pieces at the new f_c, O(n), and recomputes the piece only of the
     samples that left theirs, from the table. A trial is always the pair
     +step, -step on one entry: `try_entry` evaluates it and commits each
-    problem's move, and `deltas` returns the same pair of loss changes and
-    commits nothing.
+    problem's move.
 
-    Unless a sample leaves its piece, a trial allocates nothing: it works
-    in (2, n) buffers, a row per sign (the pieces too, so their passes do
-    not broadcast), and forms 2 * step * x[l] * r[k] and step^2 * x[l]^2
-    once for both rows; IEEE arithmetic is sign-symmetric, so each row
-    keeps its own bits. `try_entry` decides every problem, then commits
-    each run of neighbours that took one step as one slice.
+    Unless a sample leaves its piece, a trial and its commit allocate
+    nothing: they work in (2, n) buffers, a row per sign (the pieces too,
+    so their passes do not broadcast), and form 2 * step * x[l] * r[k] and
+    step^2 * x[l]^2 once for both rows; IEEE arithmetic is sign-symmetric,
+    so each row keeps its own bits. `try_entry` decides every problem,
+    then commits each run of neighbours that took one step as one slice.
 
     Attributes:
         problems: the training problems, in segment order.
@@ -345,15 +317,18 @@ class ResidualCache:
                                  f"{problem.p}")
         self.hp = model.hyperparams
         sizes = [pr.samples.shape[0] for pr in self.problems]
-        self._segments = _runs(sizes)
+        self._segments = [slice(int(e - s), int(e))   # back to back
+                          for s, e in zip(sizes, np.cumsum(sizes))]
         n = self._segments[-1].stop
         self._w = np.stack([_stacked(model.members)] * len(self.problems))
         # samples as [x; -1], residuals as (m, q, n) so that one matrix row
         # is contiguous, and member weights: w_j where x is in S_j, else 0
         self._xa = np.concatenate([_extended(pr.samples, model.p)
                                    for pr in self.problems], axis=1)
-        self._r, self._f = self._exact(np.empty(self._w.shape[1:3] + (n,)),
-                                       np.empty((model.m, n)))
+        self._r = np.empty(self._w.shape[1:3] + (n,))
+        self._f = np.empty((model.m, n))
+        for w, seg in zip(self._w, self._segments):
+            _forms(w, self._xa[:, seg], self._r[:, :, seg], self._f[:, seg])
         self._weight = np.zeros((model.m, n))
         for problem, seg in zip(self.problems, self._segments):
             for j, own in enumerate(problem.member_sets):
@@ -385,12 +360,6 @@ class ResidualCache:
         self._c = None   # the class of the pieces
         self.losses = [_ratio_loss(pr, self.hp, self._f[:, seg])
                        for pr, seg in zip(self.problems, self._segments)]
-
-    def _exact(self, r: np.ndarray, f: np.ndarray):
-        # _forms of each problem's W on its own segment, into r and f
-        for w, seg in zip(self._w, self._segments):
-            _forms(w, self._xa[:, seg], r[:, :, seg], f[:, seg])
-        return r, f
 
     def _gather(self, c: int) -> None:
         # class c's table, its pieces and each problem's sum _total of its
@@ -492,16 +461,6 @@ class ResidualCache:
         np.maximum(fc, 0.0, out=fc)
         return (fc,) + self._evaluate(fc)
 
-    def deltas(self, c: int, k: int, l: int,
-               step: float) -> list[list[float]]:
-        """The pair `try_entry` weighs, without committing it: each
-        problem's loss change [up, down] from adding +step and -step to
-        entry (k, l) of class c. Exact zeros for a zero step.
-        """
-        ups, downs = self._trial(c, k, l, step)[1].tolist()
-        return [[up - total, down - total]
-                for up, down, total in zip(ups, downs, self._total)]
-
     def try_entry(self, c: int, k: int, l: int,
                   step: float) -> list[tuple[int, float, float]]:
         """One CPM trial: add +step and -step to entry (k, l) of class c
@@ -534,7 +493,9 @@ class ResidualCache:
                 rows, cols = left
                 mine = (rows == s) & (cols >= run.start) & (cols < run.stop)
                 self._piece[:, :, cols[mine]] = new[:, None, mine]
-            self._r[c, k, run] += (-step if s else step) * self._xa[l, run]
+            shift = np.multiply(-step if s else step, self._xa[l, run],
+                                out=self._tmp[0, run])   # free after the trial
+            np.add(self._r[c, k, run], shift, out=self._r[c, k, run])
         for i, s, loss in decided:
             self._w[i, c, k, l] += -step if s else step
             self.losses[i] = loss
@@ -546,25 +507,6 @@ class ResidualCache:
         p = self.problems[i].p
         return tuple(MemberFunction(w[:, :p].copy(), w[:, -1].copy())
                      for w in self._w[i])
-
-    def max_relative_drift(self) -> float:
-        """Worst relative deviation of cached state from a recomputation:
-        residuals, member values and, once a class is gathered, each
-        problem's sum of the terms involving f_c. It is inf if some
-        sample's f_c lies outside its stored piece.
-        """
-        exact = self._exact(np.empty_like(self._r), np.empty_like(self._f))
-        drift = max((np.abs(now - ex) / np.maximum(np.abs(ex), 1.0)).max()
-                    for now, ex in zip((self._r, self._f), exact))
-        if self._c is not None:
-            lo, hi, fc = self._piece[0], self._piece[1], self._f[self._c]
-            if not ((lo < fc) & (fc <= hi)).all():
-                return float("inf")
-            for pr, seg, total in zip(self.problems, self._segments,
-                                      self._total):
-                exact = _ratio_loss(pr, self.hp, self._f[:, seg], self._c)
-                drift = max(drift, abs(total - exact) / max(abs(exact), 1.0))
-        return float(drift)
 
 
 def cpm_optimize(problem: TrainingProblem, hp: HyperParams,

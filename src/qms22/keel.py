@@ -10,6 +10,7 @@ comma-separated rows. Fold files are named ``<name>-5-<k>tra.dat`` and
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -394,16 +395,25 @@ def fold_paths(directory, name: str):
 
 def find_datasets(root) -> list[tuple[str, Path]]:
     """Locate datasets anywhere under `root` by their fold-1 training
-    file. Returns (name, directory) pairs sorted by name. A name found in
-    two directories is an error naming both; a `root` that is not a
-    directory is an error naming it.
+    file, following symlinked directories. A directory reached twice, as
+    through a link loop, is searched once, by the route a walk in name
+    order takes first. Returns (name, directory) pairs sorted by name. A
+    name found in two directories is an error naming both; a `root` that
+    is not a directory is an error naming it.
     """
     root = Path(root)
-    if not root.is_dir():   # rglob would find nothing there
+    if not root.is_dir():   # the walk would find nothing there
         raise NotADirectoryError(f"{root}: no such directory")
     suffix = fold_file_names("", 1)[0]
+    paths, seen = [], set()
+    for directory, subdirs, files in os.walk(root, followlinks=True):
+        real = os.path.realpath(directory)
+        subdirs[:] = [] if real in seen else sorted(subdirs)
+        if real not in seen:
+            seen.add(real)
+            paths += [Path(directory, f) for f in files if f.endswith(suffix)]
     found: dict[str, Path] = {}
-    for path in sorted(root.rglob(f"*{suffix}")):
+    for path in sorted(paths):
         name = path.name[: -len(suffix)]
         if name in found:
             raise ValueError(f"dataset '{name}' is in two directories: "

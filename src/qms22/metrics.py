@@ -39,10 +39,6 @@ class RocCurve:
     tpr: np.ndarray
     auc: float
 
-    @property
-    def points(self):
-        return list(zip(self.fpr.tolist(), self.tpr.tolist()))
-
 
 @dataclass(frozen=True)
 class WilcoxonResult:
@@ -67,6 +63,22 @@ def _finite(name: str, values) -> None:
     # otherwise sort, rank or average into a silently wrong statistic
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{name} must be finite")
+
+
+def _float_array(name: str, values):
+    # values as float64; an element that is not a number is named by position
+    import numpy as np
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        items = np.asarray(values, dtype=object)
+        for at in np.ndindex(items.shape):
+            try:
+                float(items[at])
+            except (TypeError, ValueError):
+                raise ValueError(f"{name}{list(at) if at else ''} is "
+                                 f"{items[at]!r}, not a number") from None
+        raise
 
 
 def _flat(values) -> list[float] | None:
@@ -118,7 +130,7 @@ def roc_curve(scores, labels) -> RocCurve:
     win + half-tie count.
     """
     import numpy as np
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _float_array("scores", scores)
     labels = _labels("labels", labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be equal-length vectors")

@@ -18,13 +18,12 @@ import numpy as np
 from ._pcg64 import permutation
 from .core import (HyperParams, QmsModel, TrainingProblem, _rows,
                    cpm_optimize_many)
-from .metrics import _finite, _labels
+from .metrics import _finite, _float_array, _labels
 
 __all__ = [
     "SsadProblem",
     "MemberSetPlan",
     "build_member_sets",
-    "outlier_score",
     "outlier_scores",
     "run_qms22",
     "run_qms22_many",
@@ -62,23 +61,25 @@ class SsadProblem:
 class MemberSetPlan:
     """Index-level layout of the m member sets.
 
-    parts: the m-1 disjoint training parts (indices into the training
-        set) removed from member sets 2..m respectively.
     member_sets: indices into the pooled sample matrix whose rows are the
         test samples first (original order) then the training normals
         (original order). Set 1 is everything; set i >= 2 is the training
-        normals minus parts[i-2], kept in training order.
-    weight_1: |set 2| / |set 1|, the loss weight of member set 1; all
-        other weights are 1.
+        normals minus the (i-1)-th of m-1 disjoint parts, in order.
+    class_weights: the loss weights, |set 2| / |set 1| for set 1 and 1
+        for every other set.
     """
 
-    parts: tuple[np.ndarray, ...]
     member_sets: tuple[np.ndarray, ...]
-    weight_1: float
+    class_weights: tuple[float, ...]
 
-    @property
-    def class_weights(self) -> tuple[float, ...]:
-        return (self.weight_1,) + (1.0,) * (len(self.member_sets) - 1)
+
+def _check_m(m: int) -> None:
+    # the detector's rule for m, also checked by the CLI before any input
+    if m < 3:
+        raise ValueError(f"m must be >= 3 for the detector, got {m}: member "
+                         f"sets 2..m each drop one of m - 1 parts of the "
+                         f"training normals, and one part would leave set 2 "
+                         f"empty")
 
 
 def build_member_sets(problem: SsadProblem, m: int, seed: int) -> MemberSetPlan:
@@ -88,38 +89,28 @@ def build_member_sets(problem: SsadProblem, m: int, seed: int) -> MemberSetPlan:
     plain Python by `qms22._pcg64`, so the split is the same on every
     platform and numpy version, and training loads no `numpy.random`.
     The m-1 parts differ in size by at most one: |train| mod (m-1)
-    leftovers go one each to the lowest-indexed parts. m must be >= 3:
-    with m = 2 the one part holds every training normal, and member set 2
-    would be empty.
+    leftovers go one each to the lowest-indexed parts. m must be >= 3.
     """
     n_train = problem.train_normals.shape[0]
     n_test = problem.test_samples.shape[0]
-    if m < 3:
-        raise ValueError(f"m must be >= 3 for the detector, got {m}: member "
-                         f"sets 2..m each drop one of m - 1 parts of the "
-                         f"training normals, and one part would leave set 2 "
-                         f"empty")
+    _check_m(m)
     if n_train < m - 1:
         raise ValueError(f"need at least m - 1 = {m - 1} training normals "
                          f"to split into parts, got {n_train}")
     shuffled = np.array(permutation(seed, n_train), dtype=np.intp)
-    parts = tuple(np.sort(part) for part in np.array_split(shuffled, m - 1))
-
-    full = np.arange(n_test + n_train)
-    member_sets = [full]
-    for part in parts:
+    member_sets = [np.arange(n_test + n_train)]
+    for part in np.array_split(shuffled, m - 1):
         keep = np.ones(n_train, dtype=bool)
         keep[part] = False
         member_sets.append(np.flatnonzero(keep) + n_test)
-    weight_1 = member_sets[1].size / full.size
-    return MemberSetPlan(parts=parts, member_sets=tuple(member_sets),
-                         weight_1=weight_1)
+    weights = (member_sets[1].size / member_sets[0].size,) + (1.0,) * (m - 1)
+    return MemberSetPlan(tuple(member_sets), weights)
 
 
 def outlier_scores(model: QmsModel, samples) -> np.ndarray:
-    """Score each row of `samples`: sum over i >= 2 of the clipped
-    relative excess max(0, (f_i(x) - f_1(x)) / (f_1(x) + guard)), where
-    guard is the model's `hyperparams.denom_guard`.
+    """Score each row of `samples`, one (p,) row or an (n, p) batch: the
+    sum over i >= 2 of the clipped relative excess max(0, (f_i(x) - f_1(x))
+    / (f_1(x) + guard)), guard being the model's `hyperparams.denom_guard`.
 
     Zero exactly when f_1 is the (weak) maximum; large when the
     all-samples member function is the only small one.
@@ -128,12 +119,6 @@ def outlier_scores(model: QmsModel, samples) -> np.ndarray:
     f1 = values[:, :1]
     excess = (values[:, 1:] - f1) / (f1 + model.hyperparams.denom_guard)
     return np.maximum(excess, 0.0).sum(axis=1)
-
-
-def outlier_score(model: QmsModel, x) -> float:
-    """Score the (p,) row `x`; see outlier_scores."""
-    return float(outlier_scores(model, _rows(x, model.p, one=True,
-                                             name="x"))[0])
 
 
 def run_qms22(problem: SsadProblem, hp: HyperParams | None = None) -> np.ndarray:
@@ -178,7 +163,7 @@ def select_top_k(scores, k: int) -> np.ndarray:
     [0, len(scores)]. Ties at the selection boundary are broken toward the
     lower index.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _float_array("scores", scores)
     if scores.ndim != 1:
         raise ValueError("scores must be a vector")
     _finite("scores", scores)

@@ -6,6 +6,11 @@ package. Oracles stay independent of the thing they check. The one
 exception is `wilcoxon_numpy`, the package's former numpy
 implementation, kept as the bitwise reference for the plain-Python test
 that replaced it.
+
+The helpers at the end are not oracles but test scaffolding over the
+package's internals: a training problem built from one sample array per
+class, the loss changes a residual cache trial weighs, and the cache's
+drift from a recomputation.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ import itertools
 import math
 
 import numpy as np
+
+from qms22.core import TrainingProblem, _forms, _ratio_loss, _rows
 
 
 def member_value(a, b, x):
@@ -214,3 +221,48 @@ def five_number_direct(values):
         return v[lo] + (pos - lo) * (v[hi] - v[lo])
 
     return v[0], at(0.25), at(0.5), at(0.75), v[-1]
+
+
+def from_member_sets(member_sets, class_weights=None):
+    """A TrainingProblem from one (n_i, p) sample array per class, pooled
+    in class order. Each array is checked as sample input named
+    "member set i", with p fixed by the first."""
+    arrays = []
+    for i, s in enumerate(member_sets):
+        arrays.append(_rows(s, arrays[0].shape[1] if arrays else None,
+                            name=f"member set {i}"))
+    if not arrays:
+        raise ValueError("need at least two member sets")
+    ends = np.cumsum([len(a) for a in arrays])
+    sets = [np.arange(end - len(a), end) for a, end in zip(arrays, ends)]
+    return TrainingProblem(np.vstack(arrays), sets, class_weights)
+
+
+def deltas(cache, c, k, l, step):
+    """The pair `ResidualCache.try_entry` weighs, without committing it:
+    each problem's loss change [up, down] from adding +step and -step to
+    entry (k, l) of class c. Exact zeros for a zero step."""
+    ups, downs = cache._trial(c, k, l, step)[1].tolist()
+    return [[up - total, down - total]
+            for up, down, total in zip(ups, downs, cache._total)]
+
+
+def max_relative_drift(cache):
+    """Worst relative deviation of a residual cache's state from a
+    recomputation: residuals, member values and, once a class is
+    gathered, each problem's sum of the terms involving f_c. It is inf if
+    some sample's f_c lies outside its stored piece."""
+    r, f = np.empty_like(cache._r), np.empty_like(cache._f)
+    for w, seg in zip(cache._w, cache._segments):
+        _forms(w, cache._xa[:, seg], r[:, :, seg], f[:, seg])
+    drift = max((np.abs(now - ex) / np.maximum(np.abs(ex), 1.0)).max()
+                for now, ex in zip((cache._r, cache._f), (r, f)))
+    if cache._c is not None:
+        lo, hi, fc = cache._piece[0], cache._piece[1], cache._f[cache._c]
+        if not ((lo < fc) & (fc <= hi)).all():
+            return float("inf")
+        for pr, seg, total in zip(cache.problems, cache._segments,
+                                  cache._total):
+            exact = _ratio_loss(pr, cache.hp, cache._f[:, seg], cache._c)
+            drift = max(drift, abs(total - exact) / max(abs(exact), 1.0))
+    return float(drift)

@@ -18,13 +18,14 @@ import numpy as np
 import pytest
 
 from qms22 import (HyperParams, MemberFunction, QmsModel, SsadProblem,
-                   TrainingProblem, cpm_optimize, loss_full, mean_std,
-                   roc_curve, run_qms22, select_top_k, wilcoxon_signed_rank)
+                   cpm_optimize, loss_full, mean_std, roc_curve, run_qms22,
+                   select_top_k, wilcoxon_signed_rank)
 from qms22.cli import _score_fold, main
 from qms22.core import ResidualCache
 from qms22.keel import discover_folds, find_datasets
 
-from oracles import auc_pairwise, loss_direct, wilcoxon_numpy
+from oracles import (auc_pairwise, deltas, from_member_sets, loss_direct,
+                     wilcoxon_numpy)
 from synthdata import write_fold_pair
 
 REFERENCE_CSV = Path(__file__).parent / "data" / "reference_results.csv"
@@ -62,7 +63,7 @@ def random_instance(rng):
     p = int(rng.integers(1, 5))
     sets = [rng.normal(size=(int(rng.integers(1, 6)), p)) for _ in range(m)]
     weights = rng.uniform(0.2, 2.0, size=m)
-    problem = TrainingProblem.from_member_sets(sets, weights)
+    problem = from_member_sets(sets, weights)
     hp = HyperParams(m=m, q=q, alpha=float(rng.uniform(0.0, 0.9)))
     members = tuple(MemberFunction(rng.normal(size=(q, p)), rng.normal(size=q))
                     for _ in range(m))
@@ -101,7 +102,7 @@ def test_criterion_loss_oracle_equivalence(capsys):
             else:
                 k, l = int(rng.integers(0, q)), p
             delta = float(rng.normal())
-            [[got, _]] = cache.deltas(ci, k, l, delta)
+            [[got, _]] = deltas(cache, ci, k, l, delta)
             fields = [[f.a.copy(), f.b.copy()] for f in model.members]
             if l < p:
                 fields[ci][0][k, l] += delta
@@ -133,7 +134,7 @@ def test_criterion_cpm_monotonicity(capsys):
         m = int(rng.integers(2, 5))
         sets = [rng.normal(size=(int(rng.integers(2, 7)), 2)) + 1.5 * i
                 for i in range(m)]
-        problem = TrainingProblem.from_member_sets(sets)
+        problem = from_member_sets(sets)
         hp = HyperParams(m=m, q=int(rng.integers(1, 4)),
                          iterations=4,
                          step_a=float(rng.choice([0.3, 0.5, 1.0])),

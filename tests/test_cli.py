@@ -225,12 +225,17 @@ class TestRun:
     def test_two_member_functions_fail(self, tmp_path, capsys):
         tra, tst = fold_pair_files(tmp_path)
         out = tmp_path / "roc.csv"
-        code = main(["run", "--train", str(tra), "--test", str(tst),
-                     "--out", str(out), *FAST_FLAGS, "--m", "2"])
-        assert code == 1
-        assert ("error: m must be >= 3 for the detector, got 2"
-                in capsys.readouterr().err)
-        assert not out.exists()
+        # the detector's m rule comes before any input is read, so a
+        # missing --train file goes unmentioned
+        for train in (tra, tmp_path / "nope.dat"):
+            code = main(["run", "--train", str(train), "--test", str(tst),
+                         "--out", str(out), *FAST_FLAGS, "--m", "2"])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: m must be >= 3 for the detector, "
+                                  "got 2")
+            assert "nope.dat" not in err
+            assert not out.exists()
 
     def test_non_finite_step_fails(self, tmp_path, capsys):
         tra, tst = fold_pair_files(tmp_path)
@@ -514,6 +519,36 @@ class TestBench:
         assert code == 0
         assert "bad" in capsys.readouterr().err
         assert {r["dataset"] for r in read_csv_rows(out)} == {"good"}
+
+    def test_two_member_functions_fail_once_before_any_dataset(
+            self, tmp_path, capsys):
+        write_dataset(tmp_path / "data" / "a", "alpha", seed=1)
+        write_dataset(tmp_path / "data" / "b", "beta", seed=2)
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--data-dir", str(tmp_path / "data"),
+                     "--out", str(out), "--workers", "1", *FAST_FLAGS,
+                     "--m", "2"])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: m must be >= 3 for the detector, got 2")
+        assert not out.exists()
+
+    def test_datasets_behind_linked_directories(self, tmp_path, capsys):
+        archive = tmp_path / "archive"
+        write_dataset(archive / "alpha", "alpha", seed=1)
+        write_dataset(archive / "beta", "beta", seed=2)
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        for name in ("alpha", "beta"):
+            (data_dir / name).symlink_to(archive / name)
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--data-dir", str(data_dir), "--out", str(out),
+                     "--workers", "1", *FAST_FLAGS])
+        assert code == 0
+        rows = read_csv_rows(out)
+        assert [(r["dataset"], r["fold"]) for r in rows if r["fold"] == "avg"] \
+            == [("alpha", "avg"), ("beta", "avg")]
+        assert len(rows) == 12
 
     def test_all_datasets_broken(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from qms22 import (HyperParams, MemberFunction, QmsModel, SsadProblem,
                    TrainingProblem, cpm_optimize, cpm_optimize_many,
-                   loss_full, outlier_score, outlier_scores)
+                   loss_full, outlier_scores)
 from qms22.core import ResidualCache, _initial_members, _ratio_loss
 
-from oracles import cpm_reference, loss_direct, member_value
+from oracles import (cpm_reference, deltas, from_member_sets, loss_direct,
+                     max_relative_drift, member_value)
 from test_golden import _ssad_problem
 
 
@@ -21,6 +22,12 @@ def constant_member(value, q=2, p=2):
     b = np.zeros(q)
     b[0] = np.sqrt(value)
     return MemberFunction(np.zeros((q, p)), b)
+
+
+def value_at(f, x):
+    """f(x) for the (p,) row x, by `QmsModel.member_values` of a model
+    whose two member functions are both f."""
+    return QmsModel((f, f), HyperParams(m=2, q=f.q)).member_values(x)[0, 0]
 
 
 def random_instance(rng, m=None, q=None, p=None, max_samples=8):
@@ -33,7 +40,7 @@ def random_instance(rng, m=None, q=None, p=None, max_samples=8):
     hp = HyperParams(m=m, q=q, alpha=float(rng.uniform(0.0, 0.9)))
     members = tuple(MemberFunction(rng.normal(size=(q, p)), rng.normal(size=q))
                     for _ in range(m))
-    problem = TrainingProblem.from_member_sets(sets, weights)
+    problem = from_member_sets(sets, weights)
     return problem, QmsModel(members, hp)
 
 
@@ -47,25 +54,26 @@ def direct_loss(problem, members, hp):
 class TestMemberFunction:
     def test_identity_matrix_squared_norm(self):
         f = MemberFunction(np.eye(2), np.zeros(2))
-        assert f.evaluate([3.0, 4.0]) == 25.0
+        assert value_at(f, [3.0, 4.0]) == 25.0
 
     def test_zero_function_is_zero(self):
         f = MemberFunction(np.zeros((3, 2)), np.zeros(3))
-        assert f.evaluate([17.0, -8.0]) == 0.0
+        assert value_at(f, [17.0, -8.0]) == 0.0
 
     def test_initial_offset_value(self):
         # the default starting point: A zero, b = (25500, 0, ..., 0)
         b = np.zeros(10)
         b[0] = 25500.0
         f = MemberFunction(np.zeros((10, 4)), b)
-        assert f.evaluate([1.0, 2.0, 3.0, 4.0]) == 650_250_000.0
+        assert value_at(f, [1.0, 2.0, 3.0, 4.0]) == 650_250_000.0
 
     def test_dimension_mismatch_names_sizes(self):
         f = MemberFunction(np.eye(3), np.zeros(3))
-        with pytest.raises(ValueError, match=r"^x: expected feature dimension "
-                                             r"3 as a \(3,\) row, got shape "
-                                             r"\(2,\)$"):
-            f.evaluate([1.0, 2.0])
+        with pytest.raises(ValueError, match=r"^samples: expected feature "
+                                             r"dimension 3 as a \(3,\) row "
+                                             r"or an \(n, 3\) batch, got "
+                                             r"shape \(2,\)$"):
+            value_at(f, [1.0, 2.0])
 
     def test_rejects_nonfinite_entries(self):
         with pytest.raises(ValueError, match="finite"):
@@ -84,7 +92,7 @@ class TestMemberFunction:
     def test_never_negative(self, x):
         f = MemberFunction(np.array([[1.0, -2.0], [0.5, 3.0]]),
                            np.array([4.0, -1.0]))
-        assert f.evaluate(x) >= 0.0
+        assert value_at(f, x) >= 0.0
 
     def test_member_values_and_evaluate_match_oracle(self):
         rng = np.random.default_rng(11)
@@ -102,7 +110,7 @@ class TestMemberFunction:
             for s, row in enumerate(x):
                 for i, f in enumerate(members):
                     want = member_value(f.a, f.b, row)
-                    for got in (values[s, i], f.evaluate(row)):
+                    for got in (values[s, i], value_at(f, row)):
                         assert abs(got - want) <= 1e-12 * want
 
 
@@ -179,7 +187,7 @@ class TestLossFull:
         # one sample in both member sets: the loss is the two terms
         # max(alpha, f1 / (f2 + guard)) + max(alpha, f2 / (f1 + guard))
         x = np.array([[1.0, 2.0]])
-        problem = TrainingProblem.from_member_sets([x, x])
+        problem = from_member_sets([x, x])
         hp = HyperParams(m=2, q=2, alpha=alpha)
         model = QmsModel((constant_member(f1), constant_member(f2)), hp)
         return loss_full(problem, model)
@@ -200,14 +208,14 @@ class TestLossFull:
 
     def test_symmetric_two_classes(self):
         x = np.array([[1.0, 2.0]])
-        problem = TrainingProblem.from_member_sets([x, x])
+        problem = from_member_sets([x, x])
         hp = HyperParams(m=2, q=2, alpha=0.0)
         model = QmsModel((constant_member(3.0), constant_member(3.0)), hp)
         assert loss_full(problem, model) == pytest.approx(2.0, rel=1e-9)
 
     def test_symmetric_three_classes_single_sample(self):
         x = np.array([[1.0, 2.0]])
-        problem = TrainingProblem.from_member_sets([x, x, x])
+        problem = from_member_sets([x, x, x])
         hp = HyperParams(m=3, q=2, alpha=0.0)
         model = QmsModel(tuple(constant_member(1.0) for _ in range(3)), hp)
         assert loss_full(problem, model) == pytest.approx(6.0, rel=1e-9)
@@ -218,7 +226,7 @@ class TestLossFull:
         for m in (2, 3, 4):
             sizes = rng.integers(1, 6, size=m)
             sets = [rng.normal(size=(s, 3)) for s in sizes]
-            problem = TrainingProblem.from_member_sets(sets)
+            problem = from_member_sets(sets)
             hp = HyperParams(m=m, q=2, alpha=0.0)
             model = QmsModel(tuple(constant_member(2.0, p=3)
                                    for _ in range(m)), hp)
@@ -235,7 +243,7 @@ class TestLossFull:
 
     def test_class_count_mismatch(self):
         x = np.array([[1.0, 2.0]])
-        problem = TrainingProblem.from_member_sets([x, x, x])
+        problem = from_member_sets([x, x, x])
         hp = HyperParams(m=2, q=2)
         model = QmsModel((constant_member(1.0), constant_member(1.0)), hp)
         with pytest.raises(ValueError, match="member sets"):
@@ -243,7 +251,7 @@ class TestLossFull:
 
     def test_dimension_mismatch(self):
         x = np.array([[1.0, 2.0, 3.0]])
-        problem = TrainingProblem.from_member_sets([x, x])
+        problem = from_member_sets([x, x])
         model = QmsModel((constant_member(1.0), constant_member(1.0)),
                          HyperParams(m=2, q=2))
         with pytest.raises(ValueError, match="expected feature dimension 2"):
@@ -279,7 +287,7 @@ class TestTrainingProblem:
         for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="class weight 1 must be "
                                                  "finite and positive"):
-                TrainingProblem.from_member_sets([x, x], (1.0, bad))
+                from_member_sets([x, x], (1.0, bad))
             with pytest.raises(ValueError, match="class weight 0 "):
                 TrainingProblem(np.eye(4), [[0, 1], [2, 3]], (bad, 1.0))
 
@@ -292,9 +300,9 @@ class TestTrainingProblem:
          "got 1 weights for 2 member sets"),
         (lambda: TrainingProblem(np.eye(3), [[0, 1, 2]]),
          "need at least two member sets"),
-        (lambda: TrainingProblem.from_member_sets([np.eye(3)]),
+        (lambda: from_member_sets([np.eye(3)]),
          "need at least two member sets"),
-        (lambda: TrainingProblem.from_member_sets([]),
+        (lambda: from_member_sets([]),
          "need at least two member sets"),
         (lambda: TrainingProblem(np.ones((0, 2)), [[0], [0]]),
          "samples must be non-empty"),
@@ -307,13 +315,13 @@ class TestTrainingProblem:
 
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError, match="dimension"):
-            TrainingProblem.from_member_sets([np.ones((2, 2)), np.ones((2, 3))])
+            from_member_sets([np.ones((2, 2)), np.ones((2, 3))])
 
     def test_pooled_and_per_class_forms_agree(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(4, 2))
         b = rng.normal(size=(3, 2))
-        split = TrainingProblem.from_member_sets([a, b])
+        split = from_member_sets([a, b])
         pooled = TrainingProblem(np.vstack([a, b]),
                                  [np.arange(4), np.arange(4, 7)])
         hp = HyperParams(m=2, q=2)
@@ -336,17 +344,20 @@ SAMPLE_ENTRY_POINTS = {
     "member_values": ("samples", False,
                       lambda x: two_members().member_values(x)),
     "classify": ("x", True, lambda x: two_members().classify(x)),
-    "evaluate": ("x", True, lambda x: constant_member(1.0).evaluate(x)),
-    "outlier_score": ("x", True, lambda x: outlier_score(two_members(), x)),
+    # the (p,) row forms of member_values and outlier_scores, which
+    # replaced the one-row MemberFunction.evaluate and ssad.outlier_score
+    "evaluate": ("samples", True, lambda x: two_members().member_values(x)),
+    "outlier_score": ("samples", True,
+                      lambda x: outlier_scores(two_members(), x)),
     "outlier_scores": ("samples", False,
                        lambda x: outlier_scores(two_members(), x)),
     "TrainingProblem": ("samples", False,
                         lambda x: TrainingProblem(x, [[0], [0]])),
     "from_member_sets-first": ("member set 0", False,
-                               lambda x: TrainingProblem.from_member_sets(
+                               lambda x: from_member_sets(
                                    [x, GOOD])),
     "from_member_sets-later": ("member set 1", False,
-                               lambda x: TrainingProblem.from_member_sets(
+                               lambda x: from_member_sets(
                                    [GOOD, x])),
     "SsadProblem-train": ("train_normals", False,
                           lambda x: SsadProblem(x, GOOD)),
@@ -389,8 +400,8 @@ class TestResidualCache:
         cache = ResidualCache(problem, model)
         m, q, p = problem.m, model.members[0].q, problem.p
         for ci in range(m):
-            assert cache.deltas(ci, q - 1, p - 1, 0.0) == [[0.0, 0.0]]
-            assert cache.deltas(ci, 0, p, 0.0) == [[0.0, 0.0]]
+            assert deltas(cache, ci, q - 1, p - 1, 0.0) == [[0.0, 0.0]]
+            assert deltas(cache, ci, 0, p, 0.0) == [[0.0, 0.0]]
 
     def test_delta_matches_full_recompute(self):
         rng = np.random.default_rng(17)
@@ -407,7 +418,7 @@ class TestResidualCache:
             else:
                 k, l = int(rng.integers(0, q)), p
             step = float(rng.normal())
-            [pair] = cache.deltas(ci, k, l, step)
+            [pair] = deltas(cache, ci, k, l, step)
             for got, delta in zip(pair, (step, -step)):
                 perturbed = [[f.a.copy(), f.b.copy()] for f in model.members]
                 if l < p:
@@ -424,14 +435,14 @@ class TestResidualCache:
         # entry move is (numerically) non-improving
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 3))
-        problem = TrainingProblem.from_member_sets([x, x, x])
+        problem = from_member_sets([x, x, x])
         hp = HyperParams(m=3, q=2, alpha=0.0)
         members = tuple(MemberFunction(np.ones((2, 3)), np.full(2, 2.0))
                         for _ in range(3))
         cache = ResidualCache(problem, QmsModel(members, hp))
         for ci in range(3):
             for k, l in ((0, 1), (1, 2), (0, 3), (1, 3)):
-                [[up, down]] = cache.deltas(ci, k, l, 0.05)
+                [[up, down]] = deltas(cache, ci, k, l, 0.05)
                 assert up >= -1e-9 and down >= -1e-9
 
     def test_cache_tracks_applied_moves(self):
@@ -444,7 +455,7 @@ class TestResidualCache:
             k, l = int(rng.integers(0, 2)), int(rng.integers(0, 4))
             moved += len(cache.try_entry(ci, k, l, float(rng.uniform(0.1, 2))))
         assert moved > 0
-        assert cache.max_relative_drift() <= 1e-9
+        assert max_relative_drift(cache) <= 1e-9
         rebuilt = QmsModel(cache.members(), model.hyperparams)
         assert cache.losses[0] == pytest.approx(loss_full(problem, rebuilt),
                                                 rel=1e-9)
@@ -453,17 +464,17 @@ class TestResidualCache:
         rng = np.random.default_rng(29)
         problem, model = random_instance(rng, m=3, q=2, p=3)
         cache = ResidualCache(problem, model)
-        cache.deltas(1, 0, 0, 0.5)   # stores class 1's pieces
-        assert cache.max_relative_drift() <= 1e-9
+        deltas(cache, 1, 0, 0, 0.5)   # stores class 1's pieces
+        assert max_relative_drift(cache) <= 1e-9
         cache._piece[1, :, 0] = cache._piece[0, :, 0]   # hi = lo holds no f_c
-        assert cache.max_relative_drift() == float("inf")
+        assert max_relative_drift(cache) == float("inf")
 
     def test_try_entry_commits_the_larger_strict_decrease(self):
         rng = np.random.default_rng(37)
         problem, model = random_instance(rng, m=3, q=2, p=3)
         cache = ResidualCache(problem, model)
         for ci, k, l in ((1, 0, 2), (0, 1, 3), (2, 1, 0), (1, 0, 2)):
-            [[up, down]] = cache.deltas(ci, k, l, 0.5)
+            [[up, down]] = deltas(cache, ci, k, l, 0.5)
             before = cache.members()[ci]
             loss = cache.losses[0]
             moved = cache.try_entry(ci, k, l, 0.5)
@@ -487,7 +498,7 @@ class TestResidualCache:
         losses = list(probed.losses)
         for _ in range(2):
             for entry in ((0, 1, 2), (3, 0, 6), (0, 1, 2)):
-                probed.deltas(*entry, 1.0)
+                deltas(probed, *entry, 1.0)
         assert probed.losses == losses
         for i in range(2):
             assert model_bytes(QmsModel(probed.members(i), hp)) == \
@@ -519,7 +530,7 @@ def check_piece_sums(cache, c, fc):
 def check_deltas(cache, c, k, l, step):
     """`deltas` of (c, k, l, step) against `oracles.loss_direct` before
     and after each move, to 1e-12 of the larger loss, for every problem."""
-    for i, pair in enumerate(cache.deltas(c, k, l, step)):
+    for i, pair in enumerate(deltas(cache, c, k, l, step)):
         problem, members = cache.problems[i], cache.members(i)
         base = direct_loss(problem, members, cache.hp)
         for got, delta in zip(pair, (step, -step)):
@@ -596,7 +607,7 @@ class TestLossPieces:
                     check_deltas(cache, c, 0, problem.p, 0.7)
                     cache.try_entry(c, 0, 0, 0.7)
                     check_piece_sums(cache, c, cache._trial(c, 0, 0, 3.0)[0])
-                assert cache.max_relative_drift() <= 1e-9
+                assert max_relative_drift(cache) <= 1e-9
 
     def test_rows_only_in_the_first_set(self):
         # as for the detector's test rows: the first set holds every
@@ -620,7 +631,7 @@ class TestLossPieces:
                 check_piece_sums(cache, c, cache._trial(c, k, l, 0.4)[0])
                 check_deltas(cache, c, k, l, 0.4)
                 cache.try_entry(c, k, l, 0.4)
-        assert cache.max_relative_drift() <= 1e-9
+        assert max_relative_drift(cache) <= 1e-9
 
     def test_large_step_relocates_most_samples(self):
         rng = np.random.default_rng(79)
@@ -648,7 +659,7 @@ class TestLossPieces:
             pieces = cache._piece.copy()
             if cache.try_entry(c, k, l, step) and left is not None:
                 relocated += not np.array_equal(pieces, cache._piece)
-            assert cache.max_relative_drift() <= 1e-9
+            assert max_relative_drift(cache) <= 1e-9
         assert relocated > 0
 
     def test_gather_whole_width_equals_gather_alone(self):
@@ -685,7 +696,7 @@ class TestLossPieces:
         hp = HyperParams(m=4, q=2, alpha=alpha)
         members = tuple(MemberFunction(rng.normal(size=(2, 3)),
                                        rng.normal(size=2)) for _ in range(4))
-        problems = [TrainingProblem.from_member_sets(
+        problems = [from_member_sets(
             [rng.normal(size=(int(rng.integers(3, 10)), 3))
              for _ in range(4)], rng.uniform(0.2, 2.0, size=4))
             for _ in range(3)]
@@ -780,7 +791,7 @@ class TestGroupedSums:
 class TestCpmOptimize:
     def test_zero_iterations_returns_initial_model(self):
         rng = np.random.default_rng(1)
-        problem = TrainingProblem.from_member_sets(
+        problem = from_member_sets(
             [rng.normal(size=(3, 2)) for _ in range(3)])
         hp = HyperParams(m=3, q=4, iterations=0)
         model = cpm_optimize(problem, hp)
@@ -792,7 +803,7 @@ class TestCpmOptimize:
 
     def test_training_never_increases_loss(self):
         rng = np.random.default_rng(13)
-        problem = TrainingProblem.from_member_sets(
+        problem = from_member_sets(
             [rng.normal(size=(6, 2)) + i for i in range(3)])
         hp0 = HyperParams(m=3, q=2, iterations=0, step_a=0.5, step_b=1.0,
                           b_init=4.0)
@@ -808,7 +819,7 @@ class TestCpmOptimize:
             sets = [rng.normal(scale=2.0, size=(3, 1)) for _ in range(2)]
             hp = HyperParams(m=2, q=1, alpha=0.3, iterations=2, step_a=0.5,
                              step_b=0.7, b_init=1.0)
-            problem = TrainingProblem.from_member_sets(sets)
+            problem = from_member_sets(sets)
             model = cpm_optimize(problem, hp)
             ref_members, ref_loss = cpm_reference(
                 [list(s) for s in sets], [1.0, 1.0], 1, 2, 1, hp.alpha,
@@ -822,7 +833,7 @@ class TestCpmOptimize:
 
     def test_accepted_moves_strictly_decrease(self):
         rng = np.random.default_rng(19)
-        problem = TrainingProblem.from_member_sets(
+        problem = from_member_sets(
             [rng.normal(size=(8, 3)) + 2 * i for i in range(3)],
             class_weights=(0.7, 1.0, 1.0))
         hp = HyperParams(m=3, q=2, iterations=5, step_a=0.3, step_b=0.9,
@@ -845,7 +856,7 @@ class TestCpmOptimize:
         trainings, hp = ssad_trainings([(221, 60, 20)])
         cache = ResidualCache(trainings,
                               QmsModel(_initial_members(hp, trainings[0].p), hp))
-        [[up, down]] = cache.deltas(0, 0, 0, 1.0)
+        [[up, down]] = deltas(cache, 0, 0, 0, 1.0)
         if not min(up, down) < 0.0:
             raise AssertionError("expected a decreasing move")
         # a decrease this small vanishes against a tracked loss this large
@@ -861,7 +872,7 @@ class TestCpmOptimize:
         model = QmsModel(_initial_members(hp, trainings[0].p), hp)
         cache, alone = ResidualCache(trainings, model), ResidualCache(
             trainings[0], model)
-        if not all(min(pair) < 0.0 for pair in cache.deltas(0, 0, 0, 1.0)):
+        if not all(min(pair) < 0.0 for pair in deltas(cache, 0, 0, 0, 1.0)):
             raise AssertionError("expected a decreasing move for both")
         cache.losses[1] = 1e20
         state = problem_state(cache, 1)
@@ -872,7 +883,7 @@ class TestCpmOptimize:
 
     def test_cache_consistent_after_every_sweep(self):
         rng = np.random.default_rng(31)
-        problem = TrainingProblem.from_member_sets(
+        problem = from_member_sets(
             [rng.normal(size=(5, 2)) + i for i in range(4)])
         hp = HyperParams(m=4, q=3, iterations=4, step_a=0.5, step_b=1.5,
                          b_init=6.0)
@@ -881,7 +892,7 @@ class TestCpmOptimize:
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(37)
-        problem = TrainingProblem.from_member_sets(
+        problem = from_member_sets(
             [rng.normal(size=(7, 2)) for _ in range(3)])
         hp = HyperParams(m=3, q=2, iterations=4, step_a=0.4, step_b=1.1,
                          b_init=2.0)
@@ -892,7 +903,7 @@ class TestCpmOptimize:
             assert np.array_equal(f1.b, f2.b)
 
     def test_class_count_mismatch_rejected(self):
-        problem = TrainingProblem.from_member_sets(
+        problem = from_member_sets(
             [np.ones((2, 2)), np.zeros((2, 2))])
         with pytest.raises(ValueError, match="member sets"):
             cpm_optimize(problem, HyperParams(m=3, q=2))
@@ -926,7 +937,7 @@ def train_checking_drift(problems, hp):
             for k, l, step in entries:
                 cache.try_entry(c, k, l, step)
         # a raise, not an assert, so the check also holds under python -O
-        drift = cache.max_relative_drift()
+        drift = max_relative_drift(cache)
         if not drift <= 1e-9:
             raise AssertionError(f"cache drifted by {drift!r} in sweep "
                                  f"{sweep}")
@@ -988,7 +999,7 @@ class TestCpmOptimizeMany:
         rng = np.random.default_rng(53)
         hp = HyperParams(m=3, q=2, iterations=4, step_a=0.4, step_b=1.1,
                          b_init=3.0)
-        problems = [TrainingProblem.from_member_sets(
+        problems = [from_member_sets(
             [rng.normal(size=(int(rng.integers(2, 9)), 2)) + i
              for i in range(3)], rng.uniform(0.2, 2.0, size=3))
             for _ in range(4)]
@@ -1013,7 +1024,7 @@ class TestCpmOptimizeMany:
         hp = HyperParams(m=3, q=2, alpha=0.5)
         members = tuple(MemberFunction(rng.normal(size=(2, 3)),
                                        rng.normal(size=2)) for _ in range(3))
-        problems = [TrainingProblem.from_member_sets(
+        problems = [from_member_sets(
             [rng.normal(size=(int(rng.integers(4, 13)), 3))
              for _ in range(3)], rng.uniform(0.2, 2.0, size=3))
             for _ in range(4)]
@@ -1030,7 +1041,7 @@ class TestCpmOptimizeMany:
             assert moved == [(i, delta, loss) for i, moves in enumerate(own)
                              for _, delta, loss in moves]
             assert shared.losses == [a.losses[0] for a in alone]
-            assert shared.max_relative_drift() <= 1e-9
+            assert max_relative_drift(shared) <= 1e-9
             d = [0.0] * 4
             for i, delta, _ in moved:
                 d[i] = delta
@@ -1070,7 +1081,7 @@ class TestCpmOptimizeMany:
         rng = np.random.default_rng(59)
 
         def problem(m, p):
-            return TrainingProblem.from_member_sets(
+            return from_member_sets(
                 [rng.normal(size=(4, p)) for _ in range(m)])
 
         hp = HyperParams(m=3, q=2, iterations=1)

@@ -21,6 +21,8 @@ import pytest
 from qms22 import HyperParams, TrainingProblem, cpm_optimize, loss_full
 from qms22.ssad import SsadProblem, build_member_sets, outlier_scores
 
+from oracles import from_member_sets
+
 GOLDEN = Path(__file__).parent / "data" / "golden_cpm.json"
 
 # name -> (seed, m, q, p, set sizes, alpha, iterations, step_a, step_b, b_init)
@@ -54,7 +56,7 @@ def _small_problem(seed, m, q, p, sizes, alpha, iterations, step_a, step_b,
     weights = rng.uniform(0.2, 2.0, size=m)
     hp = HyperParams(m=m, q=q, alpha=alpha, iterations=iterations,
                      step_a=step_a, step_b=step_b, b_init=b_init)
-    return TrainingProblem.from_member_sets(sets, weights), hp
+    return from_member_sets(sets, weights), hp
 
 
 def _ssad_problem(seed, n_train, n_test, p, iterations):

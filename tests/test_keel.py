@@ -496,3 +496,20 @@ class TestFoldDiscovery:
             with pytest.raises(NotADirectoryError) as error:
                 find_datasets(root)
             assert str(error.value) == f"{root}: no such directory"
+
+    def test_find_datasets_follows_a_linked_directory(self, tmp_path):
+        # Path.rglob on Python 3.11 does not enter a symlinked directory
+        write_dataset(tmp_path / "archive" / "glass1", "glass1")
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "glass1").symlink_to(tmp_path / "archive"
+                                                  / "glass1")
+        assert find_datasets(tmp_path / "data") == [
+            ("glass1", tmp_path / "data" / "glass1")]
+
+    def test_find_datasets_ends_a_link_loop_counting_a_dataset_once(
+            self, tmp_path):
+        # a/loop leads back to the root, and b is a second route to a
+        write_dataset(tmp_path / "a", "glass1")
+        (tmp_path / "a" / "loop").symlink_to(tmp_path)
+        (tmp_path / "b").symlink_to(tmp_path / "a")
+        assert find_datasets(tmp_path) == [("glass1", tmp_path / "a")]

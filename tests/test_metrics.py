@@ -21,16 +21,21 @@ def area(points):
     return _trapezoid(pts[:, 0], pts[:, 1])
 
 
+def points(curve):
+    """The ROC's (fpr, tpr) points."""
+    return list(zip(curve.fpr.tolist(), curve.tpr.tolist()))
+
+
 class TestRocCurve:
     def test_perfect_separation(self):
         curve = roc_curve([0.9, 0.1], [True, False])
-        assert curve.points == [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+        assert points(curve) == [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
         assert curve.auc == 1.0
         assert curve.thresholds[0] == np.inf
 
     def test_all_tied_scores_collapse_to_one_step(self):
         curve = roc_curve([0.4] * 6, [1, 0, 1, 0, 0, 1])
-        assert curve.points == [(0.0, 0.0), (1.0, 1.0)]
+        assert points(curve) == [(0.0, 0.0), (1.0, 1.0)]
         assert curve.auc == 0.5
 
     def test_interleaved_scores(self):
@@ -40,8 +45,8 @@ class TestRocCurve:
 
     def test_tied_pair_takes_a_diagonal_step(self):
         curve = roc_curve([2.0, 1.0, 1.0, 0.0], [True, True, False, False])
-        assert (0.5, 1.0) in curve.points
-        assert (0.0, 1.0) not in curve.points
+        assert (0.5, 1.0) in points(curve)
+        assert (0.0, 1.0) not in points(curve)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -58,6 +63,14 @@ class TestRocCurve:
         with pytest.raises(ValueError, match="finite"):
             roc_curve([bad, 0.5, 0.2, 0.1], [1, 0, 1, 0])
 
+    @pytest.mark.parametrize("scores, text", [
+        (["a", 1.0], "scores[0] is 'a', not a number"),
+        ([1.0, "b"], "scores[1] is 'b', not a number"),
+    ])
+    def test_score_that_is_not_a_number_rejected(self, scores, text):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            roc_curve(scores, [0, 1])
+
     def test_scores_must_be_flat(self):
         with pytest.raises(ValueError, match="equal-length vectors"):
             roc_curve(np.ones((3, 1)), [1, 0, 1])
@@ -71,8 +84,8 @@ class TestRocCurve:
             rng.shuffle(labels)
             scores = rng.integers(0, 5, size=n).astype(float)
             curve = roc_curve(scores, labels)
-            assert curve.points[0] == (0.0, 0.0)
-            assert curve.points[-1] == (1.0, 1.0)
+            assert points(curve)[0] == (0.0, 0.0)
+            assert points(curve)[-1] == (1.0, 1.0)
             assert np.all(np.diff(curve.fpr) >= 0)
             assert np.all(np.diff(curve.tpr) >= 0)
             assert np.all(np.diff(curve.thresholds) < 0)

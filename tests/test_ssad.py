@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qms22 import (HyperParams, MemberFunction, QmsModel, SsadProblem,
-                   build_member_sets, outlier_score, outlier_scores,
-                   run_qms22, run_qms22_many, select_top_k)
+                   build_member_sets, outlier_scores, run_qms22,
+                   run_qms22_many, select_top_k)
 
 
 def constant_member(value, q=2, p=2):
@@ -27,6 +27,20 @@ def problem_of_sizes(n_train, n_test, p=3, seed=0):
     rng = np.random.default_rng(seed)
     return SsadProblem(rng.normal(size=(n_train, p)),
                        rng.normal(size=(n_test, p)))
+
+
+def parts(plan, n_train):
+    """The m - 1 training parts that member sets 2..m each drop, as
+    ascending indices into the training normals."""
+    n_test = plan.member_sets[0].size - n_train
+    return [np.setdiff1d(np.arange(n_train), s - n_test)
+            for s in plan.member_sets[1:]]
+
+
+def score(model, x):
+    """The score of the (p,) row x."""
+    [value] = outlier_scores(model, x)
+    return value
 
 
 class TestSsadProblem:
@@ -52,21 +66,22 @@ class TestSsadProblem:
 class TestBuildMemberSets:
     def test_exact_division(self):
         plan = build_member_sets(problem_of_sizes(12, 4), m=7, seed=0)
-        assert [part.size for part in plan.parts] == [2] * 6
+        assert [part.size for part in parts(plan, 12)] == [2] * 6
         assert [s.size for s in plan.member_sets] == [16] + [10] * 6
 
     def test_remainder_goes_to_lowest_parts(self):
         plan = build_member_sets(problem_of_sizes(13, 4), m=7, seed=3)
-        assert [part.size for part in plan.parts] == [3, 2, 2, 2, 2, 2]
+        assert [part.size for part in parts(plan, 13)] == [3, 2, 2, 2, 2, 2]
         assert [s.size for s in plan.member_sets[1:]] == [10, 11, 11, 11, 11, 11]
 
     def test_weight_is_second_set_over_first(self):
         plan = build_member_sets(problem_of_sizes(100, 25), m=7, seed=1)
-        assert [part.size for part in plan.parts] == [17, 17, 17, 17, 16, 16]
+        assert [part.size for part in parts(plan, 100)] == [17, 17, 17, 17,
+                                                            16, 16]
         assert plan.member_sets[1].size == 83
         assert plan.member_sets[0].size == 125
-        assert plan.weight_1 == pytest.approx(0.664)
-        assert plan.class_weights == (plan.weight_1,) + (1.0,) * 6
+        assert plan.class_weights[0] == pytest.approx(0.664)
+        assert plan.class_weights[1:] == (1.0,) * 6
 
     def test_first_set_is_everything_test_rows_first(self):
         plan = build_member_sets(problem_of_sizes(9, 5), m=3, seed=2)
@@ -80,10 +95,10 @@ class TestBuildMemberSets:
         one = build_member_sets(problem, m=4, seed=11)
         two = build_member_sets(problem, m=4, seed=11)
         other = build_member_sets(problem, m=4, seed=12)
-        for a, b in zip(one.parts, two.parts):
+        for a, b in zip(one.member_sets, two.member_sets):
             assert np.array_equal(a, b)
         assert any(not np.array_equal(a, b)
-                   for a, b in zip(one.parts, other.parts))
+                   for a, b in zip(one.member_sets, other.member_sets))
 
     def test_too_few_training_samples(self):
         with pytest.raises(ValueError, match="m - 1 = 6"):
@@ -106,31 +121,33 @@ class TestBuildMemberSets:
     def test_partition_invariants(self, n_train, n_test, m, seed):
         assume(n_train >= m - 1)
         plan = build_member_sets(problem_of_sizes(n_train, n_test), m, seed)
-        sizes = [part.size for part in plan.parts]
+        dropped = parts(plan, n_train)
+        sizes = [part.size for part in dropped]
         assert max(sizes) - min(sizes) <= 1
         assert sorted(sizes, reverse=True) == sizes
-        joined = np.concatenate(plan.parts)
+        joined = np.concatenate(dropped)
         assert len(joined) == n_train
         assert np.array_equal(np.sort(joined), np.arange(n_train))
         assert len(plan.member_sets) == m
-        for part, member_set in zip(plan.parts, plan.member_sets[1:]):
+        for part, member_set in zip(dropped, plan.member_sets[1:]):
             assert member_set.size == n_train - part.size
             assert np.intersect1d(member_set - n_test, part).size == 0
-        assert plan.weight_1 == plan.member_sets[1].size / plan.member_sets[0].size
+        assert plan.class_weights[0] == (plan.member_sets[1].size
+                                         / plan.member_sets[0].size)
 
 
 class TestOutlierScore:
     def test_one_active_term(self):
         model = model_with_values([1.0, 2.0, 0.5])
-        assert outlier_score(model, [0.0, 0.0]) == pytest.approx(1.0)
+        assert score(model, [0.0, 0.0]) == pytest.approx(1.0)
 
     def test_zero_when_first_member_maximal(self):
         model = model_with_values([5.0, 2.0, 0.5])
-        assert outlier_score(model, [3.0, -1.0]) == 0.0
+        assert score(model, [3.0, -1.0]) == 0.0
 
     def test_both_terms_active(self):
         model = model_with_values([1.0, 2.0, 3.0])
-        assert outlier_score(model, [0.0, 0.0]) == pytest.approx(3.0)
+        assert score(model, [0.0, 0.0]) == pytest.approx(3.0)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(9)
@@ -142,10 +159,7 @@ class TestOutlierScore:
         batch = outlier_scores(model, samples)
         assert batch.shape == (6,)
         for i, x in enumerate(samples):
-            # batched and single-row paths may take different BLAS
-            # kernels, so agreement is to precision, not bit-for-bit
-            assert outlier_score(model, x) == pytest.approx(batch[i],
-                                                            rel=1e-12)
+            assert score(model, x) == pytest.approx(batch[i], rel=1e-12)
 
     def test_nonnegative_and_zero_iff_first_maximal(self):
         rng = np.random.default_rng(14)
@@ -164,16 +178,21 @@ class TestOutlierScore:
     def test_dimension_mismatch(self):
         model = model_with_values([1.0, 2.0])
         with pytest.raises(ValueError):
-            outlier_score(model, [1.0, 2.0, 3.0])
+            outlier_scores(model, [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("x", [1.0, [[0.0, 0.0]], [[0.0], [0.0]],
                                    [[[0.0, 0.0]]]])
     def test_score_takes_one_row(self, x):
+        # as a (p,) row or a one-row batch; no other shape is one row
         model = model_with_values([1.0, 2.0])
         shape = np.shape(x)
-        with pytest.raises(ValueError, match=rf"\(2,\) row, got shape "
+        if shape == (1, 2):
+            assert outlier_scores(model, x).tolist() == [score(model, x[0])]
+            return
+        with pytest.raises(ValueError, match=rf"\(2,\) row or an \(n, 2\) "
+                                             rf"batch, got shape "
                                              rf"{re.escape(str(shape))}$"):
-            outlier_score(model, x)
+            outlier_scores(model, x)
 
 
 class TestRunQms22:
@@ -288,6 +307,8 @@ class TestSelectTopK:
         ([0.5, -np.inf], "scores must be finite"),
         ([[0.1, 0.2], [0.3, 0.4]], "scores must be a vector"),
         (0.5, "scores must be a vector"),
+        (["a"], r"^scores\[0\] is 'a', not a number$"),
+        ([1.0, "b"], r"^scores\[1\] is 'b', not a number$"),
     ])
     def test_bad_scores_rejected(self, scores, text):
         with pytest.raises(ValueError, match=text):
