@@ -275,16 +275,17 @@ def _read_representative_aucs(path) -> dict[str, float]:
     Benchmark files contribute their `avg` rows; plain `dataset,auc`
     files contribute every row. A used row must hold a finite AUC in
     [0, 1] and a dataset not named by an earlier used row. The file is
-    read as UTF-8. Each error names the file and, where it has one, the
-    line.
+    read as UTF-8, less a leading byte-order mark. Each error names the
+    file and, where it has one, the line.
     """
     out: dict[str, float] = {}
     lines: dict[str, int] = {}
-    # decoded in one piece, so that a bad byte's offset is the file's
-    data = Path(path).read_bytes()
+    # decoded in one piece, so that a bad byte's line is the file's (the
+    # offset is into the bytes after the mark, which holds no newline)
     try:
-        content = data.decode("utf-8")
+        content = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
+        data = exc.object
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}:{line}: byte {data[exc.start]:#04x} is not "
                          f"UTF-8 ({exc.reason})") from None

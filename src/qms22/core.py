@@ -292,10 +292,14 @@ class ResidualCache:
 
     Unless a sample leaves its piece, a trial and its commit allocate
     nothing: they work in (2, n) buffers, a row per sign (the pieces too,
-    so their passes do not broadcast), and form 2 * step * x[l] * r[k] and
-    step^2 * x[l]^2 once for both rows; IEEE arithmetic is sign-symmetric,
-    so each row keeps its own bits. `try_entry` decides every problem,
-    then commits each run of neighbours that took one step as one slice.
+    so their passes do not broadcast), and form (x[l] * r[k]) * (2 * step)
+    once for both rows; IEEE arithmetic is sign-symmetric, so each row
+    keeps its own bits. Each column l keeps, for the last step tried on
+    it, the row (x[l] * x[l]) * step^2, stored twice so that it adds to
+    both rows of f_c without a broadcast, and the row step * x[l], which a
+    commit adds to or subtracts from r[k]. `try_entry` decides every
+    problem, then commits each run of neighbours that took one step as
+    one slice.
 
     Attributes:
         problems: the training problems, in segment order.
@@ -333,10 +337,15 @@ class ResidualCache:
         for problem, seg in zip(self.problems, self._segments):
             for j, own in enumerate(problem.member_sets):
                 self._weight[j, seg.start + own] = problem.class_weights[j]
-        self._xa_sq = self._xa * self._xa
-        # the trial buffers, a row per step sign (see the class docstring)
+        # each column's step rows for the last step tried on it (see
+        # _step_rows)
+        self._steps = {}
+        # the trial buffers, a row per step sign (see the class docstring);
+        # the samples below and above their pieces are one block, so one
+        # count covers both
         self._fc, self._value, self._tmp = np.empty((3, 2, n))
-        self._below, self._above = np.empty((2, 2, n), dtype=bool)
+        self._bounds = np.empty((2, 2, n), dtype=bool)
+        self._below, self._above = self._bounds
         self._sums = np.empty((2, len(self.problems)))
         # each run of neighbouring problems of one size is summed by one
         # reduce over a (2, count, size) view of _value, whose rows are the
@@ -439,13 +448,30 @@ class ResidualCache:
         above = np.greater(fc, self._piece[1], out=self._above)
         _piece_value(self._piece[2:], fc, g, out=value, tmp=self._tmp)
         left = new = None
-        if np.count_nonzero(below) or np.count_nonzero(above):
-            left = np.nonzero(below | above)
+        if np.count_nonzero(self._bounds):
+            left = np.nonzero(np.logical_or(below, above, out=below))
             new = self._pieces(left[1], fc[left])
             value[left] = _piece_value(new[2:], fc[left], g)
         for run, sums in self._grouped:
             np.add.reduce(run, axis=2, out=sums)
         return self._sums, left, new
+
+    def _step_rows(self, l: int, step: float):
+        # (step, square, shift) for column l: square is (x[l] * x[l]) *
+        # (step * step) twice, a (2, n) pair that adds to f_c's rows without
+        # a broadcast, and shift is step * x[l], a commit's residual change.
+        # Built on first use and replaced when the column's step changes,
+        # so a column holds the rows of one step. A step of -0.0 may reuse
+        # those of 0.0: both square to +0.0, and a zero step never commits.
+        held = self._steps.get(l)
+        if held is None or held[0] != step:
+            x, rows = self._xa[l], np.empty((3, self._xa.shape[1]))
+            np.multiply(x, x, out=rows[0])
+            rows[0] *= step * step
+            rows[1] = rows[0]
+            np.multiply(step, x, out=rows[2])
+            held = self._steps[l] = (step, rows[:2], rows[2])
+        return held
 
     def _trial(self, c: int, k: int, l: int, step: float):
         # f_c after adding +step and -step to entry (k, l), one row each
@@ -457,7 +483,7 @@ class ResidualCache:
         u *= 2.0 * step
         np.add(self._f[c], u, out=fc[0])
         np.subtract(self._f[c], u, out=fc[1])
-        fc += np.multiply(self._xa_sq[l], step * step, out=u)
+        fc += self._step_rows(l, step)[1]
         np.maximum(fc, 0.0, out=fc)
         return (fc,) + self._evaluate(fc)
 
@@ -473,6 +499,7 @@ class ResidualCache:
         new tracked loss.
         """
         fc, sums, left, new = self._trial(c, k, l, step)
+        shift = self._steps[l][2]   # step * x[l]
         ups, downs = sums.tolist()
         decided, runs = [], []
         for i, total in enumerate(self._total):
@@ -493,9 +520,9 @@ class ResidualCache:
                 rows, cols = left
                 mine = (rows == s) & (cols >= run.start) & (cols < run.stop)
                 self._piece[:, :, cols[mine]] = new[:, None, mine]
-            shift = np.multiply(-step if s else step, self._xa[l, run],
-                                out=self._tmp[0, run])   # free after the trial
-            np.add(self._r[c, k, run], shift, out=self._r[c, k, run])
+            # r - step * x[l] is r + (-step) * x[l]: IEEE negation is exact
+            r = self._r[c, k, run]
+            (np.subtract if s else np.add)(r, shift[run], out=r)
         for i, s, loss in decided:
             self._w[i, c, k, l] += -step if s else step
             self.losses[i] = loss

@@ -155,8 +155,8 @@ def parse_keel_text(text: str, source: str = "<string>") -> RawDataset:
     attributes: list[Attribute] = []
     attribute_lines: list[int] = []
     input_names: tuple[str, ...] | None = None
-    inputs_line = 0
     output_names: tuple[str, ...] | None = None
+    inputs_line = outputs_line = 0
     rows: list[tuple[str, ...]] = []
     in_data = False
 
@@ -174,13 +174,19 @@ def parse_keel_text(text: str, source: str = "<string>") -> RawDataset:
             if directive == "@relation":
                 relation = rest.strip()
             elif directive == "@attribute":
-                attributes.append(_parse_attribute(rest, source, line_no))
+                attr = _parse_attribute(rest, source, line_no)
+                if any(a.name == attr.name for a in attributes):
+                    raise KeelParseError(source, line_no,
+                                         f"duplicate attribute name "
+                                         f"{attr.name!r}")
+                attributes.append(attr)
                 attribute_lines.append(line_no)
             elif directive == "@inputs":
                 input_names = _name_list(rest)
                 inputs_line = line_no
             elif directive == "@outputs":
                 output_names = _name_list(rest)
+                outputs_line = line_no
             elif directive == "@data":
                 in_data = True
             else:
@@ -223,23 +229,24 @@ def parse_keel_text(text: str, source: str = "<string>") -> RawDataset:
     if not attributes:
         raise KeelParseError(source, 1, "no attributes declared")
     names = [a.name for a in attributes]
-    if len(set(names)) != len(names):
-        raise KeelParseError(source, 1, "duplicate attribute names")
     # KEEL fold files always declare @inputs/@outputs; tolerate their
-    # absence with the conventional all-but-last / last split
+    # absence with the conventional all-but-last / last split, whose
+    # names are all declared
     if output_names is None:
         output_names = (names[-1],)
     if len(output_names) != 1:
-        raise KeelParseError(source, 1,
+        raise KeelParseError(source, outputs_line,
                              f"expected exactly one output attribute, "
                              f"got {len(output_names)}")
     output_name = output_names[0]
     if input_names is None:
         input_names = tuple(n for n in names if n != output_name)
-    for name in (*input_names, output_name):
-        if name not in names:
-            raise KeelParseError(source, 1,
-                                 f"undeclared attribute {name!r} referenced")
+    for listed, line_no in ((input_names, inputs_line),
+                            (output_names, outputs_line)):
+        for name in listed:
+            if name not in names:
+                raise KeelParseError(source, line_no, f"undeclared attribute "
+                                     f"{name!r} referenced")
     if output_name in input_names:
         raise KeelParseError(source, inputs_line,
                              f"@inputs names the output attribute "
@@ -264,13 +271,14 @@ def parse_keel_text(text: str, source: str = "<string>") -> RawDataset:
 
 
 def _read_text(path: Path) -> str:
-    # UTF-8 whatever the locale, decoded in one piece so that a bad
-    # byte's offset, and so its line, is the file's; newlines are
+    # UTF-8 whatever the locale, less a leading byte-order mark, decoded in
+    # one piece so that a bad byte's line is the file's (the offset is
+    # into the bytes after the mark, which holds no newline); newlines are
     # translated as text-mode reading does
-    data = path.read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
+        data = exc.object
         raise KeelParseError(str(path), data.count(b"\n", 0, exc.start) + 1,
                              f"byte {data[exc.start]:#04x} is not UTF-8 "
                              f"({exc.reason})") from None

@@ -104,6 +104,21 @@ def cpm_reference(member_sets, class_weights, n_features, m, q, alpha,
     return [(a[i], b[i]) for i in range(m)], current
 
 
+def trial_rows(f, x, r, step):
+    """The member values f_c(x) after adding +step and -step to one entry,
+    one list per sign, sample by sample, from each sample's f_c(x), its
+    [x; -1] component x and its residual r of the entry's row:
+    max(f ± (x·r)·(2·step) + (x·x)·(step·step), 0), operation by
+    operation, so with the bits the residual cache's trial must give."""
+    rows = ([], [])
+    for fi, xi, ri in zip(f, x, r):
+        odd = (float(xi) * float(ri)) * (2.0 * step)
+        even = (float(xi) * float(xi)) * (step * step)
+        for row, moved in zip(rows, (float(fi) + odd, float(fi) - odd)):
+            row.append(max(moved + even, 0.0))
+    return rows
+
+
 def auc_pairwise(scores, labels):
     """Mann-Whitney AUC: wins + half-ties over all outlier x normal pairs."""
     pos = [s for s, y in zip(scores, labels) if y]

@@ -706,6 +706,22 @@ class TestSummary:
         assert float(fields[6]) == pytest.approx(0.8252, abs=5e-5)
         assert float(fields[7]) == pytest.approx(0.1483, abs=5e-5)
 
+    @pytest.mark.parametrize("command", ["compare", "summary"])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, capsys,
+                                                command):
+        # as Excel's "CSV UTF-8" writes it; a bad byte keeps its line
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbfdataset,auc\na,0.25\nb,0.75\n")
+        files = [str(bom)] * (2 if command == "compare" else 1)
+        assert main([command, *files]) == 0
+        out = capsys.readouterr().out
+        assert ("n_effective 0" if command == "compare"
+                else "bom,0.25,") in out
+        bom.write_bytes(b"\xef\xbb\xbfdataset,auc\na,0.25\n\xff,0.75\n")
+        assert main([command, *files]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bom}:3: byte 0xff is not UTF-8 (invalid start byte)\n")
+
     def test_empty_results_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("dataset,auc\n")

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qms22 import (HyperParams, MemberFunction, QmsModel, SsadProblem,
@@ -13,7 +13,7 @@ from qms22 import (HyperParams, MemberFunction, QmsModel, SsadProblem,
 from qms22.core import ResidualCache, _initial_members, _ratio_loss
 
 from oracles import (cpm_reference, deltas, from_member_sets, loss_direct,
-                     max_relative_drift, member_value)
+                     max_relative_drift, member_value, trial_rows)
 from test_golden import _ssad_problem
 
 
@@ -744,6 +744,96 @@ def pieces_from_values(cache, c, cols, fc):
     return np.stack([np.where(past, at, -np.inf).max(axis=(0, 1)),
                      np.where(past, np.inf, at).min(axis=(0, 1)),
                      sums[0], sums[1], alpha * sums[2]])
+
+
+# a column of samples: signed zeros, one-hot values and magnitudes from
+# 1e-9 to 255, the range of max-abs-scaled features
+column_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.builds(lambda v, sign: sign * v, st.floats(1e-9, 255.0),
+              st.sampled_from([1.0, -1.0])))
+steps = st.one_of(st.sampled_from([0.3, 1.0, 3.0, 40.0]),
+                  st.builds(lambda v, sign: sign * v, st.floats(1e-3, 64.0),
+                            st.sampled_from([1.0, -1.0])))
+
+
+class TestStepRows:
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(column_values, min_size=3, max_size=9),
+           st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1),
+                              st.integers(0, 2), steps),
+                    min_size=1, max_size=8),
+           st.integers(0, 2 ** 32 - 1))
+    def test_trial_rows_equal_the_formula(self, values, trials, seed):
+        # column 0 holds the drawn values, column 1 is one-hot and column 2
+        # of [x; -1] is b's -1; trials mix columns and steps, and each
+        # commits, so a column's rows are rebuilt when its step changes
+        rng = np.random.default_rng(seed)
+        n = len(values)
+        x = np.column_stack([values, np.arange(n) % 2 == 0])
+        problem = TrainingProblem(x, [np.arange(i, n, 3) for i in range(3)],
+                                  rng.uniform(0.2, 2.0, size=3))
+        hp = HyperParams(m=3, q=2, alpha=0.5)
+        members = tuple(MemberFunction(rng.normal(size=(2, 2)),
+                                       rng.normal(size=2)) for _ in range(3))
+        cache = ResidualCache(problem, QmsModel(members, hp))
+        for c, k, l, step in trials:
+            want = trial_rows(cache._f[c], cache._xa[l], cache._r[c, k], step)
+            fc = cache._trial(c, k, l, step)[0]
+            assert fc.tobytes() == np.array(want).tobytes()
+            cache.try_entry(c, k, l, step)
+
+    def test_commit_adds_or_subtracts_step_times_x(self):
+        # a problem's committed residual row is r + fl(step * x[l]) for
+        # +step and r - fl(step * x[l]) for -step, on its segment alone
+        trainings, hp = ssad_trainings([(251, 60, 20), (252, 60, 15),
+                                        (253, 55, 10)])
+        cache = ResidualCache(
+            trainings, QmsModel(_initial_members(hp, trainings[0].p), hp))
+        rng = np.random.default_rng(97)
+        signs = set()
+        for _ in range(80):
+            c, k = int(rng.integers(hp.m)), int(rng.integers(hp.q))
+            l, step = int(rng.integers(trainings[0].p + 1)), hp.step_a
+            want = cache._r.copy()
+            shift = step * cache._xa[l]
+            for i, delta, _ in cache.try_entry(c, k, l, step):
+                seg = cache._segments[i]
+                row = want[c, k, seg]
+                want[c, k, seg] = (row + shift[seg] if delta > 0
+                                   else row - shift[seg])
+                signs.add(delta > 0)
+            assert cache._r.tobytes() == want.tobytes()
+        assert signs == {True, False}
+
+    def test_alternating_steps_keep_the_moves_of_fresh_rows(self):
+        # a column tried with steps in turn, each one again after another,
+        # commits what a cache whose step rows are built afresh for every
+        # trial commits, and holds the rows of its last step alone
+        trainings, hp = ssad_trainings([(261, 80, 20), (262, 75, 20)])
+        p = trainings[0].p
+        model = QmsModel(_initial_members(hp, p), hp)
+        alternating, fresh = (ResidualCache(trainings, model)
+                              for _ in range(2))
+        accepted = 0
+        for c in range(hp.m):
+            for k in range(hp.q):
+                for l in range(p + 1):
+                    for step in (hp.step_a, 2.5, hp.step_a, 0.75):
+                        fresh._steps.clear()
+                        moved = alternating.try_entry(c, k, l, step)
+                        assert moved == fresh.try_entry(c, k, l, step)
+                        accepted += len(moved)
+        assert accepted > 0
+        for i in range(len(trainings)):
+            assert problem_state(alternating, i) == problem_state(fresh, i)
+        assert sorted(alternating._steps) == list(range(p + 1))
+        for l, (step, square, shift) in alternating._steps.items():
+            x = alternating._xa[l]
+            assert step == 0.75
+            assert square.tobytes() == np.stack([(x * x) * (step * step)]
+                                                * 2).tobytes()
+            assert shift.tobytes() == (step * x).tobytes()
 
 
 class TestGroupedSums:

@@ -202,10 +202,17 @@ class TestParse:
         ("@attribute V complex\n" + CLASS, 2,
          "unknown attribute type 'complex'"),
         ("", 1, "no attributes declared"),
-        ("@attribute V real\n" + CLASS + "@outputs V, Class\n", 1,
+        ("@attribute V real\n" + CLASS + "@outputs V, Class\n", 4,
          "expected exactly one output attribute, got 2"),
+        ("@attribute V real\n@attribute V integer\n" + CLASS, 3,
+         "duplicate attribute name 'V'"),
+        ("@attribute V real\n" + CLASS + "@inputs V, z\n@outputs Class\n", 4,
+         "undeclared attribute 'z' referenced"),
+        ("@attribute V real\n" + CLASS + "@inputs V\n@outputs z\n", 5,
+         "undeclared attribute 'z' referenced"),
     ], ids=["unterminated-domain", "empty-value", "no-name", "no-type",
-            "unknown-type", "no-attributes", "two-outputs"])
+            "unknown-type", "no-attributes", "two-outputs", "duplicate",
+            "undeclared-input", "undeclared-output"])
     def test_malformed_header_rejected(self, header, line, message):
         with pytest.raises(KeelParseError,
                            match=rf"^f\.dat:{line}: {re.escape(message)}$"):
@@ -249,6 +256,21 @@ class TestParse:
             path.write_bytes(text.split("@data")[0].encode("utf-8"))
             with pytest.raises(KeelParseError, match=r"café\.dat:7: missing"):
                 parse_keel(path)
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        # as editors that save "UTF-8 with BOM" write it; a bad byte keeps
+        # its line and byte, here the byte right after a line break
+        path = tmp_path / "bom.dat"
+        path.write_bytes(b"\xef\xbb\xbf" + MINIMAL.encode())
+        assert parse_keel(path) == parse_keel_text(MINIMAL, source=str(path))
+        assert read_shape(path) == (3, 2)
+        path.write_bytes(b"\xef\xbb\xbf" + MINIMAL.replace(
+            "@data\n", "@data\n\udcff").encode("utf-8", "surrogateescape"))
+        for read in parse_keel, read_shape:
+            with pytest.raises(KeelParseError) as info:
+                read(path)
+            assert (info.value.line_no, info.value.message) == (
+                8, "byte 0xff is not UTF-8 (invalid start byte)")
 
 
 class TestPreprocessor:
