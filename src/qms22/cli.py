@@ -63,15 +63,25 @@ def _hyper_from_args(args) -> HyperParams:
                           for flag, field, _ in _HYPER_FLAGS})
 
 
-def _encode_fold(fold):
+def _encode_fold(fold, test_name: str | None = None):
     """The fold's training normals and labelled test side, encoded by a
-    preprocessor fitted on the normals, as an SsadProblem."""
+    preprocessor fitted on the normals, as an SsadProblem.
+
+    A test side without both classes has no ROC, so it fails here,
+    before any training; the error names test_name, else the fold.
+    """
     from .keel import Preprocessor, strip_outliers_from_train
     from .ssad import SsadProblem
     train = strip_outliers_from_train(fold.train)
     prep = Preprocessor.fit(train)
     x_train, _ = prep.transform(train)
     x_test, y_test = prep.transform(fold.test)
+    outliers = int(y_test.sum())
+    if not 0 < outliers < y_test.size:
+        where = test_name or f"fold {fold.fold_index}"
+        raise ValueError(f"{where}: a ROC needs at least one outlier "
+                         f"('positive') and one normal ('negative') test "
+                         f"row, got {outliers} and {y_test.size - outliers}")
     return SsadProblem(x_train, x_test, y_test)
 
 
@@ -167,7 +177,7 @@ def cmd_run(args) -> int:
     from .keel import FoldPair, parse_keel
     # only the encoded arrays are kept while training, not the parsed rows
     problem = _encode_fold(FoldPair(parse_keel(args.train),
-                                    parse_keel(args.test), 1))
+                                    parse_keel(args.test), 1), args.test)
     (curve,) = _curves([problem], hp)
     _write_text(args.out, _csv_text([("threshold", "fpr", "tpr"), *(
         [repr(float(v)) for v in point]

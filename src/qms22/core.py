@@ -15,6 +15,7 @@ together whatever their feature dimensions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -225,12 +226,23 @@ def _stacked(members) -> np.ndarray:
     return np.stack([np.column_stack([f.a, f.b]) for f in members])
 
 
-def _extended(x, p: int) -> np.ndarray:
-    # the rows of x, (n, p_x <= p), as the columns of [x; 0; -1], C order
-    xa = np.zeros((p + 1, x.shape[0]))
+def _extended(x, p: int, out=None) -> np.ndarray:
+    # the rows of x, (n, p_x <= p), as the columns of [x; 0; -1], into out
+    # if given, whose rows p_x..p-1 must be zero, else a new C-order array
+    xa = np.zeros((p + 1, x.shape[0])) if out is None else out
     xa[:x.shape[1]] = x.T
     xa[p] = -1.0
     return xa
+
+
+def _aligned(shape, dtype=np.float64) -> np.ndarray:
+    # a zeroed C-order array whose data starts on a 64-byte boundary, one
+    # cache line and one AVX-512 vector: 64 bytes more than it needs,
+    # viewed from the first aligned byte
+    size = np.dtype(dtype).itemsize * math.prod(shape)
+    raw = np.zeros(size + 64, dtype=np.uint8)
+    skip = -raw.__array_interface__["data"][0] % 64
+    return raw[skip:skip + size].view(dtype).reshape(shape)
 
 
 def _initial_members(hp: HyperParams, p: int) -> tuple[MemberFunction, ...]:
@@ -301,6 +313,17 @@ class ResidualCache:
     problem, then commits each run of neighbours that took one step as
     one slice.
 
+    Every array with a sample axis pads it from n to a multiple of 8 and
+    starts on a 64-byte boundary (see `_aligned`), so each row of float64
+    starts on a cache line, and a pass over whole rows loads and stores
+    whole lines, never one 64-byte vector across two. The (2, n) blocks
+    stay contiguous, so each pass is still one loop.
+    The padding samples are inert: x (the -1 row too), r, f and the
+    weights are 0, so their piece is (-inf, +inf, 0, 0, 0), of value 0,
+    and they never leave it. The reduces run over the problems' segments
+    and the commits over runs of them, so no sum or commit covers the
+    padding, and every problem keeps its bits.
+
     Attributes:
         problems: the training problems, in segment order.
         losses: each problem's current loss, tracked incrementally across
@@ -323,17 +346,19 @@ class ResidualCache:
         sizes = [pr.samples.shape[0] for pr in self.problems]
         self._segments = [slice(int(e - s), int(e))   # back to back
                           for s, e in zip(sizes, np.cumsum(sizes))]
-        n = self._segments[-1].stop
+        # the sample axis, padded to a multiple of 8 (see the class
+        # docstring)
+        n = -(-self._segments[-1].stop // 8) * 8
         self._w = np.stack([_stacked(model.members)] * len(self.problems))
         # samples as [x; -1], residuals as (m, q, n) so that one matrix row
         # is contiguous, and member weights: w_j where x is in S_j, else 0
-        self._xa = np.concatenate([_extended(pr.samples, model.p)
-                                   for pr in self.problems], axis=1)
-        self._r = np.empty(self._w.shape[1:3] + (n,))
-        self._f = np.empty((model.m, n))
-        for w, seg in zip(self._w, self._segments):
-            _forms(w, self._xa[:, seg], self._r[:, :, seg], self._f[:, seg])
-        self._weight = np.zeros((model.m, n))
+        self._xa = _aligned((model.p + 1, n))
+        self._r = _aligned(self._w.shape[1:3] + (n,))
+        self._f = _aligned((model.m, n))
+        for pr, w, seg in zip(self.problems, self._w, self._segments):
+            xa = _extended(pr.samples, model.p, out=self._xa[:, seg])
+            _forms(w, xa, self._r[:, :, seg], self._f[:, seg])
+        self._weight = _aligned((model.m, n))
         for problem, seg in zip(self.problems, self._segments):
             for j, own in enumerate(problem.member_sets):
                 self._weight[j, seg.start + own] = problem.class_weights[j]
@@ -343,8 +368,8 @@ class ResidualCache:
         # the trial buffers, a row per step sign (see the class docstring);
         # the samples below and above their pieces are one block, so one
         # count covers both
-        self._fc, self._value, self._tmp = np.empty((3, 2, n))
-        self._bounds = np.empty((2, 2, n), dtype=bool)
+        self._fc, self._value, self._tmp = _aligned((3, 2, n))
+        self._bounds = _aligned((2, 2, n), dtype=bool)
         self._below, self._above = self._bounds
         self._sums = np.empty((2, len(self.problems)))
         # each run of neighbouring problems of one size is summed by one
@@ -360,12 +385,12 @@ class ResidualCache:
                 (self._value[:, cols].reshape(2, count, size),
                  self._sums[:, first:first + count]))
             first += count
-        self._piece = np.empty((5, 2, n))
+        self._piece = _aligned((5, 2, n))
         # class c's tables (see _pieces) and the scratch of their
         # full-width pass, filled by _gather
-        self._table = np.empty((6, model.m - 1, n))
-        self._mask = np.empty((4, model.m - 1, n), dtype=bool)
-        self._terms = np.empty((4, model.m - 1, n))
+        self._table = _aligned((6, model.m - 1, n))
+        self._mask = _aligned((4, model.m - 1, n), dtype=bool)
+        self._terms = _aligned((4, model.m - 1, n))
         self._c = None   # the class of the pieces
         self.losses = [_ratio_loss(pr, self.hp, self._f[:, seg])
                        for pr, seg in zip(self.problems, self._segments)]
@@ -465,7 +490,7 @@ class ResidualCache:
         # those of 0.0: both square to +0.0, and a zero step never commits.
         held = self._steps.get(l)
         if held is None or held[0] != step:
-            x, rows = self._xa[l], np.empty((3, self._xa.shape[1]))
+            x, rows = self._xa[l], _aligned((3, self._xa.shape[1]))
             np.multiply(x, x, out=rows[0])
             rows[0] *= step * step
             rows[1] = rows[0]

@@ -265,6 +265,11 @@ def parse_keel_text(text: str, source: str = "<string>") -> RawDataset:
                              f"output attribute {output_name!r} must declare "
                              f"the values {_POSITIVE!r} and {_NEGATIVE!r}, "
                              f"got {out_attr.domain}")
+    # a model needs at least one feature; without @inputs, only the
+    # output attribute is declared
+    if not input_names:
+        raise KeelParseError(source, inputs_line or attribute_lines[out_at],
+                             "no input attribute declared")
     return RawDataset(relation=relation, attributes=tuple(attributes),
                       input_names=tuple(input_names), output_name=output_name,
                       rows=tuple(rows))

@@ -266,14 +266,18 @@ def max_relative_drift(cache):
     """Worst relative deviation of a residual cache's state from a
     recomputation: residuals, member values and, once a class is
     gathered, each problem's sum of the terms involving f_c. It is inf if
-    some sample's f_c lies outside its stored piece."""
-    r, f = np.empty_like(cache._r), np.empty_like(cache._f)
+    some sample's f_c lies outside its stored piece. Only the n samples
+    count, not the padding of the cache's sample axis."""
+    n = cache._segments[-1].stop
+    r, f = np.empty_like(cache._r[..., :n]), np.empty_like(cache._f[..., :n])
     for w, seg in zip(cache._w, cache._segments):
         _forms(w, cache._xa[:, seg], r[:, :, seg], f[:, seg])
     drift = max((np.abs(now - ex) / np.maximum(np.abs(ex), 1.0)).max()
-                for now, ex in zip((cache._r, cache._f), (r, f)))
+                for now, ex in zip((cache._r[..., :n], cache._f[..., :n]),
+                                   (r, f)))
     if cache._c is not None:
-        lo, hi, fc = cache._piece[0], cache._piece[1], cache._f[cache._c]
+        lo, hi, fc = (cache._piece[0, ..., :n], cache._piece[1, ..., :n],
+                      cache._f[cache._c, :n])
         if not ((lo < fc) & (fc <= hi)).all():
             return float("inf")
         for pr, seg, total in zip(cache.problems, cache._segments,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qms22 import cli, keel
+from qms22 import cli, keel, ssad
 from qms22.cli import build_parser, main
 from qms22.keel import discover_folds, fold_paths
 
@@ -261,6 +261,26 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err == ("error: attribute 'X2' does not "
                                            "scale to finite values by inf\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("outliers, normals", [(0, 12), (3, 0)],
+                             ids=["no-outlier", "no-normal"])
+    def test_test_file_without_both_classes_fails_before_training(
+            self, tmp_path, capsys, monkeypatch, outliers, normals):
+        def fail(*args):
+            raise AssertionError("trained a fold that cannot be scored")
+
+        monkeypatch.setattr(ssad, "cpm_optimize_many", fail)
+        tra, tst = write_fold_pair(tmp_path, "synth", 1,
+                                   np.random.default_rng(3), n_test=normals,
+                                   n_outliers=outliers)
+        out = tmp_path / "roc.csv"
+        assert main(["run", "--train", str(tra), "--test", str(tst),
+                     "--out", str(out), *FAST_FLAGS]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tst}: a ROC needs at least one outlier ('positive') "
+            f"and one normal ('negative') test row, got {outliers} and "
+            f"{normals}\n")
         assert not out.exists()
 
     def test_bad_byte_fails_naming_file_and_line(self, tmp_path, capsys):
@@ -532,6 +552,35 @@ class TestBench:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: m must be >= 3 for the detector, got 2")
         assert not out.exists()
+
+    def test_fold_without_an_outlier_fails_its_dataset_before_training(
+            self, tmp_path, capsys, monkeypatch, inline_pool):
+        # every fold of "good" trains; "bad" fails at fold 4's test file
+        # without training any of its folds
+        data_dir = tmp_path / "data"
+        write_dataset(data_dir, "good", seed=1)
+        write_dataset(data_dir, "bad", seed=2, folds=(1, 2, 3, 5))
+        write_fold_pair(data_dir, "bad", 4, np.random.default_rng(4),
+                        n_outliers=0)
+        trained = []
+        train = ssad.cpm_optimize_many
+
+        def record(problems, hp):
+            trained.append(len(problems))
+            return train(problems, hp)
+
+        monkeypatch.setattr(ssad, "cpm_optimize_many", record)
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--data-dir", str(data_dir), "--out", str(out),
+                     "--workers", "1", *FAST_FLAGS]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: bad: fold 4: a ROC needs at least one outlier "
+            "('positive') and one normal ('negative') test row, got 0 "
+            "and 12\n")
+        assert "(6 rows, 1 failures)" in captured.out
+        assert trained == [5]   # good's five folds, in one call
+        assert {r["dataset"] for r in read_csv_rows(out)} == {"good"}
 
     def test_datasets_behind_linked_directories(self, tmp_path, capsys):
         archive = tmp_path / "archive"

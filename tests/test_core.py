@@ -592,7 +592,7 @@ class TestLossPieces:
         r, f = 1.1 * 2.3 - (1.1 + 0.3) * 2.3, cache._f[0, 0]
         assert (2.3 * r) * (2.0 * 0.3) + f + (2.3 * 2.3) * (0.3 * 0.3) < 0.0
         f_new = cache._trial(0, 0, 0, 0.3)[0]
-        assert f_new[0, 0] == 0.0 and (f_new[:, 1:] > 0.0).all()
+        assert f_new[0, 0] == 0.0 and (f_new[:, 1:4] > 0.0).all()
         check_piece_sums(cache, 0, f_new)
         check_deltas(cache, 0, 0, 0, 0.3)
 
@@ -670,7 +670,7 @@ class TestLossPieces:
         model = QmsModel(_initial_members(hp, trainings[0].p), hp)
         shared = ResidualCache(trainings, model)
         alone = [ResidualCache(t, model) for t in trainings]
-        n = shared._f.shape[1]
+        n = shared._segments[-1].stop
         p = trainings[0].p
         for c in range(hp.m):
             for k, l, step in ((0, 0, hp.step_a), (1, 3, hp.step_a),
@@ -680,11 +680,12 @@ class TestLossPieces:
         for c in range(hp.m):
             for cache in (shared, *alone):
                 cache._gather(c)
-            want = np.concatenate([a._piece for a in alone], axis=2)
-            assert shared._piece.tobytes() == want.tobytes()
+            want = np.concatenate([a._piece[..., :t.samples.shape[0]]
+                                   for a, t in zip(alone, trainings)], axis=2)
+            assert shared._piece[..., :n].tobytes() == want.tobytes()
             assert shared._total == [a._total[0] for a in alone]
-            whole = shared._pieces(np.arange(n), shared._f[c])
-            for row in shared._piece.transpose(1, 0, 2):
+            whole = shared._pieces(np.arange(n), shared._f[c, :n])
+            for row in shared._piece[..., :n].transpose(1, 0, 2):
                 assert row.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("alpha", [0.5, 0.2])
@@ -876,6 +877,79 @@ class TestGroupedSums:
             sequential += np.add.reduceat(cache._value, starts,
                                           axis=1).tobytes() != want.tobytes()
         assert sequential > 0
+
+
+# the cache's arrays with a sample axis, float64 and boolean
+SAMPLE_ARRAYS = ("_xa", "_r", "_f", "_weight", "_fc", "_value", "_tmp",
+                 "_piece", "_table", "_terms")
+SAMPLE_MASKS = ("_bounds", "_mask")
+
+
+class TestLayout:
+    @pytest.mark.parametrize("sizes", [(13,), (407, 407), (3838,)],
+                             ids=["13", "814", "3838"])
+    def test_every_sample_row_starts_on_a_cache_line(self, sizes):
+        # the sample axis is padded from n to a multiple of 8, so each row
+        # of float64 starts 64 bytes past the last on an aligned block
+        rng = np.random.default_rng(sum(sizes))
+        problems = [TrainingProblem(
+            rng.normal(size=(size, 3)),
+            [np.arange(size), np.arange(0, size, 2), np.arange(1, size, 3)])
+            for size in sizes]
+        hp = HyperParams(m=3, q=2)
+        cache = ResidualCache(problems, QmsModel(_initial_members(hp, 3), hp))
+        for l in range(4):
+            cache.try_entry(1, 0, l, hp.step_a)
+        width = -(-sum(sizes) // 8) * 8
+        assert width > sum(sizes)
+        rows = [getattr(cache, name) for name in SAMPLE_ARRAYS]
+        rows += [row for _, square, shift in cache._steps.values()
+                 for row in (*square, shift)]
+        assert len(rows) == len(SAMPLE_ARRAYS) + 3 * 4
+        for array in rows:
+            assert array.dtype == np.float64 and array.shape[-1] == width
+            assert array.flags.c_contiguous
+            for row in array.reshape(-1, width):
+                assert row.ctypes.data % 64 == 0
+        for name in SAMPLE_MASKS:
+            mask = getattr(cache, name)
+            assert mask.shape[-1] == width and mask.flags.c_contiguous
+            assert mask.ctypes.data % 64 == 0
+
+    def test_padding_stays_inert(self):
+        # through trials that relocate samples and commits of both signs,
+        # the padding samples keep x = r = f = 0, weight 0 and the piece
+        # (-inf, +inf, 0, 0, 0), whose value is 0, and never leave it
+        rng = np.random.default_rng(101)
+        hp = HyperParams(m=3, q=2, alpha=0.4)
+        members = tuple(MemberFunction(rng.normal(size=(2, 3)),
+                                       rng.normal(size=2)) for _ in range(3))
+        problems = [from_member_sets([rng.normal(size=(size, 3))
+                                      for size in sizes],
+                                     rng.uniform(0.2, 2.0, size=3))
+                    for sizes in ((5, 4, 4), (3, 3, 2))]
+        cache = ResidualCache(problems, QmsModel(members, hp))
+        n = cache._segments[-1].stop
+        assert (n, cache._f.shape[1]) == (21, 24)
+        piece = np.array([-np.inf, np.inf, 0.0, 0.0, 0.0])[:, None, None]
+        relocated = moved = 0
+        with np.errstate(all="raise"):
+            for _ in range(120):
+                c = int(rng.integers(0, 3))
+                k, l = int(rng.integers(0, 2)), int(rng.integers(0, 4))
+                step = float(rng.uniform(0.1, 3.0))
+                fc, _, left, _ = cache._trial(c, k, l, step)
+                assert not fc[:, n:].any() and not cache._value[:, n:].any()
+                if left is not None:
+                    relocated += 1
+                    assert (left[1] < n).all()
+                moved += len(cache.try_entry(c, k, l, step))
+                for name in ("_xa", "_r", "_f", "_weight"):
+                    assert not getattr(cache, name)[..., n:].any()
+                assert np.array_equal(cache._piece[..., n:],
+                                      np.broadcast_to(piece, (5, 2, 3)))
+        assert relocated > 10 and moved > 10
+        assert max_relative_drift(cache) <= 1e-9
 
 
 class TestCpmOptimize:

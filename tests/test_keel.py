@@ -210,9 +210,12 @@ class TestParse:
          "undeclared attribute 'z' referenced"),
         ("@attribute V real\n" + CLASS + "@inputs V\n@outputs z\n", 5,
          "undeclared attribute 'z' referenced"),
+        (CLASS, 2, "no input attribute declared"),
+        (CLASS + "@inputs\n@outputs Class\n", 3, "no input attribute declared"),
     ], ids=["unterminated-domain", "empty-value", "no-name", "no-type",
             "unknown-type", "no-attributes", "two-outputs", "duplicate",
-            "undeclared-input", "undeclared-output"])
+            "undeclared-input", "undeclared-output", "only-output",
+            "empty-inputs"])
     def test_malformed_header_rejected(self, header, line, message):
         with pytest.raises(KeelParseError,
                            match=rf"^f\.dat:{line}: {re.escape(message)}$"):
