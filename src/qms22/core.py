@@ -253,6 +253,11 @@ def _initial_members(hp: HyperParams, p: int) -> tuple[MemberFunction, ...]:
                  for _ in range(hp.m))
 
 
+# -2^-1074, the largest negative double, the least lo' of a piece's
+# guards (see ResidualCache)
+_LARGEST_NEGATIVE = -5e-324
+
+
 def _piece_value(abc, fc, g: float, out=None, tmp=None) -> np.ndarray:
     # a * fc + b / (fc + g) + c0 for the piece rows abc = (a, b, c0), into
     # out with the scratch tmp of fc's shape if given, else into new arrays
@@ -295,12 +300,20 @@ class ResidualCache:
     alpha = 0). Between neighbouring breakpoints, lo < F <= hi, the share
     is a * F + b / (F + g) + c0; the sides agree on a breakpoint. Once per
     class the cache tables every sample's breakpoints and the coefficients
-    that its pieces sum, and stores each sample's piece (lo, hi, a, b, c0)
-    and each problem's sum of the terms involving f_c. A trial evaluates
-    the pieces at the new f_c, O(n), and recomputes the piece only of the
-    samples that left theirs, from the table. A trial is always the pair
-    +step, -step on one entry: `try_entry` evaluates it and commits each
-    problem's move.
+    that its pieces sum, and stores each sample's piece and each problem's
+    sum of the terms involving f_c. A trial evaluates the pieces at the
+    new f_c, O(n), and recomputes the piece only of the samples that left
+    theirs, from the table. A trial is always the pair +step, -step on one
+    entry: `try_entry` evaluates it and commits each problem's move.
+
+    A piece is stored as its guards and coefficients (lo', hi', a, b, c0),
+    where lo' = max(lo, -2^-1074), with -2^-1074 the largest negative
+    double, and hi' = nextafter(hi, +inf). For a finite F, F <= lo' or
+    hi' <= F holds exactly when max(F, 0) <= lo, max(F, 0) > hi or F < 0.
+    So one comparison flags every sample that must be re-pieced, a
+    negative f_c too, and the trial does not clip f_c at 0: only a
+    flagged sample's f_c is clipped, before its piece or any value is
+    computed, and no value is ever computed at a negative f_c.
 
     Unless a sample leaves its piece, a trial and its commit allocate
     nothing: they work in (2, n) buffers, a row per sign (the pieces too,
@@ -319,10 +332,11 @@ class ResidualCache:
     whole lines, never one 64-byte vector across two. The (2, n) blocks
     stay contiguous, so each pass is still one loop.
     The padding samples are inert: x (the -1 row too), r, f and the
-    weights are 0, so their piece is (-inf, +inf, 0, 0, 0), of value 0,
-    and they never leave it. The reduces run over the problems' segments
-    and the commits over runs of them, so no sum or commit covers the
-    padding, and every problem keeps its bits.
+    weights are 0, so their piece is (-inf, +inf, 0, 0, 0), stored as
+    (-2^-1074, +inf, 0, 0, 0), of value 0, and they never leave it. The
+    reduces run over the problems' segments and the commits over runs of
+    them, so no sum or commit covers the padding, and every problem keeps
+    its bits.
 
     Attributes:
         problems: the training problems, in segment order.
@@ -362,15 +376,25 @@ class ResidualCache:
         for problem, seg in zip(self.problems, self._segments):
             for j, own in enumerate(problem.member_sets):
                 self._weight[j, seg.start + own] = problem.class_weights[j]
+        # each class's never-row: +inf where its weight is 0, else -inf (see
+        # _gather)
+        self._never = _aligned((model.m, n))
+        self._never[...] = np.where(self._weight == 0.0, np.inf, -np.inf)
         # each column's step rows for the last step tried on it (see
         # _step_rows)
         self._steps = {}
-        # the trial buffers, a row per step sign (see the class docstring);
-        # the samples below and above their pieces are one block, so one
-        # count covers both
-        self._fc, self._value, self._tmp = _aligned((3, 2, n))
+        # the trial buffers, a row per step sign (see the class docstring):
+        # f_c' and the pieces as guards (lo', hi', a, b, c0) are one block,
+        # so one comparison of its rows (f_c', hi') with (lo', f_c') flags
+        # the samples below and above their pieces into one block of
+        # flags, and one count covers both; the views a trial reads are
+        # made once
+        self._block = _aligned((6, 2, n))
+        self._fc, self._piece = self._block[0], self._block[1:]
+        self._versus = self._block[0:3:2], self._block[1::-1]
+        self._coefficients = tuple(self._block[3:])   # a, b, c0
+        self._value, self._tmp = _aligned((2, 2, n))
         self._bounds = _aligned((2, 2, n), dtype=bool)
-        self._below, self._above = self._bounds
         self._sums = np.empty((2, len(self.problems)))
         # each run of neighbouring problems of one size is summed by one
         # reduce over a (2, count, size) view of _value, whose rows are the
@@ -385,7 +409,6 @@ class ResidualCache:
                 (self._value[:, cols].reshape(2, count, size),
                  self._sums[:, first:first + count]))
             first += count
-        self._piece = _aligned((5, 2, n))
         # class c's tables (see _pieces) and the scratch of their
         # full-width pass, filled by _gather
         self._table = _aligned((6, model.m - 1, n))
@@ -417,27 +440,32 @@ class ResidualCache:
             else:
                 at[1] = np.inf
             # a sample without the term (weight 0, as class weights are
-            # positive) gets a breakpoint that no fc crosses; in the order
-            # of at: own, denominator
-            np.copyto(at, np.inf, where=self._table[4:] == 0.0)
+            # positive) gets a breakpoint that no fc crosses: max(at, +inf)
+            # is +inf and max(at, -inf) is at, so the never-rows of its
+            # weights mask it; in the order of at: own, denominator
+            np.maximum(at[0], self._never[c], out=at[0])
+            never = np.take(self._never, others, axis=0, out=self._terms[0],
+                            mode="clip")
+            np.maximum(at[1], never, out=at[1])
             np.divide(w_own, own_a, out=own_a)
             np.multiply(w_den, den_b, out=den_b)
             self._pieces(slice(None), self._f[c], self._piece[:, 0],
                          self._mask, self._terms)
             self._piece[:, 1] = self._piece[:, 0]
-            self._total = self._evaluate(self._f[[c, c]])[0][0].tolist()
+            self._fc[...] = self._f[c]
+            self._total = self._evaluate()[0][0].tolist()
 
     def _pieces(self, cols, fc: np.ndarray, out=None, mask=None,
                 terms=None) -> np.ndarray:
-        # (lo, hi, a, b, c0) of the piece holding fc for the samples cols,
-        # a (5, k) array (see the class docstring), read from class c's
-        # (6, m - 1, n) table: for each term j, the own and the
-        # denominator breakpoints, then the coefficients w_c / (f_j + g),
-        # w_j * f_j, w_c and w_j, which the sides of the breakpoints
-        # select. A missing term has a breakpoint that no fc crosses. The
-        # sums over j run in order, whatever k, so a sample gets the same
-        # bits in a batch or alone. The (4, m - 1, k) scratch mask and
-        # terms may be given.
+        # (lo', hi', a, b, c0), the guards and coefficients of the piece
+        # holding fc >= 0 for the samples cols, a (5, k) array (see the
+        # class docstring), read from class c's (6, m - 1, n) table: for
+        # each term j, the own and the denominator breakpoints, then the
+        # coefficients w_c / (f_j + g), w_j * f_j, w_c and w_j, which the
+        # sides of the breakpoints select. A missing term has a breakpoint
+        # that no fc crosses. The sums over j run in order, whatever k, so
+        # a sample gets the same bits in a batch or alone. The
+        # (4, m - 1, k) scratch mask and terms may be given.
         table = self._table[:, :, cols]
         at = table[:2]
         shape = (4,) + at.shape[1:]
@@ -449,11 +477,14 @@ class ResidualCache:
         past = np.greater(fc, at, out=mask[::3])
         np.logical_not(mask[3::-3], out=mask[1:3])
         # a breakpoint that fc is past bounds the piece from below, any
-        # other from above: min(at, +inf) is at, min(at, -inf) is -inf
+        # other from above: min(at, +inf) is at, min(at, -inf) is -inf;
+        # the guards are lo' = max(lo, -2^-1074) and hi' = nextafter(hi)
         side = np.subtract(past, 0.5, out=terms[:2])
         side *= np.inf
-        np.minimum(at, side, out=terms[2:]).max(axis=(0, 1), out=out[0])
+        np.minimum(at, side, out=terms[2:]).max(
+            axis=(0, 1), initial=_LARGEST_NEGATIVE, out=out[0])
         np.maximum(at, side, out=side).min(axis=(0, 1), out=out[1])
+        np.nextafter(out[1], np.inf, out=out[1])
         np.multiply(table[2:], mask, out=terms)
         terms[2] += terms[3]   # w_c or w_j where a term is clipped
         sums = out[2:]
@@ -463,20 +494,26 @@ class ResidualCache:
         sums[2] *= self.hp.alpha
         return out
 
-    def _evaluate(self, fc: np.ndarray):
+    def _evaluate(self):
         # Each problem's sum of the terms involving f_c, for both rows of
-        # fc (2, n), over its own segment alone, so with a lone problem's
+        # _fc (2, n), over its own segment alone, so with a lone problem's
         # bits, in the (2, problems) buffer _sums; and the (rows, samples)
-        # that left their piece with their new pieces, or None, None.
-        g, value = self.hp.denom_guard, self._value
-        below = np.less_equal(fc, self._piece[0], out=self._below)
-        above = np.greater(fc, self._piece[1], out=self._above)
-        _piece_value(self._piece[2:], fc, g, out=value, tmp=self._tmp)
+        # that left their piece with their new pieces, or None, None. One
+        # comparison, fc <= lo' and hi' <= fc, flags them, a negative fc
+        # too; theirs is clipped at 0 in _fc before any piece is valued.
+        g, value, fc = self.hp.denom_guard, self._value, self._fc
+        np.less_equal(*self._versus, out=self._bounds)
         left = new = None
         if np.count_nonzero(self._bounds):
+            below, above = self._bounds
             left = np.nonzero(np.logical_or(below, above, out=below))
-            new = self._pieces(left[1], fc[left])
-            value[left] = _piece_value(new[2:], fc[left], g)
+            moved = fc[left]
+            if moved.min() < 0.0:
+                fc[left] = np.maximum(moved, 0.0, out=moved)
+            new = self._pieces(left[1], moved)
+        _piece_value(self._coefficients, fc, g, out=value, tmp=self._tmp)
+        if left is not None:
+            value[left] = _piece_value(new[2:], moved, g)
         for run, sums in self._grouped:
             np.add.reduce(run, axis=2, out=sums)
         return self._sums, left, new
@@ -503,14 +540,13 @@ class ResidualCache:
         # (see the class docstring), and what _evaluate finds for it. The
         # rows differ only in the sign of the term odd in the step.
         self._gather(c)
-        fc, u = self._fc, self._tmp[0]
+        fc, u, f = self._fc, self._tmp[0], self._f[c]
         np.multiply(self._xa[l], self._r[c, k], out=u)
         u *= 2.0 * step
-        np.add(self._f[c], u, out=fc[0])
-        np.subtract(self._f[c], u, out=fc[1])
+        np.add(f, u, out=fc[0])
+        np.subtract(f, u, out=fc[1])
         fc += self._step_rows(l, step)[1]
-        np.maximum(fc, 0.0, out=fc)
-        return (fc,) + self._evaluate(fc)
+        return (fc,) + self._evaluate()
 
     def try_entry(self, c: int, k: int, l: int,
                   step: float) -> list[tuple[int, float, float]]:

@@ -9,8 +9,10 @@ that replaced it.
 
 The helpers at the end are not oracles but test scaffolding over the
 package's internals: a training problem built from one sample array per
-class, the loss changes a residual cache trial weighs, and the cache's
-drift from a recomputation.
+class, the loss changes a residual cache trial weighs, the guards a
+residual cache stores for a piece, the clip-then-compare evaluation of a
+trial that the guards replace, and the cache's drift from a
+recomputation.
 """
 
 from __future__ import annotations
@@ -262,12 +264,46 @@ def deltas(cache, c, k, l, step):
             for up, down, total in zip(ups, downs, cache._total)]
 
 
+def guards(pieces):
+    """Pieces (lo, hi, a, b, c0) along the first axis as a residual cache
+    stores them: lo' = max(lo, -2^-1074), hi' = nextafter(hi, +inf), with
+    -2^-1074 the largest negative double, and a, b, c0 as they are."""
+    out = np.array(pieces, dtype=np.float64)
+    out[0] = np.maximum(out[0], -5e-324)
+    out[1] = np.nextafter(out[1], np.inf)
+    return out
+
+
+def clipped_evaluation(fc, pieces, g, segments, repiece):
+    """A trial's evaluation by clip first, then compare, in plain numpy.
+
+    fc (2, n) are the member values f_c' of both rows, unclipped, and
+    pieces (5, 2, n) each sample's raw piece (lo, hi, a, b, c0). fc is
+    clipped at 0, the (rows, samples) with fc <= lo or fc > hi leave
+    their piece for repiece(samples, fc) -> (5, k), and every sample's
+    value a * fc + b / (fc + g) + c0 is summed over each segment by one
+    reduce. Returns (fc, sums (2, segments), left, new, value).
+    """
+    fc = np.maximum(fc, 0.0)
+    lo, hi, a, b, c0 = (row.copy() for row in pieces)
+    left = np.nonzero((fc <= lo) | (fc > hi))
+    new = repiece(left[1], fc[left])
+    a[left], b[left], c0[left] = new[2:]
+    value = b / (fc + g)
+    value += a * fc
+    value += c0
+    sums = np.stack([np.add.reduce(value[:, seg], axis=1) for seg in segments],
+                    axis=1)
+    return fc, sums, left, new, value
+
+
 def max_relative_drift(cache):
     """Worst relative deviation of a residual cache's state from a
     recomputation: residuals, member values and, once a class is
     gathered, each problem's sum of the terms involving f_c. It is inf if
-    some sample's f_c lies outside its stored piece. Only the n samples
-    count, not the padding of the cache's sample axis."""
+    some sample's f_c lies outside its stored piece, whose guards hold it
+    as lo' < f_c < hi'. Only the n samples count, not the padding of the
+    cache's sample axis."""
     n = cache._segments[-1].stop
     r, f = np.empty_like(cache._r[..., :n]), np.empty_like(cache._f[..., :n])
     for w, seg in zip(cache._w, cache._segments):
@@ -278,7 +314,7 @@ def max_relative_drift(cache):
     if cache._c is not None:
         lo, hi, fc = (cache._piece[0, ..., :n], cache._piece[1, ..., :n],
                       cache._f[cache._c, :n])
-        if not ((lo < fc) & (fc <= hi)).all():
+        if not ((lo < fc) & (fc < hi)).all():
             return float("inf")
         for pr, seg, total in zip(cache.problems, cache._segments,
                                   cache._total):

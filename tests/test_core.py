@@ -1,5 +1,6 @@
 """Member functions, the ratio loss, the residual cache, and the trainer."""
 
+import itertools
 import re
 
 import numpy as np
@@ -12,7 +13,8 @@ from qms22 import (HyperParams, MemberFunction, QmsModel, SsadProblem,
                    loss_full, outlier_scores)
 from qms22.core import ResidualCache, _initial_members, _ratio_loss
 
-from oracles import (cpm_reference, deltas, from_member_sets, loss_direct,
+from oracles import (clipped_evaluation, cpm_reference, deltas,
+                     from_member_sets, guards, loss_direct,
                      max_relative_drift, member_value, trial_rows)
 from test_golden import _ssad_problem
 
@@ -466,7 +468,7 @@ class TestResidualCache:
         cache = ResidualCache(problem, model)
         deltas(cache, 1, 0, 0, 0.5)   # stores class 1's pieces
         assert max_relative_drift(cache) <= 1e-9
-        cache._piece[1, :, 0] = cache._piece[0, :, 0]   # hi = lo holds no f_c
+        cache._piece[1, :, 0] = cache._piece[0, :, 0]   # hi' = lo' holds no f_c
         assert max_relative_drift(cache) == float("inf")
 
     def test_try_entry_commits_the_larger_strict_decrease(self):
@@ -509,15 +511,19 @@ class TestResidualCache:
 
 def check_piece_sums(cache, c, fc):
     """Each problem's piece sums for class c at the two rows of member
-    values fc (2, n) against `_ratio_loss` of the same member values, and
-    every value inside the piece it was evaluated on; returns the (rows,
-    samples) that left their stored piece, or None."""
+    values fc (2, n), written into the trial's rows, against `_ratio_loss`
+    of the same member values clipped at 0, and every value inside the
+    piece it was evaluated on; returns the (rows, samples) that left their
+    stored piece, or None."""
     cache._gather(c)
-    sums, left, new = cache._evaluate(fc)
-    lo, hi = cache._piece[:2].copy()   # one copy of the pieces per row
+    cache._fc[...] = fc
+    sums, left, new = cache._evaluate()
+    fc = np.maximum(fc, 0.0)
+    assert cache._fc.tobytes() == fc.tobytes()
+    lo, hi = cache._piece[:2].copy()   # one copy of the guards per row
     if left is not None:
         lo[left], hi[left] = new[:2]
-    assert ((lo < fc) & (fc <= hi)).all()
+    assert ((lo < fc) & (fc < hi)).all()
     for i, (problem, seg) in enumerate(zip(cache.problems, cache._segments)):
         for row in range(2):
             f = cache._f[:, seg].copy()
@@ -573,8 +579,12 @@ class TestLossPieces:
             fc[1, den] = f[j, den] / hp.alpha - hp.denom_guard
             check_piece_sums(cache, c, np.maximum(fc, 0.0))
             # and on the ends of the stored pieces: on lo it leaves its
-            # piece, on hi it stays
-            lo, hi = cache._piece[:2, 0]
+            # piece, on hi it stays; the cache holds them as guards
+            n = f.shape[1]
+            raw = pieces_from_values(cache, c, np.arange(n), f[c])
+            for row in cache._piece.transpose(1, 0, 2):
+                assert row.tobytes() == guards(raw).tobytes()
+            lo, hi = raw[:2]
             fc = np.where(np.isfinite([lo, hi]), [lo, hi], f[[c, c]])
             left = check_piece_sums(cache, c, np.maximum(fc, 0.0))
             if np.isfinite(lo).any():
@@ -624,7 +634,9 @@ class TestLossPieces:
             # while another class trains, a sample only in the first set
             # has one breakpoint, that of its denominator term
             cache._gather(c)
-            lo, hi = cache._piece[:2, 0, :4]
+            raw = pieces_from_values(cache, c, np.arange(4), cache._f[c, :4])
+            assert cache._piece[:, 0, :4].tobytes() == guards(raw).tobytes()
+            lo, hi = raw[:2]
             assert (np.isinf(lo) != np.isinf(hi)).all()
         for c in range(3):
             for k, l in ((0, 0), (1, 3), (1, 2)):
@@ -692,7 +704,8 @@ class TestLossPieces:
     def test_table_pieces_equal_pieces_from_the_values(self, alpha):
         # across class switches and commits that relocate samples, each
         # new piece a trial reads from the class tables, and every stored
-        # piece, has the bits of the piece computed from _f and _weight
+        # piece, has the bits of the guards of the piece computed from _f
+        # and _weight
         rng = np.random.default_rng(89)
         hp = HyperParams(m=4, q=2, alpha=alpha)
         members = tuple(MemberFunction(rng.normal(size=(2, 3)),
@@ -712,13 +725,13 @@ class TestLossPieces:
             fc, _, left, new = cache._trial(c, k, l, step)
             if left is not None:
                 want = pieces_from_values(cache, c, left[1], fc[left])
-                assert new.tobytes() == want.tobytes()
+                assert new.tobytes() == guards(want).tobytes()
             pieces = cache._piece.copy()
             cache.try_entry(c, k, l, step)
             relocated += not np.array_equal(pieces, cache._piece)
             want = pieces_from_values(cache, c, np.arange(n), cache._f[c])
             for row in cache._piece.transpose(1, 0, 2):
-                assert row.tobytes() == want.tobytes()
+                assert row.tobytes() == guards(want).tobytes()
         assert relocated > 0 and switches > 10
 
 
@@ -866,9 +879,9 @@ class TestGroupedSums:
         sequential = 0
         for c in range(3):
             cache._gather(c)
-            fc = cache._f[[c, c]] * np.exp(
+            cache._fc[...] = cache._f[[c, c]] * np.exp(
                 rng.normal(scale=2.0, size=cache._fc.shape))
-            sums = cache._evaluate(fc)[0]
+            sums = cache._evaluate()[0]
             want = np.column_stack([np.add.reduce(cache._value[:, seg], axis=1)
                                     for seg in cache._segments])
             assert sums.tobytes() == want.tobytes()
@@ -879,9 +892,205 @@ class TestGroupedSums:
         assert sequential > 0
 
 
+def unclipped_rows(cache, c, k, l, step):
+    """f_c' of both rows of a trial of +step and -step on entry (k, l) of
+    class c, by the cache's operations in its order, before any clip."""
+    u = (cache._xa[l] * cache._r[c, k]) * (2.0 * step)
+    even = (cache._xa[l] * cache._xa[l]) * (step * step)
+    return np.stack([cache._f[c] + u, cache._f[c] - u]) + even
+
+
+def check_clipped_evaluation(cache, c, raw, trial):
+    """A trial's (fc, sums, left, new) for class c at the unclipped rows
+    raw, and the values it left in _value, against
+    `oracles.clipped_evaluation` of the raw pieces that hold f_c, bit for
+    bit. The flagged samples are those clip-then-compare relocates and
+    those whose f_c' is negative; the new pieces are stored as guards.
+    Returns the clipped rows."""
+    n = cache._f.shape[1]
+
+    def repiece(cols, fc):
+        return pieces_from_values(cache, c, cols, fc)
+
+    held = repiece(np.arange(n), cache._f[c])
+    pieces = np.stack([held, held], axis=1)
+    assert cache._piece.tobytes() == guards(pieces).tobytes()
+    fc, sums, left, new, value = clipped_evaluation(
+        raw, pieces, cache.hp.denom_guard, cache._segments, repiece)
+    got_fc, got_sums, got_left, got_new = trial
+    assert got_fc.tobytes() == fc.tobytes()
+    assert got_sums.tobytes() == sums.tobytes()
+    assert cache._value.tobytes() == value.tobytes()
+    flagged = set(zip(*left)) | set(zip(*np.nonzero(raw < 0.0)))
+    assert set(() if got_left is None else zip(*got_left)) == flagged
+    if got_left is not None:
+        want = guards(repiece(got_left[1], fc[got_left]))
+        assert got_new.tobytes() == want.tobytes()
+        # and where clip-then-compare relocates too, its new pieces
+        mine = np.isin(got_left[1] * 2 + got_left[0], left[1] * 2 + left[0])
+        assert got_new[:, mine].tobytes() == guards(new).tobytes()
+    return fc
+
+
+def check_commit(cache, c, fc, before, moved, step):
+    """After `try_entry`, each problem that moved holds the clipped row
+    of its step as f_c, the others hold their f_c of before, and every
+    stored piece is the guards of the raw piece that holds f_c."""
+    rows = {i: 0 if delta == step else 1 for i, delta, _ in moved}
+    for i, seg in enumerate(cache._segments):
+        want = fc[rows[i], seg] if i in rows else before[seg]
+        assert cache._f[c, seg].tobytes() == want.tobytes()
+    n = cache._f.shape[1]
+    held = guards(pieces_from_values(cache, c, np.arange(n), cache._f[c]))
+    for row in cache._piece.transpose(1, 0, 2):
+        assert row.tobytes() == held.tobytes()
+
+
+def table_by_masked_copy(cache, c):
+    """Class c's (6, m - 1, n) table as `_gather` defines it, with each
+    breakpoint of a term whose weight is 0 set to +inf by a masked copy:
+    the own and the denominator breakpoints, then w_c / (f_j + g),
+    w_j * f_j, w_c and w_j."""
+    alpha, g = cache.hp.alpha, cache.hp.denom_guard
+    others = [j for j in range(len(cache._f)) if j != c]
+    f, w_den = cache._f[others], cache._weight[others]
+    w_own = np.broadcast_to(cache._weight[c], f.shape)
+    fg = f + g
+    at = np.stack([alpha * fg,
+                   f / alpha - g if alpha else np.full(f.shape, np.inf)])
+    np.copyto(at, np.inf, where=np.stack([w_own, w_den]) == 0.0)
+    return np.concatenate([at, [w_own / fg, w_den * f, w_own, w_den]])
+
+
+class TestGuards:
+    # A piece is stored as lo' = max(lo, -2^-1074) and hi' =
+    # nextafter(hi, +inf): one comparison f_c' <= lo' or hi' <= f_c'
+    # flags what clip-then-compare relocates and every negative f_c',
+    # which alone is clipped, so the bits stay those of clip-then-compare.
+    # f_c' is never -0.0: the member values start at +0.0 or above, and
+    # a round-to-nearest sum is -0.0 only of two -0.0s.
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(column_values, min_size=4, max_size=9),
+           st.sampled_from([0.0, 0.2, 0.5]), st.integers(-1, 2),
+           st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1),
+                              st.integers(0, 2), steps),
+                    min_size=1, max_size=8),
+           st.integers(0, 2 ** 32 - 1))
+    def test_trial_equals_clip_then_compare(self, values, alpha, zero,
+                                            trials, seed):
+        # two problems of unequal sizes, each sample in one member set:
+        # while another class trains it has one breakpoint, so one bound
+        # is infinite, and alpha = 0 puts every denominator breakpoint at
+        # +inf; the member function `zero`, if any, is 0, so its
+        # denominator breakpoints f_j / alpha - g are at -g
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([values, np.arange(len(values)) % 2 == 0])
+        problems = [TrainingProblem(x[:n], [np.arange(i, n, 3)
+                                            for i in range(3)],
+                                    rng.uniform(0.2, 2.0, size=3))
+                    for n in (len(values), len(values) - 1)]
+        hp = HyperParams(m=3, q=2, alpha=alpha)
+        members = [MemberFunction(rng.normal(size=(2, 2)), rng.normal(size=2))
+                   for _ in range(3)]
+        if zero >= 0:
+            members[zero] = MemberFunction(np.zeros((2, 2)), np.zeros(2))
+        cache = ResidualCache(problems, QmsModel(tuple(members), hp))
+        for c, k, l, step in trials:
+            cache._gather(c)
+            raw = unclipped_rows(cache, c, k, l, step)
+            before = cache._f[c].copy()
+            fc = check_clipped_evaluation(cache, c, raw,
+                                          cache._trial(c, k, l, step))
+            moved = cache.try_entry(c, k, l, step)
+            check_commit(cache, c, fc, before, moved, step)
+
+    def test_negative_fc_is_flagged_and_clipped(self):
+        # the data of TestLossPieces.test_step_clipped_to_zero: f_c' of
+        # x = 2.3 comes out at -5.6e-17 on the +step row
+        x = np.array([[2.3], [1.0], [-0.5], [0.8]])
+        problem = TrainingProblem(x, [[0, 1], [2, 3, 0]], (0.6, 1.7))
+        hp = HyperParams(m=2, q=1, alpha=0.4)
+        members = (MemberFunction([[1.1]], [(1.1 + 0.3) * 2.3]),
+                   MemberFunction([[0.5]], [0.2]))
+        cache = ResidualCache(problem, QmsModel(members, hp))
+        cache._gather(0)
+        raw, before = unclipped_rows(cache, 0, 0, 0, 0.3), cache._f[0].copy()
+        assert raw[0, 0] < 0.0 and (raw[:, 1:4] > 0.0).all()
+        trial = cache._trial(0, 0, 0, 0.3)
+        assert (0, 0) in set(zip(*trial[2]))
+        fc = check_clipped_evaluation(cache, 0, raw, trial)
+        assert fc[0, 0] == 0.0
+        moved = cache.try_entry(0, 0, 0, 0.3)
+        check_commit(cache, 0, fc, before, moved, 0.3)
+        assert max_relative_drift(cache) <= 1e-9
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.4])
+    def test_fc_on_the_bounds_and_their_neighbours(self, alpha):
+        # f_c' on lo and hi, on their neighbours either side, at -g, at
+        # -2^-1074, at 0 and at f_c, with a zero member function for -g
+        # bounds; an infinite bound or its huge finite neighbour is
+        # replaced by f_c, and the padding stays at 0
+        rng = np.random.default_rng(103)
+        g = HyperParams().denom_guard
+        for _ in range(6):
+            problem, model = random_instance(rng, m=3, q=2, p=3)
+            hp = HyperParams(m=3, q=2, alpha=alpha)
+            members = list(model.members)
+            members[int(rng.integers(0, 3))] = MemberFunction(
+                np.zeros((2, 3)), np.zeros(2))
+            cache = ResidualCache(problem, QmsModel(tuple(members), hp))
+            n, width = problem.samples.shape[0], cache._f.shape[1]
+            for c in range(3):
+                cache._gather(c)
+                lo, hi = pieces_from_values(cache, c, np.arange(width),
+                                            cache._f[c])[:2]
+                f = cache._f[c]
+                candidates = [lo, np.nextafter(lo, -np.inf),
+                              np.nextafter(lo, np.inf), hi,
+                              np.nextafter(hi, -np.inf),
+                              np.nextafter(hi, np.inf),
+                              np.full(width, -g), np.full(width, -5e-324),
+                              np.zeros(width), f]
+                candidates = [np.where(np.abs(v) < 1e300, v, f)
+                              for v in candidates]
+                flagged = 0
+                for up, down in itertools.product(candidates, repeat=2):
+                    raw = np.stack([up, down])
+                    raw[:, n:] = 0.0
+                    cache._fc[...] = raw
+                    trial = (cache._fc, *cache._evaluate())
+                    flagged += trial[2] is not None
+                    check_clipped_evaluation(cache, c, raw, trial)
+                assert flagged > 0
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.4])
+    def test_never_rows_equal_the_masked_copy(self, alpha):
+        # after each class's gather the table has the bytes of the masked
+        # copy: three problems of unequal sizes, so the sample axis is
+        # padded, with samples in no member set and sets that overlap
+        rng = np.random.default_rng(107)
+        problems = []
+        for size in (11, 6, 9):
+            sets = [rng.permutation(size)[:int(rng.integers(1, size))]
+                    for _ in range(4)]
+            problems.append(TrainingProblem(rng.normal(size=(size, 3)), sets,
+                                            rng.uniform(0.2, 2.0, size=4)))
+        hp = HyperParams(m=4, q=2, alpha=alpha)
+        members = tuple(MemberFunction(rng.normal(size=(2, 3)),
+                                       rng.normal(size=2)) for _ in range(4))
+        cache = ResidualCache(problems, QmsModel(members, hp))
+        assert cache._f.shape[1] == 32 and not cache._weight.all()
+        for c in (0, 2, 1, 3, 0):
+            cache._gather(c)
+            want = table_by_masked_copy(cache, c)
+            assert cache._table.tobytes() == want.tobytes()
+            cache.try_entry(c, 1, 2, 0.8)
+
+
 # the cache's arrays with a sample axis, float64 and boolean
-SAMPLE_ARRAYS = ("_xa", "_r", "_f", "_weight", "_fc", "_value", "_tmp",
-                 "_piece", "_table", "_terms")
+SAMPLE_ARRAYS = ("_xa", "_r", "_f", "_weight", "_never", "_block", "_fc",
+                 "_piece", "_value", "_tmp", "_table", "_terms")
 SAMPLE_MASKS = ("_bounds", "_mask")
 
 
@@ -919,7 +1128,8 @@ class TestLayout:
     def test_padding_stays_inert(self):
         # through trials that relocate samples and commits of both signs,
         # the padding samples keep x = r = f = 0, weight 0 and the piece
-        # (-inf, +inf, 0, 0, 0), whose value is 0, and never leave it
+        # (-inf, +inf, 0, 0, 0), whose value is 0, and never leave it; its
+        # guards are (-2^-1074, +inf)
         rng = np.random.default_rng(101)
         hp = HyperParams(m=3, q=2, alpha=0.4)
         members = tuple(MemberFunction(rng.normal(size=(2, 3)),
@@ -931,7 +1141,8 @@ class TestLayout:
         cache = ResidualCache(problems, QmsModel(members, hp))
         n = cache._segments[-1].stop
         assert (n, cache._f.shape[1]) == (21, 24)
-        piece = np.array([-np.inf, np.inf, 0.0, 0.0, 0.0])[:, None, None]
+        piece = guards([-np.inf, np.inf, 0.0, 0.0, 0.0])[:, None, None]
+        assert piece[0] == -2.0 ** -1074
         relocated = moved = 0
         with np.errstate(all="raise"):
             for _ in range(120):
