@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .hyper import HyperParams
+from .metrics import _float_array
 
 __all__ = [
     "HyperParams",
@@ -38,7 +39,7 @@ __all__ = [
 def _rows(samples, p=None, one=False, name="samples") -> np.ndarray:
     # the one rule for sample input: a (p,) row or, unless one, an (n, p)
     # batch (p=None: any batch with p >= 1), as float64 (n, p), all finite
-    x = np.asarray(samples, dtype=np.float64)
+    x = _float_array(name, samples)
     if p is None:
         if x.ndim != 2 or x.shape[1] < 1:
             raise ValueError(f"{name}: expected an (n, p) batch with p >= 1, "
@@ -195,15 +196,13 @@ def loss_full(problem: TrainingProblem, model: QmsModel) -> float:
                        model.member_values(problem.samples).T)
 
 
-def _ratio_loss(problem: TrainingProblem, hp: HyperParams, f: np.ndarray,
-                c: int | None = None) -> float:
-    # the loss of loss_full from member values f of shape (m, n); given c,
-    # only the terms that involve f_c
+def _ratio_loss(problem: TrainingProblem, hp: HyperParams,
+                f: np.ndarray) -> float:
+    # the loss of loss_full from member values f of shape (m, n)
     total = 0.0
     for i, (own, w) in enumerate(zip(problem.member_sets,
                                      problem.class_weights)):
-        others = ([c] if c not in (None, i) else
-                  [j for j in range(problem.m) if j != i])
+        others = [j for j in range(problem.m) if j != i]
         # f_j(x) + guard for x in S_i, one row per j; take returns C
         # order, so the sum always runs row by row
         den = f[others].take(own, axis=1) + hp.denom_guard
@@ -319,12 +318,12 @@ class ResidualCache:
     nothing: they work in (2, n) buffers, a row per sign (the pieces too,
     so their passes do not broadcast), and form (x[l] * r[k]) * (2 * step)
     once for both rows; IEEE arithmetic is sign-symmetric, so each row
-    keeps its own bits. Each column l keeps, for the last step tried on
-    it, the row (x[l] * x[l]) * step^2, stored twice so that it adds to
-    both rows of f_c without a broadcast, and the row step * x[l], which a
-    commit adds to or subtracts from r[k]. `try_entry` decides every
-    problem, then commits each run of neighbours that took one step as
-    one slice.
+    keeps its own bits. A column's step is step_a, or step_b for b, and
+    each column l holds rows built once from its step: (x[l] * x[l]) *
+    step^2, stored twice so that it adds to both rows of f_c without a
+    broadcast, and step * x[l], which a commit adds to or subtracts from
+    r[k]. `try_entry` decides every problem, then commits each run of
+    neighbours that took one step as one slice.
 
     Every array with a sample axis pads it from n to a multiple of 8 and
     starts on a 64-byte boundary (see `_aligned`), so each row of float64
@@ -380,9 +379,16 @@ class ResidualCache:
         # _gather)
         self._never = _aligned((model.m, n))
         self._never[...] = np.where(self._weight == 0.0, np.inf, -np.inf)
-        # each column's step rows for the last step tried on it (see
-        # _step_rows)
-        self._steps = {}
+        # each column's step, step_b for b in column p, and its step rows,
+        # views of one block, built once (see the class docstring)
+        self._step = [self.hp.step_a] * model.p + [self.hp.step_b]
+        rows = _aligned((model.p + 1, 3, n))
+        for x, step, (square, twice, shift) in zip(self._xa, self._step, rows):
+            np.multiply(x, x, out=square)
+            square *= step * step
+            twice[...] = square
+            np.multiply(step, x, out=shift)
+        self._square, self._shift = tuple(rows[:, :2]), tuple(rows[:, 2])
         # the trial buffers, a row per step sign (see the class docstring):
         # f_c' and the pieces as guards (lo', hi', a, b, c0) are one block,
         # so one comparison of its rows (f_c', hi') with (lo', f_c') flags
@@ -518,49 +524,33 @@ class ResidualCache:
             np.add.reduce(run, axis=2, out=sums)
         return self._sums, left, new
 
-    def _step_rows(self, l: int, step: float):
-        # (step, square, shift) for column l: square is (x[l] * x[l]) *
-        # (step * step) twice, a (2, n) pair that adds to f_c's rows without
-        # a broadcast, and shift is step * x[l], a commit's residual change.
-        # Built on first use and replaced when the column's step changes,
-        # so a column holds the rows of one step. A step of -0.0 may reuse
-        # those of 0.0: both square to +0.0, and a zero step never commits.
-        held = self._steps.get(l)
-        if held is None or held[0] != step:
-            x, rows = self._xa[l], _aligned((3, self._xa.shape[1]))
-            np.multiply(x, x, out=rows[0])
-            rows[0] *= step * step
-            rows[1] = rows[0]
-            np.multiply(step, x, out=rows[2])
-            held = self._steps[l] = (step, rows[:2], rows[2])
-        return held
-
-    def _trial(self, c: int, k: int, l: int, step: float):
+    def _trial(self, c: int, k: int, l: int):
         # f_c after adding +step and -step to entry (k, l), one row each
         # (see the class docstring), and what _evaluate finds for it. The
         # rows differ only in the sign of the term odd in the step.
         self._gather(c)
         fc, u, f = self._fc, self._tmp[0], self._f[c]
         np.multiply(self._xa[l], self._r[c, k], out=u)
-        u *= 2.0 * step
+        u *= 2.0 * self._step[l]
         np.add(f, u, out=fc[0])
         np.subtract(f, u, out=fc[1])
-        fc += self._step_rows(l, step)[1]
+        fc += self._square[l]
         return (fc,) + self._evaluate()
 
-    def try_entry(self, c: int, k: int, l: int,
-                  step: float) -> list[tuple[int, float, float]]:
-        """One CPM trial: add +step and -step to entry (k, l) of class c
-        and, for each problem, commit the one that lowers its loss more,
-        +step on a tie, if it lowers the tracked loss at all. A commit
-        updates the problem's entry, residuals, member values and tracked
-        loss, so every commit strictly lowers that loss.
+    def try_entry(self, c: int, k: int,
+                  l: int) -> list[tuple[int, float, float]]:
+        """One CPM trial: add +step and -step to entry (k, l) of class c,
+        where step is step_a, or step_b for b (l == p), and, for each
+        problem, commit the one that lowers its loss more, +step on a
+        tie, if it lowers the tracked loss at all. A commit updates the
+        problem's entry, residuals, member values and tracked loss, so
+        every commit strictly lowers that loss.
 
         Returns (i, delta, loss) for each problem i that moved, with its
         new tracked loss.
         """
-        fc, sums, left, new = self._trial(c, k, l, step)
-        shift = self._steps[l][2]   # step * x[l]
+        fc, sums, left, new = self._trial(c, k, l)
+        step, shift = self._step[l], self._shift[l]   # shift: step * x[l]
         ups, downs = sums.tolist()
         decided, runs = [], []
         for i, total in enumerate(self._total):
@@ -653,12 +643,12 @@ def cpm_optimize_many(problems, hp: HyperParams,
         raise ValueError("need at least one training problem")
     p = max(problem.p for problem in problems)   # the cache checks m
     cache = ResidualCache(problems, QmsModel(_initial_members(hp, p), hp))
-    entries = ([(k, l, hp.step_a) for k in range(hp.q) for l in range(p)]
-               + [(k, p, hp.step_b) for k in range(hp.q)])
+    entries = ([(k, l) for k in range(hp.q) for l in range(p)]
+               + [(k, p) for k in range(hp.q)])
     for sweep in range(hp.iterations):
         for c in range(hp.m):
-            for k, l, step in entries:
-                moved = cache.try_entry(c, k, l, step)
+            for k, l in entries:
+                moved = cache.try_entry(c, k, l)
                 if on_accept is not None:
                     # only l < p_i and b, column p of the cache, move
                     for i, delta, loss in moved:

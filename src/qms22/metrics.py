@@ -66,12 +66,19 @@ def _finite(name: str, values) -> None:
 
 
 def _float_array(name: str, values):
-    # values as float64; an element that is not a number is named by position
+    # values as float64; an element that is not a number is named by
+    # position, and nesting of uneven depth or length is called ragged
     import numpy as np
     try:
         return np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError):
-        items = np.asarray(values, dtype=object)
+        try:
+            items = np.asarray(values, dtype=object)
+        except ValueError:   # sub-arrays of unequal shapes
+            items = None
+        if items is None or any(np.ndim(item) for item in items.flat):
+            raise ValueError(f"{name} is ragged: its entries are not all of "
+                             f"one shape") from None
         for at in np.ndindex(items.shape):
             try:
                 float(items[at])

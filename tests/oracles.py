@@ -11,8 +11,8 @@ The helpers at the end are not oracles but test scaffolding over the
 package's internals: a training problem built from one sample array per
 class, the loss changes a residual cache trial weighs, the guards a
 residual cache stores for a piece, the clip-then-compare evaluation of a
-trial that the guards replace, and the cache's drift from a
-recomputation.
+trial that the guards replace, the terms of the loss that involve one
+class, and the cache's drift from a recomputation.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from qms22.core import TrainingProblem, _forms, _ratio_loss, _rows
+from qms22.core import TrainingProblem, _forms, _rows
 
 
 def member_value(a, b, x):
@@ -255,11 +255,12 @@ def from_member_sets(member_sets, class_weights=None):
     return TrainingProblem(np.vstack(arrays), sets, class_weights)
 
 
-def deltas(cache, c, k, l, step):
+def deltas(cache, c, k, l):
     """The pair `ResidualCache.try_entry` weighs, without committing it:
     each problem's loss change [up, down] from adding +step and -step to
-    entry (k, l) of class c. Exact zeros for a zero step."""
-    ups, downs = cache._trial(c, k, l, step)[1].tolist()
+    entry (k, l) of class c, where step is the cache's step_a, or step_b
+    for b. Exact zeros on a narrower problem's padded column."""
+    ups, downs = cache._trial(c, k, l)[1].tolist()
     return [[up - total, down - total]
             for up, down, total in zip(ups, downs, cache._total)]
 
@@ -297,6 +298,21 @@ def clipped_evaluation(fc, pieces, g, segments, repiece):
     return fc, sums, left, new, value
 
 
+def class_terms(problem, hp, f, c):
+    """The sum of the ratio loss's terms that involve f_c, for member
+    values f of shape (m, n): all of S_c's terms, and the term of
+    denominator f_c of every other class's samples, each class's terms
+    summed as `loss_full` sums them."""
+    total = 0.0
+    for i, (own, w) in enumerate(zip(problem.member_sets,
+                                     problem.class_weights)):
+        others = [c] if c != i else [j for j in range(problem.m) if j != i]
+        den = f[others].take(own, axis=1) + hp.denom_guard
+        ratios = np.maximum(hp.alpha, f[i, own] / den)
+        total += w * float(ratios.sum())
+    return total
+
+
 def max_relative_drift(cache):
     """Worst relative deviation of a residual cache's state from a
     recomputation: residuals, member values and, once a class is
@@ -318,6 +334,6 @@ def max_relative_drift(cache):
             return float("inf")
         for pr, seg, total in zip(cache.problems, cache._segments,
                                   cache._total):
-            exact = _ratio_loss(pr, cache.hp, cache._f[:, seg], cache._c)
+            exact = class_terms(pr, cache.hp, cache._f[:, seg], cache._c)
             drift = max(drift, abs(total - exact) / max(abs(exact), 1.0))
     return float(drift)

@@ -92,7 +92,6 @@ def test_criterion_loss_oracle_equivalence(capsys):
         if rel > 1e-10:
             failures += 1
 
-        cache = ResidualCache(problem, model)
         q, p = model.members[0].q, problem.p
         for _ in range(2):
             ci = int(rng.integers(0, problem.m))
@@ -102,7 +101,12 @@ def test_criterion_loss_oracle_equivalence(capsys):
             else:
                 k, l = int(rng.integers(0, q)), p
             delta = float(rng.normal())
-            [[got, _]] = deltas(cache, ci, k, l, delta)
+            # a cache trying +|delta| and -|delta| on every entry
+            stepped = dataclasses.replace(hp, step_a=abs(delta),
+                                          step_b=abs(delta))
+            cache = ResidualCache(problem, QmsModel(model.members, stepped))
+            [pair] = deltas(cache, ci, k, l)
+            got = pair[0] if delta > 0 else pair[1]
             fields = [[f.a.copy(), f.b.copy()] for f in model.members]
             if l < p:
                 fields[ci][0][k, l] += delta

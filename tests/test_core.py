@@ -1,5 +1,6 @@
 """Member functions, the ratio loss, the residual cache, and the trainer."""
 
+import dataclasses
 import itertools
 import re
 
@@ -13,7 +14,7 @@ from qms22 import (HyperParams, MemberFunction, QmsModel, SsadProblem,
                    loss_full, outlier_scores)
 from qms22.core import ResidualCache, _initial_members, _ratio_loss
 
-from oracles import (clipped_evaluation, cpm_reference, deltas,
+from oracles import (class_terms, clipped_evaluation, cpm_reference, deltas,
                      from_member_sets, guards, loss_direct,
                      max_relative_drift, member_value, trial_rows)
 from test_golden import _ssad_problem
@@ -44,6 +45,20 @@ def random_instance(rng, m=None, q=None, p=None, max_samples=8):
                     for _ in range(m))
     problem = from_member_sets(sets, weights)
     return problem, QmsModel(members, hp)
+
+
+def with_steps(model, step_a, step_b=None):
+    """`model` with step_a, and step_b (step_a unless given), as the steps
+    of its hyperparameters, for a residual cache whose trials try them."""
+    hp = dataclasses.replace(model.hyperparams, step_a=step_a,
+                             step_b=step_a if step_b is None else step_b)
+    return QmsModel(model.members, hp)
+
+
+def column_step(cache, l):
+    """The step a residual cache tries on column l of W = [A | b]: step_b
+    for b, the last column, else step_a."""
+    return cache.hp.step_b if l == len(cache._xa) - 1 else cache.hp.step_a
 
 
 def direct_loss(problem, members, hp):
@@ -378,8 +393,30 @@ BAD_SAMPLES = {
     "-inf": np.array([[1.0, -np.inf]]),
 }
 
+# sample input that does not convert to float64, as a batch and as one
+# row: an entry that is not a number, named by its position, and entries
+# of unequal shapes, lists or arrays, called ragged
+NOT_NUMBERS = {
+    "string": ([[1.0, "a"]], [1.0, "a"]),
+    "ragged-lists": ([[1.0], [2.0, 3.0]], [1.0, [2.0, 3.0]]),
+    "ragged-arrays": ([np.ones((2, 2)), np.ones((2, 3))],
+                      [np.ones(2), np.ones(3)]),
+}
+
 
 class TestSampleInput:
+    @pytest.mark.parametrize("bad", NOT_NUMBERS)
+    @pytest.mark.parametrize("entry", SAMPLE_ENTRY_POINTS)
+    def test_entries_that_are_not_numbers_named(self, entry, bad):
+        name, one_row, call = SAMPLE_ENTRY_POINTS[entry]
+        batch, row = NOT_NUMBERS[bad]
+        message = (" is ragged: its entries are not all of one shape"
+                   if bad.startswith("ragged") else
+                   "[1] is 'a', not a number" if one_row else
+                   "[0, 1] is 'a', not a number")
+        with pytest.raises(ValueError, match=f"^{re.escape(name + message)}$"):
+            call(row if one_row else batch)
+
     @pytest.mark.parametrize("bad", BAD_SAMPLES)
     @pytest.mark.parametrize("entry", SAMPLE_ENTRY_POINTS)
     def test_bad_samples_rejected_naming_the_input(self, entry, bad):
@@ -397,19 +434,24 @@ class TestSampleInput:
 
 class TestResidualCache:
     def test_zero_delta_is_exactly_zero(self):
+        # a narrower problem's padded columns hold x[l] = 0, so a trial
+        # there leaves its f_c, and so its loss, exactly as they are
         rng = np.random.default_rng(2)
-        problem, model = random_instance(rng)
-        cache = ResidualCache(problem, model)
-        m, q, p = problem.m, model.members[0].q, problem.p
-        for ci in range(m):
-            assert deltas(cache, ci, q - 1, p - 1, 0.0) == [[0.0, 0.0]]
-            assert deltas(cache, ci, 0, p, 0.0) == [[0.0, 0.0]]
+        for _ in range(5):
+            narrow, _ = random_instance(rng, m=3, q=2, p=2)
+            wide, model = random_instance(rng, m=3, q=2, p=4)
+            cache = ResidualCache([narrow, wide], model)
+            for ci in range(3):
+                for k, l in ((0, 2), (1, 3), (1, 2)):
+                    assert deltas(cache, ci, k, l)[0] == [0.0, 0.0]
+                    # the wide problem may move, the narrow one never
+                    assert all(i == 1 for i, _, _ in
+                               cache.try_entry(ci, k, l))
 
     def test_delta_matches_full_recompute(self):
         rng = np.random.default_rng(17)
         for _ in range(40):
             problem, model = random_instance(rng)
-            cache = ResidualCache(problem, model)
             hp = model.hyperparams
             base = loss_full(problem, model)
             q, p = model.members[0].q, problem.p
@@ -420,8 +462,11 @@ class TestResidualCache:
             else:
                 k, l = int(rng.integers(0, q)), p
             step = float(rng.normal())
-            [pair] = deltas(cache, ci, k, l, step)
-            for got, delta in zip(pair, (step, -step)):
+            # the cache tries +|step| and -|step|: [down, up] for step < 0
+            cache = ResidualCache(problem, with_steps(model, abs(step)))
+            [pair] = deltas(cache, ci, k, l)
+            for got, delta in zip(pair[::-1] if step < 0 else pair,
+                                  (step, -step)):
                 perturbed = [[f.a.copy(), f.b.copy()] for f in model.members]
                 if l < p:
                     perturbed[ci][0][k, l] += delta
@@ -438,24 +483,25 @@ class TestResidualCache:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 3))
         problem = from_member_sets([x, x, x])
-        hp = HyperParams(m=3, q=2, alpha=0.0)
+        hp = HyperParams(m=3, q=2, alpha=0.0, step_a=0.05, step_b=0.05)
         members = tuple(MemberFunction(np.ones((2, 3)), np.full(2, 2.0))
                         for _ in range(3))
         cache = ResidualCache(problem, QmsModel(members, hp))
         for ci in range(3):
             for k, l in ((0, 1), (1, 2), (0, 3), (1, 3)):
-                [[up, down]] = deltas(cache, ci, k, l, 0.05)
+                [[up, down]] = deltas(cache, ci, k, l)
                 assert up >= -1e-9 and down >= -1e-9
 
     def test_cache_tracks_applied_moves(self):
         rng = np.random.default_rng(29)
         problem, model = random_instance(rng, m=3, q=2, p=3)
-        cache = ResidualCache(problem, model)
+        step_a, step_b = rng.uniform(0.1, 2, size=2)
+        cache = ResidualCache(problem, with_steps(model, step_a, step_b))
         moved = 0
         for _ in range(40):
             ci = int(rng.integers(0, 3))
             k, l = int(rng.integers(0, 2)), int(rng.integers(0, 4))
-            moved += len(cache.try_entry(ci, k, l, float(rng.uniform(0.1, 2))))
+            moved += len(cache.try_entry(ci, k, l))
         assert moved > 0
         assert max_relative_drift(cache) <= 1e-9
         rebuilt = QmsModel(cache.members(), model.hyperparams)
@@ -465,8 +511,8 @@ class TestResidualCache:
     def test_drift_is_inf_when_a_sample_leaves_its_piece(self):
         rng = np.random.default_rng(29)
         problem, model = random_instance(rng, m=3, q=2, p=3)
-        cache = ResidualCache(problem, model)
-        deltas(cache, 1, 0, 0, 0.5)   # stores class 1's pieces
+        cache = ResidualCache(problem, with_steps(model, 0.5))
+        deltas(cache, 1, 0, 0)   # stores class 1's pieces
         assert max_relative_drift(cache) <= 1e-9
         cache._piece[1, :, 0] = cache._piece[0, :, 0]   # hi' = lo' holds no f_c
         assert max_relative_drift(cache) == float("inf")
@@ -474,12 +520,12 @@ class TestResidualCache:
     def test_try_entry_commits_the_larger_strict_decrease(self):
         rng = np.random.default_rng(37)
         problem, model = random_instance(rng, m=3, q=2, p=3)
-        cache = ResidualCache(problem, model)
+        cache = ResidualCache(problem, with_steps(model, 0.5))
         for ci, k, l in ((1, 0, 2), (0, 1, 3), (2, 1, 0), (1, 0, 2)):
-            [[up, down]] = deltas(cache, ci, k, l, 0.5)
+            [[up, down]] = deltas(cache, ci, k, l)
             before = cache.members()[ci]
             loss = cache.losses[0]
-            moved = cache.try_entry(ci, k, l, 0.5)
+            moved = cache.try_entry(ci, k, l)
             if min(up, down) >= 0.0:
                 assert moved == []
                 continue
@@ -493,28 +539,29 @@ class TestResidualCache:
 
     def test_deltas_changes_nothing(self):
         trainings, hp = ssad_trainings([(221, 60, 20), (222, 75, 15)])
+        hp = dataclasses.replace(hp, step_a=1.0, step_b=1.0)
         model = QmsModel(_initial_members(hp, trainings[0].p), hp)
         probed, fresh = (ResidualCache(trainings, model) for _ in range(2))
         for cache in probed, fresh:
-            cache.try_entry(0, 0, 0, 1.0)
+            cache.try_entry(0, 0, 0)
         losses = list(probed.losses)
         for _ in range(2):
             for entry in ((0, 1, 2), (3, 0, 6), (0, 1, 2)):
-                deltas(probed, *entry, 1.0)
+                deltas(probed, *entry)
         assert probed.losses == losses
         for i in range(2):
             assert model_bytes(QmsModel(probed.members(i), hp)) == \
                 model_bytes(QmsModel(fresh.members(i), hp))
-        moved = probed.try_entry(0, 0, 1, 1.0)
-        assert moved and moved == fresh.try_entry(0, 0, 1, 1.0)
+        moved = probed.try_entry(0, 0, 1)
+        assert moved and moved == fresh.try_entry(0, 0, 1)
 
 
 def check_piece_sums(cache, c, fc):
     """Each problem's piece sums for class c at the two rows of member
-    values fc (2, n), written into the trial's rows, against `_ratio_loss`
-    of the same member values clipped at 0, and every value inside the
-    piece it was evaluated on; returns the (rows, samples) that left their
-    stored piece, or None."""
+    values fc (2, n), written into the trial's rows, against
+    `oracles.class_terms` of the same member values clipped at 0, and
+    every value inside the piece it was evaluated on; returns the (rows,
+    samples) that left their stored piece, or None."""
     cache._gather(c)
     cache._fc[...] = fc
     sums, left, new = cache._evaluate()
@@ -528,15 +575,17 @@ def check_piece_sums(cache, c, fc):
         for row in range(2):
             f = cache._f[:, seg].copy()
             f[c] = fc[row, seg]
-            want = _ratio_loss(problem, cache.hp, f, c)
+            want = class_terms(problem, cache.hp, f, c)
             assert sums[row, i] == pytest.approx(want, rel=1e-12)
     return left
 
 
-def check_deltas(cache, c, k, l, step):
-    """`deltas` of (c, k, l, step) against `oracles.loss_direct` before
-    and after each move, to 1e-12 of the larger loss, for every problem."""
-    for i, pair in enumerate(deltas(cache, c, k, l, step)):
+def check_deltas(cache, c, k, l):
+    """`deltas` of (c, k, l) against `oracles.loss_direct` before and
+    after each move of the column's step, to 1e-12 of the larger loss,
+    for every problem."""
+    step = column_step(cache, l)
+    for i, pair in enumerate(deltas(cache, c, k, l)):
         problem, members = cache.problems[i], cache.members(i)
         base = direct_loss(problem, members, cache.hp)
         for got, delta in zip(pair, (step, -step)):
@@ -556,7 +605,7 @@ class TestLossPieces:
             problem, model = random_instance(rng)
             f = model.member_values(problem.samples).T
             hp = model.hyperparams
-            total = sum(_ratio_loss(problem, hp, f, c)
+            total = sum(class_terms(problem, hp, f, c)
                         for c in range(problem.m))
             assert total == pytest.approx(2 * _ratio_loss(problem, hp, f),
                                           rel=1e-12)
@@ -595,28 +644,30 @@ class TestLossPieces:
         # x = 2.3 before the clip at 0; the other samples keep f_c > 0
         x = np.array([[2.3], [1.0], [-0.5], [0.8]])
         problem = TrainingProblem(x, [[0, 1], [2, 3, 0]], (0.6, 1.7))
-        hp = HyperParams(m=2, q=1, alpha=0.4)
+        hp = HyperParams(m=2, q=1, alpha=0.4, step_a=0.3, step_b=0.3)
         members = (MemberFunction([[1.1]], [(1.1 + 0.3) * 2.3]),
                    MemberFunction([[0.5]], [0.2]))
         cache = ResidualCache(problem, QmsModel(members, hp))
         r, f = 1.1 * 2.3 - (1.1 + 0.3) * 2.3, cache._f[0, 0]
         assert (2.3 * r) * (2.0 * 0.3) + f + (2.3 * 2.3) * (0.3 * 0.3) < 0.0
-        f_new = cache._trial(0, 0, 0, 0.3)[0]
+        f_new = cache._trial(0, 0, 0)[0]
         assert f_new[0, 0] == 0.0 and (f_new[:, 1:4] > 0.0).all()
         check_piece_sums(cache, 0, f_new)
-        check_deltas(cache, 0, 0, 0, 0.3)
+        check_deltas(cache, 0, 0, 0)
 
     def test_alpha_zero_warns_nothing(self):
         rng = np.random.default_rng(71)
         for _ in range(10):
             problem, model = random_instance(rng)
-            hp = HyperParams(m=problem.m, q=model.members[0].q, alpha=0.0)
+            step_a, step_b = rng.uniform(0.7, 3.0, size=2)
+            hp = HyperParams(m=problem.m, q=model.members[0].q, alpha=0.0,
+                             step_a=step_a, step_b=step_b)
             cache = ResidualCache(problem, QmsModel(model.members, hp))
             with np.errstate(all="raise"):
                 for c in range(problem.m):
-                    check_deltas(cache, c, 0, problem.p, 0.7)
-                    cache.try_entry(c, 0, 0, 0.7)
-                    check_piece_sums(cache, c, cache._trial(c, 0, 0, 3.0)[0])
+                    check_deltas(cache, c, 0, problem.p)
+                    cache.try_entry(c, 0, 0)
+                    check_piece_sums(cache, c, cache._trial(c, 0, 0)[0])
                 assert max_relative_drift(cache) <= 1e-9
 
     def test_rows_only_in_the_first_set(self):
@@ -626,7 +677,7 @@ class TestLossPieces:
         x = rng.normal(size=(12, 3))
         problem = TrainingProblem(x, [np.arange(12), [4, 5, 6, 7, 8],
                                       [7, 8, 9, 10, 11]], (0.25, 1.5, 3.0))
-        hp = HyperParams(m=3, q=2, alpha=0.5)
+        hp = HyperParams(m=3, q=2, alpha=0.5, step_a=0.4, step_b=0.4)
         members = tuple(MemberFunction(rng.normal(size=(2, 3)),
                                        rng.normal(size=2)) for _ in range(3))
         cache = ResidualCache(problem, QmsModel(members, hp))
@@ -640,36 +691,36 @@ class TestLossPieces:
             assert (np.isinf(lo) != np.isinf(hi)).all()
         for c in range(3):
             for k, l in ((0, 0), (1, 3), (1, 2)):
-                check_piece_sums(cache, c, cache._trial(c, k, l, 0.4)[0])
-                check_deltas(cache, c, k, l, 0.4)
-                cache.try_entry(c, k, l, 0.4)
+                check_piece_sums(cache, c, cache._trial(c, k, l)[0])
+                check_deltas(cache, c, k, l)
+                cache.try_entry(c, k, l)
         assert max_relative_drift(cache) <= 1e-9
 
     def test_large_step_relocates_most_samples(self):
         rng = np.random.default_rng(79)
         problem, model = random_instance(rng, m=4, q=2, p=3, max_samples=12)
-        cache = ResidualCache(problem, model)
+        cache = ResidualCache(problem, with_steps(model, 40.0))
         n = problem.samples.shape[0]
         for c in range(4):
-            f_new = cache._trial(c, 1, 3, 40.0)[0]
+            f_new = cache._trial(c, 1, 3)[0]
             rows, _ = check_piece_sums(cache, c, f_new)
             assert rows.size > n   # of the 2n (row, sample) pairs
-            check_deltas(cache, c, 1, 3, 40.0)
+            check_deltas(cache, c, 1, 3)
 
     def test_commits_keep_the_relocated_pieces(self):
         # the committed row's new pieces replace the stored ones, so
         # every f_c stays inside its piece and the sums stay exact
         rng = np.random.default_rng(83)
         problem, model = random_instance(rng, m=3, q=2, p=3, max_samples=12)
-        cache = ResidualCache(problem, model)
+        step_a, step_b = rng.uniform(0.1, 3.0, size=2)
+        cache = ResidualCache(problem, with_steps(model, step_a, step_b))
         relocated = 0
         for _ in range(80):
             c = int(rng.integers(0, 3))
             k, l = int(rng.integers(0, 2)), int(rng.integers(0, 4))
-            step = float(rng.uniform(0.1, 3.0))
-            left = cache._trial(c, k, l, step)[2]
+            left = cache._trial(c, k, l)[2]
             pieces = cache._piece.copy()
-            if cache.try_entry(c, k, l, step) and left is not None:
+            if cache.try_entry(c, k, l) and left is not None:
                 relocated += not np.array_equal(pieces, cache._piece)
             assert max_relative_drift(cache) <= 1e-9
         assert relocated > 0
@@ -685,10 +736,9 @@ class TestLossPieces:
         n = shared._segments[-1].stop
         p = trainings[0].p
         for c in range(hp.m):
-            for k, l, step in ((0, 0, hp.step_a), (1, 3, hp.step_a),
-                               (0, p, hp.step_b)):
+            for k, l in ((0, 0), (1, 3), (0, p)):
                 for cache in (shared, *alone):
-                    cache.try_entry(c, k, l, step)
+                    cache.try_entry(c, k, l)
         for c in range(hp.m):
             for cache in (shared, *alone):
                 cache._gather(c)
@@ -714,20 +764,21 @@ class TestLossPieces:
             [rng.normal(size=(int(rng.integers(3, 10)), 3))
              for _ in range(4)], rng.uniform(0.2, 2.0, size=4))
             for _ in range(3)]
-        cache = ResidualCache(problems, QmsModel(members, hp))
+        step_a, step_b = rng.uniform(0.1, 3.0, size=2)
+        cache = ResidualCache(problems, with_steps(QmsModel(members, hp),
+                                                   step_a, step_b))
         n = cache._f.shape[1]
         relocated = switches = 0
         for _ in range(120):
             c = int(rng.integers(0, 4))
             switches += c != cache._c
             k, l = int(rng.integers(0, 2)), int(rng.integers(0, 4))
-            step = float(rng.uniform(0.1, 3.0))
-            fc, _, left, new = cache._trial(c, k, l, step)
+            fc, _, left, new = cache._trial(c, k, l)
             if left is not None:
                 want = pieces_from_values(cache, c, left[1], fc[left])
                 assert new.tobytes() == guards(want).tobytes()
             pieces = cache._piece.copy()
-            cache.try_entry(c, k, l, step)
+            cache.try_entry(c, k, l)
             relocated += not np.array_equal(pieces, cache._piece)
             want = pieces_from_values(cache, c, np.arange(n), cache._f[c])
             for row in cache._piece.transpose(1, 0, 2):
@@ -767,41 +818,45 @@ column_values = st.one_of(
     st.builds(lambda v, sign: sign * v, st.floats(1e-9, 255.0),
               st.sampled_from([1.0, -1.0])))
 steps = st.one_of(st.sampled_from([0.3, 1.0, 3.0, 40.0]),
-                  st.builds(lambda v, sign: sign * v, st.floats(1e-3, 64.0),
-                            st.sampled_from([1.0, -1.0])))
+                  st.floats(1e-3, 64.0))
 
 
 class TestStepRows:
     @settings(deadline=None, max_examples=60)
     @given(st.lists(column_values, min_size=3, max_size=9),
+           st.tuples(steps, steps),
            st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1),
-                              st.integers(0, 2), steps),
+                              st.integers(0, 2)),
                     min_size=1, max_size=8),
            st.integers(0, 2 ** 32 - 1))
-    def test_trial_rows_equal_the_formula(self, values, trials, seed):
+    def test_trial_rows_equal_the_formula(self, values, step_ab, trials,
+                                          seed):
         # column 0 holds the drawn values, column 1 is one-hot and column 2
-        # of [x; -1] is b's -1; trials mix columns and steps, and each
-        # commits, so a column's rows are rebuilt when its step changes
+        # of [x; -1] is b's -1, tried with step_b; trials mix columns, and
+        # each commits
         rng = np.random.default_rng(seed)
         n = len(values)
         x = np.column_stack([values, np.arange(n) % 2 == 0])
         problem = TrainingProblem(x, [np.arange(i, n, 3) for i in range(3)],
                                   rng.uniform(0.2, 2.0, size=3))
-        hp = HyperParams(m=3, q=2, alpha=0.5)
+        hp = HyperParams(m=3, q=2, alpha=0.5, step_a=step_ab[0],
+                         step_b=step_ab[1])
         members = tuple(MemberFunction(rng.normal(size=(2, 2)),
                                        rng.normal(size=2)) for _ in range(3))
         cache = ResidualCache(problem, QmsModel(members, hp))
-        for c, k, l, step in trials:
-            want = trial_rows(cache._f[c], cache._xa[l], cache._r[c, k], step)
-            fc = cache._trial(c, k, l, step)[0]
+        for c, k, l in trials:
+            want = trial_rows(cache._f[c], cache._xa[l], cache._r[c, k],
+                              column_step(cache, l))
+            fc = cache._trial(c, k, l)[0]
             assert fc.tobytes() == np.array(want).tobytes()
-            cache.try_entry(c, k, l, step)
+            cache.try_entry(c, k, l)
 
     def test_commit_adds_or_subtracts_step_times_x(self):
         # a problem's committed residual row is r + fl(step * x[l]) for
         # +step and r - fl(step * x[l]) for -step, on its segment alone
         trainings, hp = ssad_trainings([(251, 60, 20), (252, 60, 15),
                                         (253, 55, 10)])
+        hp = dataclasses.replace(hp, step_b=hp.step_a)
         cache = ResidualCache(
             trainings, QmsModel(_initial_members(hp, trainings[0].p), hp))
         rng = np.random.default_rng(97)
@@ -811,7 +866,7 @@ class TestStepRows:
             l, step = int(rng.integers(trainings[0].p + 1)), hp.step_a
             want = cache._r.copy()
             shift = step * cache._xa[l]
-            for i, delta, _ in cache.try_entry(c, k, l, step):
+            for i, delta, _ in cache.try_entry(c, k, l):
                 seg = cache._segments[i]
                 row = want[c, k, seg]
                 want[c, k, seg] = (row + shift[seg] if delta > 0
@@ -820,34 +875,33 @@ class TestStepRows:
             assert cache._r.tobytes() == want.tobytes()
         assert signs == {True, False}
 
-    def test_alternating_steps_keep_the_moves_of_fresh_rows(self):
-        # a column tried with steps in turn, each one again after another,
-        # commits what a cache whose step rows are built afresh for every
-        # trial commits, and holds the rows of its last step alone
-        trainings, hp = ssad_trainings([(261, 80, 20), (262, 75, 20)])
-        p = trainings[0].p
-        model = QmsModel(_initial_members(hp, p), hp)
-        alternating, fresh = (ResidualCache(trainings, model)
-                              for _ in range(2))
-        accepted = 0
+    def test_each_column_holds_the_rows_of_its_step(self):
+        # step_a's rows on the columns of A, the columns padded for the
+        # narrower problem too, and step_b's on b, column p: built with the
+        # cache and never changed by trials and commits
+        made = [_ssad_problem(seed, 50, 12, p, 2)
+                for seed, p in ((261, 3), (262, 6))]
+        trainings = [training for _, training, _ in made]
+        hp = dataclasses.replace(made[0][2], step_a=0.75, step_b=2.5)
+        p = 6
+        cache = ResidualCache(trainings,
+                              QmsModel(_initial_members(hp, p), hp))
+        assert not cache._xa[3:p, cache._segments[0]].any()
+
+        def check_rows():
+            for l in range(p + 1):
+                x, step = cache._xa[l], hp.step_b if l == p else hp.step_a
+                assert cache._square[l].tobytes() == np.stack(
+                    [(x * x) * (step * step)] * 2).tobytes()
+                assert cache._shift[l].tobytes() == (step * x).tobytes()
+
+        check_rows()
+        moved = 0
         for c in range(hp.m):
-            for k in range(hp.q):
-                for l in range(p + 1):
-                    for step in (hp.step_a, 2.5, hp.step_a, 0.75):
-                        fresh._steps.clear()
-                        moved = alternating.try_entry(c, k, l, step)
-                        assert moved == fresh.try_entry(c, k, l, step)
-                        accepted += len(moved)
-        assert accepted > 0
-        for i in range(len(trainings)):
-            assert problem_state(alternating, i) == problem_state(fresh, i)
-        assert sorted(alternating._steps) == list(range(p + 1))
-        for l, (step, square, shift) in alternating._steps.items():
-            x = alternating._xa[l]
-            assert step == 0.75
-            assert square.tobytes() == np.stack([(x * x) * (step * step)]
-                                                * 2).tobytes()
-            assert shift.tobytes() == (step * x).tobytes()
+            for l in range(p + 1):
+                moved += len(cache.try_entry(c, c % hp.q, l))
+        assert moved > 0
+        check_rows()
 
 
 class TestGroupedSums:
@@ -892,9 +946,11 @@ class TestGroupedSums:
         assert sequential > 0
 
 
-def unclipped_rows(cache, c, k, l, step):
+def unclipped_rows(cache, c, k, l):
     """f_c' of both rows of a trial of +step and -step on entry (k, l) of
-    class c, by the cache's operations in its order, before any clip."""
+    class c, with the column's step, by the cache's operations in its
+    order, before any clip."""
+    step = column_step(cache, l)
     u = (cache._xa[l] * cache._r[c, k]) * (2.0 * step)
     even = (cache._xa[l] * cache._xa[l]) * (step * step)
     return np.stack([cache._f[c] + u, cache._f[c] - u]) + even
@@ -973,12 +1029,13 @@ class TestGuards:
     @settings(deadline=None, max_examples=60)
     @given(st.lists(column_values, min_size=4, max_size=9),
            st.sampled_from([0.0, 0.2, 0.5]), st.integers(-1, 2),
+           st.tuples(steps, steps),
            st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1),
-                              st.integers(0, 2), steps),
+                              st.integers(0, 2)),
                     min_size=1, max_size=8),
            st.integers(0, 2 ** 32 - 1))
     def test_trial_equals_clip_then_compare(self, values, alpha, zero,
-                                            trials, seed):
+                                            step_ab, trials, seed):
         # two problems of unequal sizes, each sample in one member set:
         # while another class trains it has one breakpoint, so one bound
         # is infinite, and alpha = 0 puts every denominator breakpoint at
@@ -990,38 +1047,39 @@ class TestGuards:
                                             for i in range(3)],
                                     rng.uniform(0.2, 2.0, size=3))
                     for n in (len(values), len(values) - 1)]
-        hp = HyperParams(m=3, q=2, alpha=alpha)
+        hp = HyperParams(m=3, q=2, alpha=alpha, step_a=step_ab[0],
+                         step_b=step_ab[1])
         members = [MemberFunction(rng.normal(size=(2, 2)), rng.normal(size=2))
                    for _ in range(3)]
         if zero >= 0:
             members[zero] = MemberFunction(np.zeros((2, 2)), np.zeros(2))
         cache = ResidualCache(problems, QmsModel(tuple(members), hp))
-        for c, k, l, step in trials:
+        for c, k, l in trials:
             cache._gather(c)
-            raw = unclipped_rows(cache, c, k, l, step)
+            raw = unclipped_rows(cache, c, k, l)
             before = cache._f[c].copy()
             fc = check_clipped_evaluation(cache, c, raw,
-                                          cache._trial(c, k, l, step))
-            moved = cache.try_entry(c, k, l, step)
-            check_commit(cache, c, fc, before, moved, step)
+                                          cache._trial(c, k, l))
+            moved = cache.try_entry(c, k, l)
+            check_commit(cache, c, fc, before, moved, column_step(cache, l))
 
     def test_negative_fc_is_flagged_and_clipped(self):
         # the data of TestLossPieces.test_step_clipped_to_zero: f_c' of
         # x = 2.3 comes out at -5.6e-17 on the +step row
         x = np.array([[2.3], [1.0], [-0.5], [0.8]])
         problem = TrainingProblem(x, [[0, 1], [2, 3, 0]], (0.6, 1.7))
-        hp = HyperParams(m=2, q=1, alpha=0.4)
+        hp = HyperParams(m=2, q=1, alpha=0.4, step_a=0.3, step_b=0.3)
         members = (MemberFunction([[1.1]], [(1.1 + 0.3) * 2.3]),
                    MemberFunction([[0.5]], [0.2]))
         cache = ResidualCache(problem, QmsModel(members, hp))
         cache._gather(0)
-        raw, before = unclipped_rows(cache, 0, 0, 0, 0.3), cache._f[0].copy()
+        raw, before = unclipped_rows(cache, 0, 0, 0), cache._f[0].copy()
         assert raw[0, 0] < 0.0 and (raw[:, 1:4] > 0.0).all()
-        trial = cache._trial(0, 0, 0, 0.3)
+        trial = cache._trial(0, 0, 0)
         assert (0, 0) in set(zip(*trial[2]))
         fc = check_clipped_evaluation(cache, 0, raw, trial)
         assert fc[0, 0] == 0.0
-        moved = cache.try_entry(0, 0, 0, 0.3)
+        moved = cache.try_entry(0, 0, 0)
         check_commit(cache, 0, fc, before, moved, 0.3)
         assert max_relative_drift(cache) <= 1e-9
 
@@ -1076,7 +1134,7 @@ class TestGuards:
                     for _ in range(4)]
             problems.append(TrainingProblem(rng.normal(size=(size, 3)), sets,
                                             rng.uniform(0.2, 2.0, size=4)))
-        hp = HyperParams(m=4, q=2, alpha=alpha)
+        hp = HyperParams(m=4, q=2, alpha=alpha, step_a=0.8)
         members = tuple(MemberFunction(rng.normal(size=(2, 3)),
                                        rng.normal(size=2)) for _ in range(4))
         cache = ResidualCache(problems, QmsModel(members, hp))
@@ -1085,7 +1143,7 @@ class TestGuards:
             cache._gather(c)
             want = table_by_masked_copy(cache, c)
             assert cache._table.tobytes() == want.tobytes()
-            cache.try_entry(c, 1, 2, 0.8)
+            cache.try_entry(c, 1, 2)
 
 
 # the cache's arrays with a sample axis, float64 and boolean
@@ -1107,14 +1165,12 @@ class TestLayout:
             for size in sizes]
         hp = HyperParams(m=3, q=2)
         cache = ResidualCache(problems, QmsModel(_initial_members(hp, 3), hp))
-        for l in range(4):
-            cache.try_entry(1, 0, l, hp.step_a)
         width = -(-sum(sizes) // 8) * 8
         assert width > sum(sizes)
         rows = [getattr(cache, name) for name in SAMPLE_ARRAYS]
-        rows += [row for _, square, shift in cache._steps.values()
-                 for row in (*square, shift)]
-        assert len(rows) == len(SAMPLE_ARRAYS) + 3 * 4
+        # each column's step rows, views of one block
+        rows += [*cache._square, *cache._shift]
+        assert len(rows) == len(SAMPLE_ARRAYS) + 2 * 4
         for array in rows:
             assert array.dtype == np.float64 and array.shape[-1] == width
             assert array.flags.c_contiguous
@@ -1127,17 +1183,18 @@ class TestLayout:
 
     def test_padding_stays_inert(self):
         # through trials that relocate samples and commits of both signs,
-        # the padding samples keep x = r = f = 0, weight 0 and the piece
-        # (-inf, +inf, 0, 0, 0), whose value is 0, and never leave it; its
-        # guards are (-2^-1074, +inf)
+        # the padding samples keep x = r = f = 0, weight 0, step rows 0
+        # and the piece (-inf, +inf, 0, 0, 0), whose value is 0, and never
+        # leave it; its guards are (-2^-1074, +inf)
         rng = np.random.default_rng(101)
-        hp = HyperParams(m=3, q=2, alpha=0.4)
         members = tuple(MemberFunction(rng.normal(size=(2, 3)),
                                        rng.normal(size=2)) for _ in range(3))
         problems = [from_member_sets([rng.normal(size=(size, 3))
                                       for size in sizes],
                                      rng.uniform(0.2, 2.0, size=3))
                     for sizes in ((5, 4, 4), (3, 3, 2))]
+        step_a, step_b = rng.uniform(0.1, 3.0, size=2)
+        hp = HyperParams(m=3, q=2, alpha=0.4, step_a=step_a, step_b=step_b)
         cache = ResidualCache(problems, QmsModel(members, hp))
         n = cache._segments[-1].stop
         assert (n, cache._f.shape[1]) == (21, 24)
@@ -1148,15 +1205,16 @@ class TestLayout:
             for _ in range(120):
                 c = int(rng.integers(0, 3))
                 k, l = int(rng.integers(0, 2)), int(rng.integers(0, 4))
-                step = float(rng.uniform(0.1, 3.0))
-                fc, _, left, _ = cache._trial(c, k, l, step)
+                fc, _, left, _ = cache._trial(c, k, l)
                 assert not fc[:, n:].any() and not cache._value[:, n:].any()
                 if left is not None:
                     relocated += 1
                     assert (left[1] < n).all()
-                moved += len(cache.try_entry(c, k, l, step))
+                moved += len(cache.try_entry(c, k, l))
                 for name in ("_xa", "_r", "_f", "_weight"):
                     assert not getattr(cache, name)[..., n:].any()
+                for rows in (*cache._square, *cache._shift):
+                    assert not rows[..., n:].any()
                 assert np.array_equal(cache._piece[..., n:],
                                       np.broadcast_to(piece, (5, 2, 3)))
         assert relocated > 10 and moved > 10
@@ -1231,13 +1289,13 @@ class TestCpmOptimize:
         trainings, hp = ssad_trainings([(221, 60, 20)])
         cache = ResidualCache(trainings,
                               QmsModel(_initial_members(hp, trainings[0].p), hp))
-        [[up, down]] = deltas(cache, 0, 0, 0, 1.0)
+        [[up, down]] = deltas(cache, 0, 0, 0)
         if not min(up, down) < 0.0:
             raise AssertionError("expected a decreasing move")
         # a decrease this small vanishes against a tracked loss this large
         cache.losses[0] = 1e20
         state = problem_state(cache, 0)
-        assert cache.try_entry(0, 0, 0, 1.0) == []
+        assert cache.try_entry(0, 0, 0) == []
         assert problem_state(cache, 0) == state
 
     def test_absorbed_decrease_declined_for_that_problem_only(self):
@@ -1247,12 +1305,12 @@ class TestCpmOptimize:
         model = QmsModel(_initial_members(hp, trainings[0].p), hp)
         cache, alone = ResidualCache(trainings, model), ResidualCache(
             trainings[0], model)
-        if not all(min(pair) < 0.0 for pair in deltas(cache, 0, 0, 0, 1.0)):
+        if not all(min(pair) < 0.0 for pair in deltas(cache, 0, 0, 0)):
             raise AssertionError("expected a decreasing move for both")
         cache.losses[1] = 1e20
         state = problem_state(cache, 1)
-        moved = cache.try_entry(0, 0, 0, 1.0)
-        assert moved == alone.try_entry(0, 0, 0, 1.0) != []
+        moved = cache.try_entry(0, 0, 0)
+        assert moved == alone.try_entry(0, 0, 0) != []
         assert problem_state(cache, 0) == problem_state(alone, 0)
         assert problem_state(cache, 1) == state
 
@@ -1305,12 +1363,12 @@ def train_checking_drift(problems, hp):
     sweep; returns the trained cache."""
     p = max(problem.p for problem in problems)
     cache = ResidualCache(problems, QmsModel(_initial_members(hp, p), hp))
-    entries = ([(k, l, hp.step_a) for k in range(hp.q) for l in range(p)]
-               + [(k, p, hp.step_b) for k in range(hp.q)])
+    entries = ([(k, l) for k in range(hp.q) for l in range(p)]
+               + [(k, p) for k in range(hp.q)])
     for sweep in range(hp.iterations):
         for c in range(hp.m):
-            for k, l, step in entries:
-                cache.try_entry(c, k, l, step)
+            for k, l in entries:
+                cache.try_entry(c, k, l)
         # a raise, not an assert, so the check also holds under python -O
         drift = max_relative_drift(cache)
         if not drift <= 1e-9:
@@ -1396,23 +1454,23 @@ class TestCpmOptimizeMany:
         # problems three ways: two neighbours take one step, another the
         # other step and another none, so the commit takes several runs
         rng = np.random.default_rng(88)
-        hp = HyperParams(m=3, q=2, alpha=0.5)
         members = tuple(MemberFunction(rng.normal(size=(2, 3)),
                                        rng.normal(size=2)) for _ in range(3))
         problems = [from_member_sets(
             [rng.normal(size=(int(rng.integers(4, 13)), 3))
              for _ in range(3)], rng.uniform(0.2, 2.0, size=3))
             for _ in range(4)]
+        step_a, step_b = rng.uniform(0.1, 3.0, size=2)
+        hp = HyperParams(m=3, q=2, alpha=0.5, step_a=step_a, step_b=step_b)
         shared = ResidualCache(problems, QmsModel(members, hp))
         alone = [ResidualCache(pr, QmsModel(members, hp)) for pr in problems]
         split = 0
         for _ in range(60):
             c = int(rng.integers(0, 3))
             k, l = int(rng.integers(0, 2)), int(rng.integers(0, 4))
-            step = float(rng.uniform(0.1, 3.0))
-            left = shared._trial(c, k, l, step)[2]
-            moved = shared.try_entry(c, k, l, step)
-            own = [a.try_entry(c, k, l, step) for a in alone]
+            left = shared._trial(c, k, l)[2]
+            moved = shared.try_entry(c, k, l)
+            own = [a.try_entry(c, k, l) for a in alone]
             assert moved == [(i, delta, loss) for i, moves in enumerate(own)
                              for _, delta, loss in moves]
             assert shared.losses == [a.losses[0] for a in alone]
@@ -1472,6 +1530,7 @@ class TestCpmOptimizeMany:
 
     def test_apply_commits_one_problem_only(self):
         trainings, hp = ssad_trainings([(221, 60, 20), (222, 75, 15)])
+        hp = dataclasses.replace(hp, step_a=1.0, step_b=1.0)
         model = QmsModel(_initial_members(hp, trainings[0].p), hp)
         shared = ResidualCache(trainings, model)
         alone = [ResidualCache(t, model) for t in trainings]
@@ -1479,8 +1538,8 @@ class TestCpmOptimizeMany:
         # the two problems decide differently
         decisions = set()
         for entry in ((0, 0, 0), (0, 1, 2), (1, 0, 6), (1, 2, 3), (0, 1, 2)):
-            moved = shared.try_entry(*entry, 1.0)
-            own = [a.try_entry(*entry, 1.0) for a in alone]
+            moved = shared.try_entry(*entry)
+            own = [a.try_entry(*entry) for a in alone]
             assert moved == [(i, delta, loss) for i, moves in enumerate(own)
                              for _, delta, loss in moves]
             decisions.add(tuple(tuple(d for _, d, _ in moves) for moves in own))

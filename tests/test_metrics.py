@@ -66,6 +66,8 @@ class TestRocCurve:
     @pytest.mark.parametrize("scores, text", [
         (["a", 1.0], "scores[0] is 'a', not a number"),
         ([1.0, "b"], "scores[1] is 'b', not a number"),
+        ([[0.5], [0.1, 0.2]],
+         "scores is ragged: its entries are not all of one shape"),
     ])
     def test_score_that_is_not_a_number_rejected(self, scores, text):
         with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
