@@ -13,9 +13,9 @@ __version__ = "0.1.0"
 # exported name -> the submodule that defines it
 _HOMES = {
     "HyperParams": "hyper",
-    **dict.fromkeys(("MemberFunction", "QmsModel", "ResidualCache",
-                     "TrainingProblem", "cpm_optimize", "cpm_optimize_many",
-                     "loss_full"), "core"),
+    **dict.fromkeys(("MemberFunction", "OverflowingSampleError", "QmsModel",
+                     "ResidualCache", "TrainingProblem", "cpm_optimize",
+                     "cpm_optimize_many", "loss_full"), "core"),
     **dict.fromkeys(("FiveNumberSummary", "RocCurve", "WilcoxonResult",
                      "five_number_summary", "mean_std", "roc_curve",
                      "wilcoxon_signed_rank"), "metrics"),

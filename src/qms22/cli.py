@@ -85,21 +85,36 @@ def _encode_fold(fold, test_name: str | None = None):
     return SsadProblem(x_train, x_test, y_test)
 
 
-def _curves(problems, hp: HyperParams) -> list:
+def _curves(problems, hp: HyperParams, names) -> list:
     """Train on encoded folds' normals, together in one `run_qms22_many`
     call; the ROC of each fold's test side. The CLI's one call into
     training: `bench` passes a dataset's folds, `run` a batch of one.
+
+    names holds each fold's (training, test) names. A sample on which
+    training could overflow fails before any training, naming its side
+    and its row there.
     """
+    from .core import OverflowingSampleError
     from .metrics import roc_curve
     from .ssad import run_qms22_many
-    return [roc_curve(scores, problem.test_labels)
-            for problem, scores in zip(problems,
-                                       run_qms22_many(problems, hp))]
+    try:
+        scores = run_qms22_many(problems, hp)
+    except OverflowingSampleError as exc:
+        # a fold's pooled rows are its test rows, then its training normals
+        (train, test), row = names[exc.problem], exc.row
+        tests = len(problems[exc.problem].test_samples)
+        where = (f"{test}: test row {row + 1}" if row < tests
+                 else f"{train}: normal row {row - tests + 1}")
+        raise ValueError(f"{where}, column {exc.column}: "
+                         f"{exc.reason}") from None
+    return [roc_curve(s, problem.test_labels)
+            for problem, s in zip(problems, scores)]
 
 
 def _score_fold(fold, hp: HyperParams) -> tuple[float, int, int]:
     """AUC, dataset size, and raw feature count for one fold."""
-    (curve,) = _curves([_encode_fold(fold)], hp)
+    (curve,) = _curves([_encode_fold(fold)], hp,
+                       [(f"fold {fold.fold_index}",) * 2])
     return curve.auc, fold.train.n + fold.test.n, len(fold.train.input_names)
 
 
@@ -178,7 +193,7 @@ def cmd_run(args) -> int:
     # only the encoded arrays are kept while training, not the parsed rows
     problem = _encode_fold(FoldPair(parse_keel(args.train),
                                     parse_keel(args.test), 1), args.test)
-    (curve,) = _curves([problem], hp)
+    (curve,) = _curves([problem], hp, [(args.train, args.test)])
     _write_text(args.out, _csv_text([("threshold", "fpr", "tpr"), *(
         [repr(float(v)) for v in point]
         for point in zip(curve.thresholds, curve.fpr, curve.tpr))]))
@@ -203,8 +218,9 @@ def _bench_dataset(task) -> list[tuple]:
     shapes = [(str(fold.fold_index), fold.train.n + fold.test.n,
                len(fold.train.input_names)) for fold in folds]
     problems = [_encode_fold(fold) for fold in folds]
+    names = [(f"fold {fold.fold_index}",) * 2 for fold in folds]
     del folds   # the parsed rows are no longer needed
-    aucs = [curve.auc for curve in _curves(problems, hp)]
+    aucs = [curve.auc for curve in _curves(problems, hp, names)]
     seconds = time.perf_counter() - started
     rows = [(name, index, repr(auc), n, p, f"{seconds / len(problems):.3f}")
             for (index, n, p), auc in zip(shapes, aucs)]

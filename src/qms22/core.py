@@ -7,9 +7,9 @@ member function is smallest. Training minimizes a clipped ratio loss by
 perturbing one matrix/offset entry at a time and keeping only strict
 improvements. The trainer never recomputes the loss from scratch: a
 residual cache turns each single-entry perturbation into a rank-one
-update of the affected member values, and problems with the same number
-of classes, such as the folds of a dataset, can share one cache and train
-together whatever their feature dimensions.
+update of the affected member values. Problems with the same number of
+classes and features, such as the folds of a dataset, share one cache and
+train together; problems of another width train in a cache of their own.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "loss_full",
     "cpm_optimize",
     "cpm_optimize_many",
+    "OverflowingSampleError",
 ]
 
 
@@ -115,7 +116,7 @@ class QmsModel:
         f_i, by the trainer's formula, which uses no BLAS.
         """
         x = _rows(samples, self.p)
-        f = _forms(_stacked(self.members), _extended(x, self.p))[1]
+        f = _forms(_stacked(self.members), _extended(x))[1]
         return f.T.copy()
 
     def classify(self, x) -> int:
@@ -225,12 +226,12 @@ def _stacked(members) -> np.ndarray:
     return np.stack([np.column_stack([f.a, f.b]) for f in members])
 
 
-def _extended(x, p: int, out=None) -> np.ndarray:
-    # the rows of x, (n, p_x <= p), as the columns of [x; 0; -1], into out
-    # if given, whose rows p_x..p-1 must be zero, else a new C-order array
-    xa = np.zeros((p + 1, x.shape[0])) if out is None else out
-    xa[:x.shape[1]] = x.T
-    xa[p] = -1.0
+def _extended(x, out=None) -> np.ndarray:
+    # the rows of x, (n, p), as the columns of [x; -1], into out if given,
+    # else a new C-order array
+    xa = np.empty((x.shape[1] + 1, x.shape[0])) if out is None else out
+    xa[:-1] = x.T
+    xa[-1] = -1.0
     return xa
 
 
@@ -280,16 +281,13 @@ class ResidualCache:
 
         f_i'(x) = f_i(x) + 2 * delta * x[l] * r_i(x)[k] + delta^2 * x[l]^2
 
-    Problems that share m share one cache, each owning one contiguous
-    segment of the samples, residuals and member values, and its own W and
-    loss. A trial's elementwise work runs once over all segments; each
-    problem's loss is summed over its own segment alone, with the bits it
-    gets on its own. Each run of neighbouring problems with equal sample
-    counts, such as the folds of a dataset, is summed by one reduce with a
-    row per problem. A problem narrower than the model's p is zero-padded:
-    rows p_i..p-1 of its [x; -1] are 0, and b stays in column p of W. A
-    trial on a padded column leaves its f_c unchanged to the bit, a loss
-    change of exactly 0, so that entry of its W never moves.
+    Problems that share m and p share one cache, each owning one
+    contiguous segment of the samples, residuals and member values, and
+    its own W and loss. A trial's elementwise work runs once over all
+    segments; each problem's loss is summed over its own segment alone,
+    with the bits it gets on its own. Each run of neighbouring problems
+    with equal sample counts, such as the folds of a dataset, is summed by
+    one reduce with a row per problem.
 
     Training perturbs one class c at a time, and meanwhile only f_c moves,
     so a sample's share of the terms involving f_c depends on F = f_c(x)
@@ -322,8 +320,7 @@ class ResidualCache:
     each column l holds rows built once from its step: (x[l] * x[l]) *
     step^2, stored twice so that it adds to both rows of f_c without a
     broadcast, and step * x[l], which a commit adds to or subtracts from
-    r[k]. `try_entry` decides every problem, then commits each run of
-    neighbours that took one step as one slice.
+    r[k]. `try_entry` decides and commits each problem on its own segment.
 
     Every array with a sample axis pads it from n to a multiple of 8 and
     starts on a 64-byte boundary (see `_aligned`), so each row of float64
@@ -333,9 +330,8 @@ class ResidualCache:
     The padding samples are inert: x (the -1 row too), r, f and the
     weights are 0, so their piece is (-inf, +inf, 0, 0, 0), stored as
     (-2^-1074, +inf, 0, 0, 0), of value 0, and they never leave it. The
-    reduces run over the problems' segments and the commits over runs of
-    them, so no sum or commit covers the padding, and every problem keeps
-    its bits.
+    reduces and the commits run over the problems' segments, so no sum or
+    commit covers the padding, and every problem keeps its bits.
 
     Attributes:
         problems: the training problems, in segment order.
@@ -350,7 +346,7 @@ class ResidualCache:
         if not self.problems:
             raise ValueError("need at least one training problem")
         for problem in self.problems:
-            if problem.m != model.m or problem.p > model.p:
+            if problem.m != model.m or problem.p != model.p:
                 raise ValueError(f"model has {model.m} member functions of "
                                  f"dimension {model.p}, a problem has "
                                  f"{problem.m} member sets of dimension "
@@ -369,7 +365,7 @@ class ResidualCache:
         self._r = _aligned(self._w.shape[1:3] + (n,))
         self._f = _aligned((model.m, n))
         for pr, w, seg in zip(self.problems, self._w, self._segments):
-            xa = _extended(pr.samples, model.p, out=self._xa[:, seg])
+            xa = _extended(pr.samples, out=self._xa[:, seg])
             _forms(w, xa, self._r[:, :, seg], self._f[:, seg])
         self._weight = _aligned((model.m, n))
         for problem, seg in zip(self.problems, self._segments):
@@ -441,7 +437,10 @@ class ResidualCache:
             np.add(den_b, g, out=own_a)   # f_j + g
             np.multiply(alpha, own_a, out=at[0])
             if alpha:
-                np.divide(den_b, alpha, out=at[1])
+                # a tiny alpha may take f_j / alpha past the largest
+                # double: +inf, a breakpoint no f_c reaches, as it should
+                with np.errstate(over="ignore"):
+                    np.divide(den_b, alpha, out=at[1])
                 at[1] -= g
             else:
                 at[1] = np.inf
@@ -552,38 +551,30 @@ class ResidualCache:
         fc, sums, left, new = self._trial(c, k, l)
         step, shift = self._step[l], self._shift[l]   # shift: step * x[l]
         ups, downs = sums.tolist()
-        decided, runs = [], []
-        for i, total in enumerate(self._total):
+        moved = []
+        for i, (total, seg) in enumerate(zip(self._total, self._segments)):
             up, down = ups[i] - total, downs[i] - total
             s = 0 if up <= down else 1
             loss = self.losses[i] + (down if s else up)
             if not loss < self.losses[i]:
                 continue
-            decided.append((i, s, loss))
-            if runs and runs[-1][1:] == [i - 1, s]:   # [first, last, row]
-                runs[-1][1] = i
-            else:
-                runs.append([i, i, s])
-        for first, last, s in runs:
-            run = slice(self._segments[first].start, self._segments[last].stop)
-            self._f[c, run] = fc[s, run]
+            self._f[c, seg] = fc[s, seg]
             if new is not None:
                 rows, cols = left
-                mine = (rows == s) & (cols >= run.start) & (cols < run.stop)
+                mine = (rows == s) & (cols >= seg.start) & (cols < seg.stop)
                 self._piece[:, :, cols[mine]] = new[:, None, mine]
             # r - step * x[l] is r + (-step) * x[l]: IEEE negation is exact
-            r = self._r[c, k, run]
-            (np.subtract if s else np.add)(r, shift[run], out=r)
-        for i, s, loss in decided:
-            self._w[i, c, k, l] += -step if s else step
-            self.losses[i] = loss
-            self._total[i] = (downs if s else ups)[i]
-        return [(i, -step if s else step, loss) for i, s, loss in decided]
+            r = self._r[c, k, seg]
+            (np.subtract if s else np.add)(r, shift[seg], out=r)
+            delta = -step if s else step
+            self._w[i, c, k, l] += delta
+            self.losses[i], self._total[i] = loss, (downs if s else ups)[i]
+            moved.append((i, delta, loss))
+        return moved
 
     def members(self, i: int = 0) -> tuple[MemberFunction, ...]:
-        """Snapshot of problem i's current member functions, p_i wide."""
-        p = self.problems[i].p
-        return tuple(MemberFunction(w[:, :p].copy(), w[:, -1].copy())
+        """Snapshot of problem i's current member functions."""
+        return tuple(MemberFunction(w[:, :-1].copy(), w[:, -1].copy())
                      for w in self._w[i])
 
 
@@ -616,24 +607,76 @@ def cpm_optimize(problem: TrainingProblem, hp: HyperParams,
     return cpm_optimize_many([problem], hp, hook)[0]
 
 
+class OverflowingSampleError(ValueError):
+    """A sample on which training could overflow: row `row` of problem
+    `problem`'s samples, at column `column` (p for b's -1), for `reason`."""
+
+    def __init__(self, problem: int, row: int, column: int, reason: str):
+        super().__init__(f"problem {problem}, sample row {row}, column "
+                         f"{column}: {reason}")
+        self.problem, self.row, self.column = problem, row, column
+        self.reason = reason
+
+    def __reduce__(self):
+        # rebuilt from its fields, so it crosses a process pool intact
+        return type(self), (self.problem, self.row, self.column, self.reason)
+
+
+def _check_bounded(i: int, problem: TrainingProblem, hp: HyperParams) -> None:
+    # raise OverflowingSampleError for problem i if training could
+    # overflow on it. Each entry moves at most once per sweep, so through
+    # T = iterations sweeps, trials included, |A| <= T * step_a and
+    # |b| <= |b_init| + T * step_b; a sample's residuals stay within
+    # r_max = T * step_a * sum |x| + |b_init| + T * step_b and the loss
+    # within n * (m - 1) * q * r_max^2 / denom_guard. Each column's step
+    # row (x * x) * step^2, as the cache builds it, must be finite too.
+    x = np.column_stack([problem.samples, np.full(len(problem.samples), -1.0)])
+    step, t = np.array([hp.step_a] * problem.p + [hp.step_b]), hp.iterations
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = (x * x) * (step * step)
+        r = (t * hp.step_a * np.abs(x[:, :-1]).sum(axis=1) + abs(hp.b_init)
+             + t * hp.step_b)
+        bound = r * r * (len(x) * (problem.m - 1) * hp.q / hp.denom_guard)
+    finite = np.isfinite(square)
+    bad = ~(finite.all(axis=1) & np.isfinite(bound))
+    if bad.any():
+        j = int(bad.argmax())
+        if finite[j].all():
+            l = int(np.abs(x[j, :-1]).argmax())
+            why = f"its loss bound is {float(bound[j])!r}"
+        else:
+            l = int(finite[j].argmin())
+            why = f"its step row is {float(square[j, l])!r}"
+        raise OverflowingSampleError(
+            i, j, l, f"{float(x[j, l])!r} could overflow training: {why}")
+
+
 def cpm_optimize_many(problems, hp: HyperParams,
                       on_accept: Callable | None = None) -> list[QmsModel]:
-    """Train one model per problem by coordinate perturbation, all of
-    them in one residual cache.
+    """Train one model per problem by coordinate perturbation, the
+    problems of each width in one residual cache.
 
-    The problems must share the number of member sets; a narrower problem
-    is zero-padded to the widest (see `ResidualCache`). All of them visit
-    the same sweep, class and entry sequence, so each trial evaluates
-    every problem at once, while the accept decisions and commits stay
-    per problem. Each model and its accepted moves are bitwise those
-    `cpm_optimize` gives on that problem alone.
+    The problems must share the number of member sets. Those of one
+    width train together in one `ResidualCache`, the narrowest width
+    first. They visit the same sweep, class and entry sequence, so each
+    trial evaluates all of them at once, while the accept decisions and
+    commits stay per problem. Each model and its accepted moves are
+    bitwise those `cpm_optimize` gives on that problem alone.
+
+    Every problem is checked before any trains. A problem on which
+    training could overflow (see `_check_bounded`) raises
+    `OverflowingSampleError`, a ValueError naming the problem, the sample
+    row and the column. Training runs under numpy's errstate with
+    overflow, invalid and divide raising, and such an error leaves as a
+    ValueError naming the problems of its cache.
 
     Args:
         problems: training problems sharing m.
         hp: hyperparameters; hp.m must match the problems.
         on_accept: as for `cpm_optimize`, with the problem's index first:
             on_accept(i, sweep, class_i, (k, l), delta, loss), where
-            l == p_i, the problem's own dimension, is b[k].
+            l == p_i, the problem's own dimension, is b[k]. A width's
+            calls all come before the next width's.
 
     Returns:
         The trained models, in the order of `problems`.
@@ -641,18 +684,31 @@ def cpm_optimize_many(problems, hp: HyperParams,
     problems = tuple(problems)
     if not problems:
         raise ValueError("need at least one training problem")
-    p = max(problem.p for problem in problems)   # the cache checks m
-    cache = ResidualCache(problems, QmsModel(_initial_members(hp, p), hp))
-    entries = ([(k, l) for k in range(hp.q) for l in range(p)]
-               + [(k, p) for k in range(hp.q)])
-    for sweep in range(hp.iterations):
-        for c in range(hp.m):
-            for k, l in entries:
-                moved = cache.try_entry(c, k, l)
-                if on_accept is not None:
-                    # only l < p_i and b, column p of the cache, move
-                    for i, delta, loss in moved:
-                        on_accept(i, sweep, c, (k, min(l, problems[i].p)),
-                                  delta, loss)
-    return [QmsModel(cache.members(i), hp) for i in range(len(problems))]
-
+    for i, problem in enumerate(problems):
+        if problem.m != hp.m:
+            raise ValueError(f"hp.m is {hp.m}, problem {i} has {problem.m} "
+                             f"member sets")
+        _check_bounded(i, problem, hp)
+    models = [None] * len(problems)
+    for p in sorted({problem.p for problem in problems}):
+        group = [i for i, problem in enumerate(problems) if problem.p == p]
+        entries = ([(k, l) for k in range(hp.q) for l in range(p)]
+                   + [(k, p) for k in range(hp.q)])
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                cache = ResidualCache([problems[i] for i in group],
+                                      QmsModel(_initial_members(hp, p), hp))
+                for sweep in range(hp.iterations):
+                    for c in range(hp.m):
+                        for k, l in entries:
+                            moved = cache.try_entry(c, k, l)
+                            if on_accept is not None:
+                                for i, delta, loss in moved:
+                                    on_accept(group[i], sweep, c, (k, l),
+                                              delta, loss)
+        except FloatingPointError as exc:
+            raise ValueError(f"problem {' or '.join(map(str, group))}: "
+                             f"{exc} in training") from None
+        for i, index in enumerate(group):
+            models[index] = QmsModel(cache.members(i), hp)
+    return models

@@ -259,7 +259,7 @@ def deltas(cache, c, k, l):
     """The pair `ResidualCache.try_entry` weighs, without committing it:
     each problem's loss change [up, down] from adding +step and -step to
     entry (k, l) of class c, where step is the cache's step_a, or step_b
-    for b. Exact zeros on a narrower problem's padded column."""
+    for b."""
     ups, downs = cache._trial(c, k, l)[1].tolist()
     return [[up - total, down - total]
             for up, down, total in zip(ups, downs, cache._total)]

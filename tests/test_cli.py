@@ -2,7 +2,9 @@
 
 import concurrent.futures
 import csv
+import re
 import shutil
+import warnings
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -296,7 +298,46 @@ class TestRun:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("value", ["1e160", "1e100"])
+    def test_huge_test_value_fails_naming_the_test_file(self, tmp_path,
+                                                        capsys, value):
+        # test values are never clipped: one past the training bound fails
+        # before any training, naming the file and its row there; 1e100
+        # trains, and neither raises a warning
+        tra, tst = fold_pair_files(tmp_path)
+        tst.write_text(tst.read_text() + f"{value}, 3.0, positive\n")
+        out = tmp_path / "roc.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--train", str(tra), "--test", str(tst),
+                         "--out", str(out), *FAST_FLAGS])
+        err = capsys.readouterr().err
+        if value == "1e100":
+            assert (code, err) == (0, "") and out.exists()
+            return
+        assert code == 1 and not out.exists()
+        assert re.fullmatch(f"error: {re.escape(str(tst))}: test row 16, "
+                            f"column 0: \\S+ could overflow training: its "
+                            f"step row is inf\n", err)
+
+
 class TestBench:
+    def test_overflowing_fold_fails_its_dataset(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        write_dataset(data_dir, "good", seed=1)
+        write_dataset(data_dir, "bad", seed=2)
+        tst = list(fold_paths(data_dir, "bad"))[2][1]   # fold 3's test file
+        tst.write_text(tst.read_text() + "1e160, 3.0, positive\n")
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--data-dir", str(data_dir), "--out", str(out),
+                     "--workers", "1", *FAST_FLAGS]) == 0
+        captured = capsys.readouterr()
+        assert re.fullmatch("error: bad: fold 3: test row 16, column 0: "
+                            "\\S+ could overflow training: its step row is "
+                            "inf\n", captured.err)
+        assert "(6 rows, 1 failures)" in captured.out
+        assert {r["dataset"] for r in read_csv_rows(out)} == {"good"}
+
     def test_single_dataset_six_sorted_rows(self, tmp_path, capsys):
         data_dir = write_dataset(tmp_path / "data", "synth")
         out = tmp_path / "bench.csv"
@@ -343,7 +384,7 @@ class TestBench:
 
     def test_fold_aucs_equal_score_fold(self, tmp_path, capsys):
         # folds of unequal size, and fold 3 one feature wider, so the
-        # bench trains the other folds padded to its width
+        # bench trains it in a cache of its own
         data_dir = tmp_path / "data"
         data_dir.mkdir()
         rng = np.random.default_rng(12)

@@ -2,16 +2,18 @@
 
 import dataclasses
 import itertools
+import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qms22 import (HyperParams, MemberFunction, QmsModel, SsadProblem,
-                   TrainingProblem, cpm_optimize, cpm_optimize_many,
-                   loss_full, outlier_scores)
+from qms22 import (HyperParams, MemberFunction, OverflowingSampleError,
+                   QmsModel, SsadProblem, TrainingProblem, build_member_sets,
+                   cpm_optimize, cpm_optimize_many, loss_full, outlier_scores)
 from qms22.core import ResidualCache, _initial_members, _ratio_loss
 
 from oracles import (class_terms, clipped_evaluation, cpm_reference, deltas,
@@ -433,21 +435,6 @@ class TestSampleInput:
 
 
 class TestResidualCache:
-    def test_zero_delta_is_exactly_zero(self):
-        # a narrower problem's padded columns hold x[l] = 0, so a trial
-        # there leaves its f_c, and so its loss, exactly as they are
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            narrow, _ = random_instance(rng, m=3, q=2, p=2)
-            wide, model = random_instance(rng, m=3, q=2, p=4)
-            cache = ResidualCache([narrow, wide], model)
-            for ci in range(3):
-                for k, l in ((0, 2), (1, 3), (1, 2)):
-                    assert deltas(cache, ci, k, l)[0] == [0.0, 0.0]
-                    # the wide problem may move, the narrow one never
-                    assert all(i == 1 for i, _, _ in
-                               cache.try_entry(ci, k, l))
-
     def test_delta_matches_full_recompute(self):
         rng = np.random.default_rng(17)
         for _ in range(40):
@@ -876,17 +863,14 @@ class TestStepRows:
         assert signs == {True, False}
 
     def test_each_column_holds_the_rows_of_its_step(self):
-        # step_a's rows on the columns of A, the columns padded for the
-        # narrower problem too, and step_b's on b, column p: built with the
-        # cache and never changed by trials and commits
-        made = [_ssad_problem(seed, 50, 12, p, 2)
-                for seed, p in ((261, 3), (262, 6))]
+        # step_a's rows on the columns of A and step_b's on b, column p:
+        # built with the cache and never changed by trials and commits
+        made = [_ssad_problem(seed, 50, 12, 6, 2) for seed in (261, 262)]
         trainings = [training for _, training, _ in made]
         hp = dataclasses.replace(made[0][2], step_a=0.75, step_b=2.5)
         p = 6
         cache = ResidualCache(trainings,
                               QmsModel(_initial_members(hp, p), hp))
-        assert not cache._xa[3:p, cache._segments[0]].any()
 
         def check_rows():
             for l in range(p + 1):
@@ -905,26 +889,23 @@ class TestStepRows:
 
 
 class TestGroupedSums:
-    @pytest.mark.parametrize("sizes, widths, runs", [
-        ((163, 163, 163, 163, 162), (6,) * 5, [4, 1]),
-        ((190, 190, 185, 190, 190), (6,) * 5, [2, 1, 2]),
-        ((140,), (6,), [1]),
-        ((120, 120, 97, 97, 97), (1, 5, 2, 5, 3), [2, 3]),
-        ((9000, 9000, 30), (2, 2, 2), [2, 1]),
-    ], ids=["four-then-one", "equal-apart", "lone", "mixed-widths",
-            "long-rows"])
-    def test_sums_equal_per_segment_reduce(self, sizes, widths, runs):
+    @pytest.mark.parametrize("sizes, p, runs", [
+        ((163, 163, 163, 163, 162), 6, [4, 1]),
+        ((190, 190, 185, 190, 190), 6, [2, 1, 2]),
+        ((140,), 6, [1]),
+        ((9000, 9000, 30), 2, [2, 1]),
+    ], ids=["four-then-one", "equal-apart", "lone", "long-rows"])
+    def test_sums_equal_per_segment_reduce(self, sizes, p, runs):
         # each run of equal sizes is one reduce; every problem's sum has
         # the bytes of the reduce over its own segment alone. Rows of
-        # 9000 are longer than numpy's 8192-element reduce buffer, and
-        # the narrower problems are zero-padded
+        # 9000 are longer than numpy's 8192-element reduce buffer
         rng = np.random.default_rng(len(sizes) + sum(sizes))
         problems = [TrainingProblem(
             rng.normal(scale=60.0, size=(size, p)),
             [np.arange(size), rng.permutation(size)[:size // 2],
              rng.permutation(size)[:size // 3]], (0.4, 1.0, 1.0))
-            for size, p in zip(sizes, widths)]
-        members = tuple(MemberFunction(rng.normal(size=(2, max(widths))),
+            for size in sizes]
+        members = tuple(MemberFunction(rng.normal(size=(2, p)),
                                        rng.normal(size=2)) for _ in range(3))
         cache = ResidualCache(problems,
                               QmsModel(members, HyperParams(m=3, q=2)))
@@ -1358,10 +1339,10 @@ def train_alone(problem, hp):
 
 
 def train_checking_drift(problems, hp):
-    """The trials of `cpm_optimize_many`, in its sweep order, with the
-    residual cache checked against a full recomputation after every
-    sweep; returns the trained cache."""
-    p = max(problem.p for problem in problems)
+    """The trials of `cpm_optimize_many` on problems of one width, in its
+    sweep order, with the residual cache checked against a full
+    recomputation after every sweep; returns the trained cache."""
+    p = problems[0].p
     cache = ResidualCache(problems, QmsModel(_initial_members(hp, p), hp))
     entries = ([(k, l) for k in range(hp.q) for l in range(p)]
                + [(k, p) for k in range(hp.q)])
@@ -1448,11 +1429,11 @@ class TestCpmOptimizeMany:
         for model, again in zip(models, checked):
             assert model_bytes(again) == model_bytes(model)
 
-    def test_runs_of_one_step_commit_like_problems_alone(self):
+    def test_per_problem_commits_bitwise_equal_to_problems_alone(self):
         # four problems in one cache, random member functions and steps
         # that often move f_c out of its piece. Some trials split the
         # problems three ways: two neighbours take one step, another the
-        # other step and another none, so the commit takes several runs
+        # other step and another none, and each commits on its own segment
         rng = np.random.default_rng(88)
         members = tuple(MemberFunction(rng.normal(size=(2, 3)),
                                        rng.normal(size=2)) for _ in range(3))
@@ -1487,7 +1468,8 @@ class TestCpmOptimizeMany:
                 model_bytes(QmsModel(a.members(), hp))
 
     def test_mixed_widths_bitwise_equal_to_one_problem_at_a_time(self):
-        # the cache pads problems of p = 1, 2, 3 to the widest, p = 5
+        # p = 1, 2 and 3 each train in a cache of their own, and the two
+        # problems of p = 5 together
         made = [_ssad_problem(seed, 40 + 7 * seed, 12, p, 2)
                 for seed, p in ((231, 1), (232, 2), (233, 3), (234, 5),
                                 (235, 5))]
@@ -1502,13 +1484,12 @@ class TestCpmOptimizeMany:
             assert [move[:-1] for move in got] == [move[:-1] for move in want]
             assert loss_bytes(got) == loss_bytes(want)
             assert model_bytes(model) == model_bytes(alone)
-        # with the drift checked after every sweep; the padded columns of
-        # W, between a problem's own columns and b, never move
-        cache = train_checking_drift(trainings, hp)
-        for i, training in enumerate(trainings):
-            assert not cache._w[i, :, :, training.p:-1].any()
-            assert model_bytes(QmsModel(cache.members(i), hp)) == \
-                model_bytes(models[i])
+        # with the drift checked after every sweep of each width's cache
+        for p in (1, 2, 3, 5):
+            group = [i for i, t in enumerate(trainings) if t.p == p]
+            cache = train_checking_drift([trainings[i] for i in group], hp)
+            for i, model in zip(group, cache_models(cache)):
+                assert model_bytes(model) == model_bytes(models[i])
 
     def test_differing_m_or_p_rejected(self):
         rng = np.random.default_rng(59)
@@ -1523,8 +1504,9 @@ class TestCpmOptimizeMany:
         with pytest.raises(ValueError, match="at least one"):
             cpm_optimize_many([], hp)
         model = QmsModel(_initial_members(hp, 2), hp)
-        with pytest.raises(ValueError, match="dimension"):
-            ResidualCache([problem(3, 2), problem(3, 4)], model)
+        for other in (problem(3, 4), problem(3, 1)):   # wider and narrower
+            with pytest.raises(ValueError, match="dimension"):
+                ResidualCache([problem(3, 2), other], model)
         with pytest.raises(ValueError, match="at least one"):
             ResidualCache([], model)
 
@@ -1548,6 +1530,104 @@ class TestCpmOptimizeMany:
         for i, a in enumerate(alone):
             assert model_bytes(QmsModel(shared.members(i), hp)) == \
                 model_bytes(QmsModel(a.members(), hp))
+
+
+def with_value(seed, row, column, value, iterations=2):
+    """The training problem of `_ssad_problem(seed, 80, 20, 3, iterations)`
+    with one test value set to `value`, and its hyperparameters."""
+    problem, _, hp = _ssad_problem(seed, 80, 20, 3, iterations)
+    test = problem.test_samples.copy()
+    test[row, column] = value
+    problem = SsadProblem(problem.train_normals, test)
+    plan = build_member_sets(problem, hp.m, hp.seed)
+    pooled = np.vstack([problem.test_samples, problem.train_normals])
+    return TrainingProblem(pooled, plan.member_sets, plan.class_weights), hp
+
+
+class TestOverflowGuard:
+    @pytest.mark.parametrize("value, why", [
+        (1e155, "its step row is inf"),
+        (1e150, "its loss bound is inf"),
+    ], ids=["step-row", "loss-bound"])
+    def test_huge_value_rejected_before_training(self, value, why):
+        # among values within 255, one huge test value: its step row
+        # (x * x) * step_a^2 or the loss bound of its row is not finite
+        training, hp = with_value(271, 3, 1, value)
+        moves = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowingSampleError) as raised:
+                cpm_optimize_many([training], hp,
+                                  on_accept=lambda *move: moves.append(move))
+        assert str(raised.value) == (f"problem 0, sample row 3, column 1: "
+                                     f"{value!r} could overflow training: "
+                                     f"{why}")
+        assert (raised.value.problem, raised.value.row,
+                raised.value.column) == (0, 3, 1)
+        assert isinstance(raised.value, ValueError) and moves == []
+        again = pickle.loads(pickle.dumps(raised.value))
+        assert (type(again), str(again)) == (type(raised.value),
+                                             str(raised.value))
+
+    def test_large_value_within_the_bound_trains_without_warnings(self):
+        training, hp = with_value(272, 3, 1, 1e100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = cpm_optimize(training, hp)
+        assert np.isfinite(model.member_values(training.samples)).all()
+
+    @pytest.mark.parametrize("bad", ["m", "overflow"])
+    def test_every_problem_checked_before_any_trains(self, bad):
+        # the bad problem is the widest, so its cache would train last
+        problems = [with_value(273 + p, 0, 0, 1.0)[0] for p in (0, 1)]
+        rng = np.random.default_rng(274)
+        problems.insert(1, from_member_sets(
+            [rng.normal(scale=60.0, size=(9, 5)) for _ in range(7)]))
+        if bad == "m":
+            problems.append(from_member_sets(
+                [rng.normal(size=(4, 6)) for _ in range(3)]))
+        else:
+            samples = rng.normal(size=(20, 6))
+            samples[7, 4] = 1e160
+            problems.append(TrainingProblem(
+                samples, [np.arange(20)] + [np.arange(i, 20, 6)
+                                            for i in range(6)]))
+        hp = HyperParams(iterations=1)
+
+        def fail(*move):
+            raise AssertionError("trained before every problem was checked")
+
+        message = ("hp.m is 7, problem 3 has 3 member sets" if bad == "m"
+                   else "problem 3, sample row 7, column 4: ")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            cpm_optimize_many(problems, hp, on_accept=fail)
+
+    def test_floating_point_error_leaves_as_value_error(self):
+        # a class weight of 1e300 takes w_j * f_j past the largest double
+        # when that class is a denominator, which the bound does not see
+        rng = np.random.default_rng(275)
+        good = from_member_sets([rng.normal(size=(5, 2)) for _ in range(3)])
+        bad = from_member_sets([rng.normal(size=(5, 2)) for _ in range(3)],
+                               (1e300, 1.0, 1.0))
+        hp = HyperParams(m=3, q=2, iterations=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                cpm_optimize_many([good, bad], hp)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == ("problem 0 or 1: overflow encountered "
+                                     "in multiply in training")
+
+    def test_tiny_alpha_trains_without_warnings(self):
+        # f_j / alpha passes the largest double: a breakpoint of +inf
+        training, hp = with_value(276, 0, 0, 1.0)
+        hp = dataclasses.replace(hp, alpha=1e-300)
+        moves = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cpm_optimize(training, hp,
+                         on_accept=lambda *move: moves.append(move))
+        assert moves and all(np.isfinite(move[-1]) for move in moves)
 
 
 class TestHyperParams:
