@@ -63,12 +63,15 @@ def _hyper_from_args(args) -> HyperParams:
                           for flag, field, _ in _HYPER_FLAGS})
 
 
-def _encode_fold(fold, test_name: str | None = None):
+def _encode_fold(fold, names: tuple[str, str] | None = None):
     """The fold's training normals and labelled test side, encoded by a
-    preprocessor fitted on the normals, as an SsadProblem.
+    preprocessor fitted on the normals, as an SsadProblem, and the names
+    `_curves` reports it by: the (training, test) names, else "fold k"
+    for both, then each encoded column's attribute and one-hot value, as
+    `Preprocessor.columns` gives them.
 
     A test side without both classes has no ROC, so it fails here,
-    before any training; the error names test_name, else the fold.
+    before any training; the error names the test side.
     """
     from .keel import Preprocessor, strip_outliers_from_train
     from .ssad import SsadProblem
@@ -77,44 +80,51 @@ def _encode_fold(fold, test_name: str | None = None):
     x_train, _ = prep.transform(train)
     x_test, y_test = prep.transform(fold.test)
     outliers = int(y_test.sum())
+    train_name, test_name = names or (f"fold {fold.fold_index}",) * 2
     if not 0 < outliers < y_test.size:
-        where = test_name or f"fold {fold.fold_index}"
-        raise ValueError(f"{where}: a ROC needs at least one outlier "
+        raise ValueError(f"{test_name}: a ROC needs at least one outlier "
                          f"('positive') and one normal ('negative') test "
                          f"row, got {outliers} and {y_test.size - outliers}")
-    return SsadProblem(x_train, x_test, y_test)
+    return (SsadProblem(x_train, x_test, y_test),
+            (train_name, test_name, prep.columns))
 
 
-def _curves(problems, hp: HyperParams, names) -> list:
+def _curves(encoded, hp: HyperParams) -> list:
     """Train on encoded folds' normals, together in one `run_qms22_many`
     call; the ROC of each fold's test side. The CLI's one call into
     training: `bench` passes a dataset's folds, `run` a batch of one.
 
-    names holds each fold's (training, test) names. A sample on which
-    training could overflow fails before any training, naming its side
-    and its row there.
+    encoded holds each fold's (problem, names) as `_encode_fold` gives
+    them. A sample on which training could overflow fails before any
+    training, naming its side, its row there and its attribute, with
+    the value as encoded: a numeric one scaled by 255 / its training peak.
     """
     from .core import OverflowingSampleError
     from .metrics import roc_curve
     from .ssad import run_qms22_many
+    problems = [problem for problem, _ in encoded]
     try:
         scores = run_qms22_many(problems, hp)
     except OverflowingSampleError as exc:
         # a fold's pooled rows are its test rows, then its training normals
-        (train, test), row = names[exc.problem], exc.row
+        (train, test, columns), row = encoded[exc.problem][1], exc.row
         tests = len(problems[exc.problem].test_samples)
         where = (f"{test}: test row {row + 1}" if row < tests
                  else f"{train}: normal row {row - tests + 1}")
-        raise ValueError(f"{where}, column {exc.column}: "
-                         f"{exc.reason}") from None
+        if exc.column == len(columns):   # b's column of -1s
+            what = "the offset column: value"
+        else:
+            name, value = columns[exc.column]
+            what = (f"attribute {name!r}: scaled value" if value is None
+                    else f"attribute {name!r}, value {value!r}: one-hot")
+        raise ValueError(f"{where}, {what} {exc.reason}") from None
     return [roc_curve(s, problem.test_labels)
             for problem, s in zip(problems, scores)]
 
 
 def _score_fold(fold, hp: HyperParams) -> tuple[float, int, int]:
     """AUC, dataset size, and raw feature count for one fold."""
-    (curve,) = _curves([_encode_fold(fold)], hp,
-                       [(f"fold {fold.fold_index}",) * 2])
+    (curve,) = _curves([_encode_fold(fold)], hp)
     return curve.auc, fold.train.n + fold.test.n, len(fold.train.input_names)
 
 
@@ -191,9 +201,10 @@ def cmd_run(args) -> int:
     _check_m(hp.m)
     from .keel import FoldPair, parse_keel
     # only the encoded arrays are kept while training, not the parsed rows
-    problem = _encode_fold(FoldPair(parse_keel(args.train),
-                                    parse_keel(args.test), 1), args.test)
-    (curve,) = _curves([problem], hp, [(args.train, args.test)])
+    encoded = _encode_fold(FoldPair(parse_keel(args.train),
+                                    parse_keel(args.test), 1),
+                           (args.train, args.test))
+    (curve,) = _curves([encoded], hp)
     _write_text(args.out, _csv_text([("threshold", "fpr", "tpr"), *(
         [repr(float(v)) for v in point]
         for point in zip(curve.thresholds, curve.fpr, curve.tpr))]))
@@ -217,12 +228,11 @@ def _bench_dataset(task) -> list[tuple]:
     started = time.perf_counter()
     shapes = [(str(fold.fold_index), fold.train.n + fold.test.n,
                len(fold.train.input_names)) for fold in folds]
-    problems = [_encode_fold(fold) for fold in folds]
-    names = [(f"fold {fold.fold_index}",) * 2 for fold in folds]
+    encoded = [_encode_fold(fold) for fold in folds]
     del folds   # the parsed rows are no longer needed
-    aucs = [curve.auc for curve in _curves(problems, hp, names)]
+    aucs = [curve.auc for curve in _curves(encoded, hp)]
     seconds = time.perf_counter() - started
-    rows = [(name, index, repr(auc), n, p, f"{seconds / len(problems):.3f}")
+    rows = [(name, index, repr(auc), n, p, f"{seconds / len(encoded):.3f}")
             for (index, n, p), auc in zip(shapes, aucs)]
     # below eight values numpy's pairwise sum is this left-to-right one,
     # so the mean has np.mean's bits

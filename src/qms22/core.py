@@ -297,11 +297,15 @@ class ResidualCache:
     alpha = 0). Between neighbouring breakpoints, lo < F <= hi, the share
     is a * F + b / (F + g) + c0; the sides agree on a breakpoint. Once per
     class the cache tables every sample's breakpoints and the coefficients
-    that its pieces sum, and stores each sample's piece and each problem's
-    sum of the terms involving f_c. A trial evaluates the pieces at the
-    new f_c, O(n), and recomputes the piece only of the samples that left
-    theirs, from the table. A trial is always the pair +step, -step on one
-    entry: `try_entry` evaluates it and commits each problem's move.
+    that its pieces sum, and stores each problem's sum of the terms
+    involving f_c and each sample's piece, once per trial row. A trial is
+    always the pair +step, -step on one entry: `try_entry` evaluates it
+    and commits each problem's move. It recomputes from the table the
+    piece only of the samples that left the piece of their row, stores it
+    there and evaluates the pieces at the new f_c, O(n). So row r holds
+    the pieces of the last trial's row r, and no commit writes a piece:
+    class c's table depends only on the f_j (j != c) and the weights, and
+    a piece values every F between its breakpoints with the same bits.
 
     A piece is stored as its guards and coefficients (lo', hi', a, b, c0),
     where lo' = max(lo, -2^-1074), with -2^-1074 the largest negative
@@ -503,25 +507,23 @@ class ResidualCache:
         # Each problem's sum of the terms involving f_c, for both rows of
         # _fc (2, n), over its own segment alone, so with a lone problem's
         # bits, in the (2, problems) buffer _sums; and the (rows, samples)
-        # that left their piece with their new pieces, or None, None. One
-        # comparison, fc <= lo' and hi' <= fc, flags them, a negative fc
-        # too; theirs is clipped at 0 in _fc before any piece is valued.
+        # that left their piece, or None. One comparison, fc <= lo' and
+        # hi' <= fc, flags them, a negative fc too; theirs is clipped at 0
+        # in _fc and their new pieces stored before any piece is valued.
         g, value, fc = self.hp.denom_guard, self._value, self._fc
         np.less_equal(*self._versus, out=self._bounds)
-        left = new = None
+        left = None
         if np.count_nonzero(self._bounds):
             below, above = self._bounds
             left = np.nonzero(np.logical_or(below, above, out=below))
             moved = fc[left]
             if moved.min() < 0.0:
                 fc[left] = np.maximum(moved, 0.0, out=moved)
-            new = self._pieces(left[1], moved)
+            self._piece[:, left[0], left[1]] = self._pieces(left[1], moved)
         _piece_value(self._coefficients, fc, g, out=value, tmp=self._tmp)
-        if left is not None:
-            value[left] = _piece_value(new[2:], moved, g)
         for run, sums in self._grouped:
             np.add.reduce(run, axis=2, out=sums)
-        return self._sums, left, new
+        return self._sums, left
 
     def _trial(self, c: int, k: int, l: int):
         # f_c after adding +step and -step to entry (k, l), one row each
@@ -543,12 +545,12 @@ class ResidualCache:
         problem, commit the one that lowers its loss more, +step on a
         tie, if it lowers the tracked loss at all. A commit updates the
         problem's entry, residuals, member values and tracked loss, so
-        every commit strictly lowers that loss.
+        every commit strictly lowers that loss; it writes no loss piece.
 
         Returns (i, delta, loss) for each problem i that moved, with its
         new tracked loss.
         """
-        fc, sums, left, new = self._trial(c, k, l)
+        fc, sums, _ = self._trial(c, k, l)
         step, shift = self._step[l], self._shift[l]   # shift: step * x[l]
         ups, downs = sums.tolist()
         moved = []
@@ -559,10 +561,6 @@ class ResidualCache:
             if not loss < self.losses[i]:
                 continue
             self._f[c, seg] = fc[s, seg]
-            if new is not None:
-                rows, cols = left
-                mine = (rows == s) & (cols >= seg.start) & (cols < seg.stop)
-                self._piece[:, :, cols[mine]] = new[:, None, mine]
             # r - step * x[l] is r + (-step) * x[l]: IEEE negation is exact
             r = self._r[c, k, seg]
             (np.subtract if s else np.add)(r, shift[seg], out=r)
@@ -624,9 +622,10 @@ class OverflowingSampleError(ValueError):
 
 def _check_bounded(i: int, problem: TrainingProblem, hp: HyperParams) -> None:
     # raise OverflowingSampleError for problem i if training could
-    # overflow on it. Each entry moves at most once per sweep, so through
-    # T = iterations sweeps, trials included, |A| <= T * step_a and
-    # |b| <= |b_init| + T * step_b; a sample's residuals stay within
+    # overflow on one of its samples, else a ValueError if it could on its
+    # largest class weight. Each entry moves at most once per sweep, so
+    # through T = iterations sweeps, trials included, |A| <= T * step_a
+    # and |b| <= |b_init| + T * step_b; a sample's residuals stay within
     # r_max = T * step_a * sum |x| + |b_init| + T * step_b and the loss
     # within n * (m - 1) * q * r_max^2 / denom_guard. Each column's step
     # row (x * x) * step^2, as the cache builds it, must be finite too.
@@ -649,6 +648,17 @@ def _check_bounded(i: int, problem: TrainingProblem, hp: HyperParams) -> None:
             why = f"its step row is {float(square[j, l])!r}"
         raise OverflowingSampleError(
             i, j, l, f"{float(x[j, l])!r} could overflow training: {why}")
+    # a class weight scales the loss terms and what the class tables sum
+    # over the m - 1 other classes: w_c / (f_j + g) <= w_c / denom_guard
+    # and w_j * f_j <= w_j * q * r_max^2
+    c = int(np.argmax(problem.class_weights))
+    w, r_max = problem.class_weights[c], float(r.max())
+    most = w * max(float(bound.max()), (problem.m - 1)
+                   * max(1.0 / hp.denom_guard, hp.q * r_max * r_max))
+    if not math.isfinite(most):
+        raise ValueError(f"problem {i}, class {c}: weight {w!r} could "
+                         f"overflow training: its weighted loss bound is "
+                         f"{most!r}")
 
 
 def cpm_optimize_many(problems, hp: HyperParams,
@@ -666,7 +676,8 @@ def cpm_optimize_many(problems, hp: HyperParams,
     Every problem is checked before any trains. A problem on which
     training could overflow (see `_check_bounded`) raises
     `OverflowingSampleError`, a ValueError naming the problem, the sample
-    row and the column. Training runs under numpy's errstate with
+    row and the column, or, for a class weight, a ValueError naming the
+    problem and the class. Training runs under numpy's errstate with
     overflow, invalid and divide raising, and such an error leaves as a
     ValueError naming the problems of its cache.
 

@@ -349,6 +349,13 @@ class Preprocessor:
     def width(self) -> int:
         return sum(a.width for a in self.attributes)
 
+    @property
+    def columns(self) -> tuple[tuple[str, str | None], ...]:
+        """Each encoded column's attribute name and, for a one-hot column,
+        the declared value it stands for; None for a numeric attribute."""
+        return tuple((a.name, value) for a in self.attributes
+                     for value in ((None,) if a.is_numeric else a.domain))
+
     def transform(self, data: RawDataset) -> tuple[np.ndarray, np.ndarray]:
         """Encode rows to an (n, width) float matrix and a boolean outlier
         label vector (positive class = outlier).

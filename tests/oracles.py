@@ -316,10 +316,11 @@ def class_terms(problem, hp, f, c):
 def max_relative_drift(cache):
     """Worst relative deviation of a residual cache's state from a
     recomputation: residuals, member values and, once a class is
-    gathered, each problem's sum of the terms involving f_c. It is inf if
-    some sample's f_c lies outside its stored piece, whose guards hold it
-    as lo' < f_c < hi'. Only the n samples count, not the padding of the
-    cache's sample axis."""
+    gathered, each problem's sum of the terms involving f_c. It is inf
+    unless each row of the stored pieces has the bytes of the pieces that
+    `_pieces` computes afresh from that row of the last trial's f_c
+    (`_fc`). Only the n samples count, not the padding of the cache's
+    sample axis."""
     n = cache._segments[-1].stop
     r, f = np.empty_like(cache._r[..., :n]), np.empty_like(cache._f[..., :n])
     for w, seg in zip(cache._w, cache._segments):
@@ -328,10 +329,10 @@ def max_relative_drift(cache):
                 for now, ex in zip((cache._r[..., :n], cache._f[..., :n]),
                                    (r, f)))
     if cache._c is not None:
-        lo, hi, fc = (cache._piece[0, ..., :n], cache._piece[1, ..., :n],
-                      cache._f[cache._c, :n])
-        if not ((lo < fc) & (fc < hi)).all():
-            return float("inf")
+        for row, fc in enumerate(cache._fc):
+            fresh = cache._pieces(slice(None), fc)[:, :n]
+            if cache._piece[:, row, :n].tobytes() != fresh.tobytes():
+                return float("inf")
         for pr, seg, total in zip(cache.problems, cache._segments,
                                   cache._total):
             exact = class_terms(pr, cache.hp, cache._f[:, seg], cache._c)

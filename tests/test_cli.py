@@ -317,8 +317,39 @@ class TestRun:
             return
         assert code == 1 and not out.exists()
         assert re.fullmatch(f"error: {re.escape(str(tst))}: test row 16, "
-                            f"column 0: \\S+ could overflow training: its "
-                            f"step row is inf\n", err)
+                            f"attribute 'X1': scaled value \\S+ could "
+                            f"overflow training: its step row is inf\n", err)
+
+    @pytest.mark.parametrize("flags, where", [
+        ([], f"test row 7, attribute 'X1': scaled value "
+             f"{1e159 * (255.0 / 51.0)!r}"),
+        (["--step-b", "1e160"], "test row 1, the offset column: value -1.0"),
+    ], ids=["attribute", "offset"])
+    def test_overflow_names_the_declared_attribute(self, tmp_path, capsys,
+                                                   flags, where):
+        # a categorical attribute declared before the numeric one puts X1
+        # in encoded column 3, after C1's one-hot block, and scales it by
+        # 255 / 51, its training peak; a step_b of 1e160 overflows the
+        # step row of b's -1 on every row
+        header = ("@relation cat\n@attribute C1 {a, b, c}\n"
+                  "@attribute X1 real [-60, 1e160]\n"
+                  "@attribute Class {negative, positive}\n"
+                  "@inputs C1, X1\n@outputs Class\n@data\n")
+        tra, tst = tmp_path / "tra.dat", tmp_path / "tst.dat"
+        tra.write_text(header + "".join(f"{'abc'[i % 3]}, {i * 3}, negative\n"
+                                        for i in range(18)))
+        tst.write_text(header + "".join(f"{'abc'[i % 3]}, {i}, negative\n"
+                                        for i in range(6))
+                       + "b, 1e159, positive\nc, -60, positive\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--train", str(tra), "--test", str(tst),
+                         "--out", str(tmp_path / "roc.csv"), *FAST_FLAGS,
+                         *flags])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {tst}: {where} could overflow training: its step row "
+            f"is inf\n")
 
 
 class TestBench:
@@ -332,9 +363,9 @@ class TestBench:
         assert main(["bench", "--data-dir", str(data_dir), "--out", str(out),
                      "--workers", "1", *FAST_FLAGS]) == 0
         captured = capsys.readouterr()
-        assert re.fullmatch("error: bad: fold 3: test row 16, column 0: "
-                            "\\S+ could overflow training: its step row is "
-                            "inf\n", captured.err)
+        assert re.fullmatch("error: bad: fold 3: test row 16, attribute "
+                            "'X1': scaled value \\S+ could overflow "
+                            "training: its step row is inf\n", captured.err)
         assert "(6 rows, 1 failures)" in captured.out
         assert {r["dataset"] for r in read_csv_rows(out)} == {"good"}
 

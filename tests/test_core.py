@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qms22 import (HyperParams, MemberFunction, OverflowingSampleError,
                    QmsModel, SsadProblem, TrainingProblem, build_member_sets,
                    cpm_optimize, cpm_optimize_many, loss_full, outlier_scores)
+from qms22 import core
 from qms22.core import ResidualCache, _initial_members, _ratio_loss
 
 from oracles import (class_terms, clipped_evaluation, cpm_reference, deltas,
@@ -551,12 +552,10 @@ def check_piece_sums(cache, c, fc):
     samples) that left their stored piece, or None."""
     cache._gather(c)
     cache._fc[...] = fc
-    sums, left, new = cache._evaluate()
+    sums, left = cache._evaluate()
     fc = np.maximum(fc, 0.0)
     assert cache._fc.tobytes() == fc.tobytes()
-    lo, hi = cache._piece[:2].copy()   # one copy of the guards per row
-    if left is not None:
-        lo[left], hi[left] = new[:2]
+    lo, hi = cache._piece[:2]   # the guards, a row per step sign
     assert ((lo < fc) & (fc < hi)).all()
     for i, (problem, seg) in enumerate(zip(cache.problems, cache._segments)):
         for row in range(2):
@@ -584,6 +583,7 @@ def check_deltas(cache, c, k, l):
                                         abs=1e-12 * max(base, after))
 
 
+@pytest.mark.bitwise
 class TestLossPieces:
     def test_terms_of_every_class_count_each_term_twice(self):
         # every term involves two classes, so the class sums add up to 2L
@@ -613,18 +613,20 @@ class TestLossPieces:
             fc[0, own] = hp.alpha * (f[j, own] + hp.denom_guard)
             den = problem.member_sets[j]
             fc[1, den] = f[j, den] / hp.alpha - hp.denom_guard
-            check_piece_sums(cache, c, np.maximum(fc, 0.0))
-            # and on the ends of the stored pieces: on lo it leaves its
-            # piece, on hi it stays; the cache holds them as guards
+            # on the ends of the pieces that the gather stores: on lo it
+            # leaves its piece, on hi it stays; the cache holds them as
+            # guards
+            cache._gather(c)
             n = f.shape[1]
             raw = pieces_from_values(cache, c, np.arange(n), f[c])
             for row in cache._piece.transpose(1, 0, 2):
                 assert row.tobytes() == guards(raw).tobytes()
             lo, hi = raw[:2]
-            fc = np.where(np.isfinite([lo, hi]), [lo, hi], f[[c, c]])
-            left = check_piece_sums(cache, c, np.maximum(fc, 0.0))
+            ends = np.where(np.isfinite([lo, hi]), [lo, hi], f[[c, c]])
+            left = check_piece_sums(cache, c, np.maximum(ends, 0.0))
             if np.isfinite(lo).any():
                 assert left is not None and (left[0] == 0).all()
+            check_piece_sums(cache, c, np.maximum(fc, 0.0))
 
     def test_step_clipped_to_zero(self):
         # f_c'(x) = f + 2 delta x r + delta^2 x^2 comes out at -5.6e-17 for
@@ -689,14 +691,15 @@ class TestLossPieces:
         cache = ResidualCache(problem, with_steps(model, 40.0))
         n = problem.samples.shape[0]
         for c in range(4):
-            f_new = cache._trial(c, 1, 3)[0]
-            rows, _ = check_piece_sums(cache, c, f_new)
+            f_new, _, (rows, _) = cache._trial(c, 1, 3)
             assert rows.size > n   # of the 2n (row, sample) pairs
+            check_piece_sums(cache, c, f_new)
             check_deltas(cache, c, 1, 3)
 
-    def test_commits_keep_the_relocated_pieces(self):
-        # the committed row's new pieces replace the stored ones, so
-        # every f_c stays inside its piece and the sums stay exact
+    def test_every_trial_leaves_the_pieces_of_its_rows(self):
+        # a trial stores the new pieces of the samples that left theirs,
+        # so after it, committed or not, each row of pieces is that of its
+        # row of f_c' and the sums stay exact
         rng = np.random.default_rng(83)
         problem, model = random_instance(rng, m=3, q=2, p=3, max_samples=12)
         step_a, step_b = rng.uniform(0.1, 3.0, size=2)
@@ -705,12 +708,47 @@ class TestLossPieces:
         for _ in range(80):
             c = int(rng.integers(0, 3))
             k, l = int(rng.integers(0, 2)), int(rng.integers(0, 4))
-            left = cache._trial(c, k, l)[2]
-            pieces = cache._piece.copy()
-            if cache.try_entry(c, k, l) and left is not None:
-                relocated += not np.array_equal(pieces, cache._piece)
+            relocated += cache._trial(c, k, l)[2] is not None
+            assert max_relative_drift(cache) <= 1e-9
+            cache.try_entry(c, k, l)
             assert max_relative_drift(cache) <= 1e-9
         assert relocated > 0
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(st.integers(2, 7), min_size=2, max_size=4, unique=True),
+           st.tuples(st.floats(0.5, 40.0), st.floats(0.5, 40.0)),
+           st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1),
+                              st.integers(0, 2)),
+                    min_size=1, max_size=12),
+           st.integers(0, 2 ** 32 - 1))
+    def test_every_trial_leaves_the_pieces_of_its_rows_in_one_cache(
+            self, sizes, step_ab, trials, seed):
+        # problems of unequal sizes in one cache: after each trial,
+        # whichever problems commit +step, -step or nothing, each row of
+        # the stored pieces has the bytes of the pieces of its row of f_c',
+        # and each problem moves and tracks its loss as it does alone
+        rng = np.random.default_rng(seed)
+        hp = HyperParams(m=3, q=2, alpha=0.5, step_a=step_ab[0],
+                         step_b=step_ab[1])
+        model = QmsModel(tuple(MemberFunction(rng.normal(size=(2, 2)),
+                                              rng.normal(size=2))
+                               for _ in range(3)), hp)
+        problems = [from_member_sets([rng.normal(size=(size, 2))
+                                      for _ in range(3)],
+                                     rng.uniform(0.2, 2.0, size=3))
+                    for size in sizes]
+        shared = ResidualCache(problems, model)
+        alone = [ResidualCache(problem, model) for problem in problems]
+        n = shared._segments[-1].stop
+        for c, k, l in trials:
+            moved = shared.try_entry(c, k, l)
+            own = [cache.try_entry(c, k, l) for cache in alone]
+            assert moved == [(i, delta, loss) for i, moves in enumerate(own)
+                             for _, delta, loss in moves]
+            assert shared.losses == [cache.losses[0] for cache in alone]
+            for row, fc in enumerate(shared._fc):
+                fresh = shared._pieces(slice(None), fc)[:, :n]
+                assert shared._piece[:, row, :n].tobytes() == fresh.tobytes()
 
     def test_gather_whole_width_equals_gather_alone(self):
         # every sample's piece, and each problem's sum, has the bits of its
@@ -739,10 +777,10 @@ class TestLossPieces:
 
     @pytest.mark.parametrize("alpha", [0.5, 0.2])
     def test_table_pieces_equal_pieces_from_the_values(self, alpha):
-        # across class switches and commits that relocate samples, each
+        # across class switches and trials that relocate samples, each
         # new piece a trial reads from the class tables, and every stored
-        # piece, has the bits of the guards of the piece computed from _f
-        # and _weight
+        # piece, has the bits of the guards of the piece computed from
+        # its row of f_c', _f and _weight
         rng = np.random.default_rng(89)
         hp = HyperParams(m=4, q=2, alpha=alpha)
         members = tuple(MemberFunction(rng.normal(size=(2, 3)),
@@ -760,15 +798,15 @@ class TestLossPieces:
             c = int(rng.integers(0, 4))
             switches += c != cache._c
             k, l = int(rng.integers(0, 2)), int(rng.integers(0, 4))
-            fc, _, left, new = cache._trial(c, k, l)
+            fc, _, left = cache._trial(c, k, l)
             if left is not None:
+                relocated += 1
                 want = pieces_from_values(cache, c, left[1], fc[left])
+                new = cache._piece[:, left[0], left[1]]
                 assert new.tobytes() == guards(want).tobytes()
-            pieces = cache._piece.copy()
             cache.try_entry(c, k, l)
-            relocated += not np.array_equal(pieces, cache._piece)
-            want = pieces_from_values(cache, c, np.arange(n), cache._f[c])
-            for row in cache._piece.transpose(1, 0, 2):
+            for row, fc in zip(cache._piece.transpose(1, 0, 2), cache._fc):
+                want = pieces_from_values(cache, c, np.arange(n), fc)
                 assert row.tobytes() == guards(want).tobytes()
         assert relocated > 0 and switches > 10
 
@@ -808,6 +846,7 @@ steps = st.one_of(st.sampled_from([0.3, 1.0, 3.0, 40.0]),
                   st.floats(1e-3, 64.0))
 
 
+@pytest.mark.bitwise
 class TestStepRows:
     @settings(deadline=None, max_examples=60)
     @given(st.lists(column_values, min_size=3, max_size=9),
@@ -888,6 +927,7 @@ class TestStepRows:
         check_rows()
 
 
+@pytest.mark.bitwise
 class TestGroupedSums:
     @pytest.mark.parametrize("sizes, p, runs", [
         ((163, 163, 163, 163, 162), 6, [4, 1]),
@@ -937,50 +977,57 @@ def unclipped_rows(cache, c, k, l):
     return np.stack([cache._f[c] + u, cache._f[c] - u]) + even
 
 
-def check_clipped_evaluation(cache, c, raw, trial):
-    """A trial's (fc, sums, left, new) for class c at the unclipped rows
-    raw, and the values it left in _value, against
-    `oracles.clipped_evaluation` of the raw pieces that hold f_c, bit for
-    bit. The flagged samples are those clip-then-compare relocates and
-    those whose f_c' is negative; the new pieces are stored as guards.
-    Returns the clipped rows."""
+def held_pieces(cache, c):
+    """The raw pieces (5, 2, n) that the cache holds for class c, after
+    checking that it stores them as guards: row r's are those of row r of
+    the last trial's f_c', or of f_c after a gather."""
     n = cache._f.shape[1]
+    held = np.stack([pieces_from_values(cache, c, np.arange(n), fc)
+                     for fc in cache._fc], axis=1)
+    assert cache._piece.tobytes() == guards(held).tobytes()
+    return held
+
+
+def check_clipped_evaluation(cache, c, raw, held, trial):
+    """A trial's (fc, sums, left) for class c at the unclipped rows raw,
+    and the values it left in _value, against `oracles.clipped_evaluation`
+    of the raw pieces held before it, bit for bit. The flagged samples are
+    those clip-then-compare relocates and those whose f_c' is negative;
+    their new pieces are stored as guards in their rows, so each row then
+    holds the pieces of its f_c'. Returns the clipped rows."""
 
     def repiece(cols, fc):
         return pieces_from_values(cache, c, cols, fc)
 
-    held = repiece(np.arange(n), cache._f[c])
-    pieces = np.stack([held, held], axis=1)
-    assert cache._piece.tobytes() == guards(pieces).tobytes()
     fc, sums, left, new, value = clipped_evaluation(
-        raw, pieces, cache.hp.denom_guard, cache._segments, repiece)
-    got_fc, got_sums, got_left, got_new = trial
+        raw, held, cache.hp.denom_guard, cache._segments, repiece)
+    got_fc, got_sums, got_left = trial
     assert got_fc.tobytes() == fc.tobytes()
     assert got_sums.tobytes() == sums.tobytes()
     assert cache._value.tobytes() == value.tobytes()
     flagged = set(zip(*left)) | set(zip(*np.nonzero(raw < 0.0)))
     assert set(() if got_left is None else zip(*got_left)) == flagged
     if got_left is not None:
+        got_new = cache._piece[:, got_left[0], got_left[1]]
         want = guards(repiece(got_left[1], fc[got_left]))
         assert got_new.tobytes() == want.tobytes()
         # and where clip-then-compare relocates too, its new pieces
         mine = np.isin(got_left[1] * 2 + got_left[0], left[1] * 2 + left[0])
         assert got_new[:, mine].tobytes() == guards(new).tobytes()
+    held_pieces(cache, c)
     return fc
 
 
 def check_commit(cache, c, fc, before, moved, step):
     """After `try_entry`, each problem that moved holds the clipped row
-    of its step as f_c, the others hold their f_c of before, and every
-    stored piece is the guards of the raw piece that holds f_c."""
+    of its step as f_c, the others hold their f_c of before, and each row
+    of the stored pieces still holds the pieces of its row fc."""
     rows = {i: 0 if delta == step else 1 for i, delta, _ in moved}
     for i, seg in enumerate(cache._segments):
         want = fc[rows[i], seg] if i in rows else before[seg]
         assert cache._f[c, seg].tobytes() == want.tobytes()
-    n = cache._f.shape[1]
-    held = guards(pieces_from_values(cache, c, np.arange(n), cache._f[c]))
-    for row in cache._piece.transpose(1, 0, 2):
-        assert row.tobytes() == held.tobytes()
+    assert cache._fc.tobytes() == fc.tobytes()
+    held_pieces(cache, c)
 
 
 def table_by_masked_copy(cache, c):
@@ -999,6 +1046,7 @@ def table_by_masked_copy(cache, c):
     return np.concatenate([at, [w_own / fg, w_den * f, w_own, w_den]])
 
 
+@pytest.mark.bitwise
 class TestGuards:
     # A piece is stored as lo' = max(lo, -2^-1074) and hi' =
     # nextafter(hi, +inf): one comparison f_c' <= lo' or hi' <= f_c'
@@ -1039,7 +1087,8 @@ class TestGuards:
             cache._gather(c)
             raw = unclipped_rows(cache, c, k, l)
             before = cache._f[c].copy()
-            fc = check_clipped_evaluation(cache, c, raw,
+            held = held_pieces(cache, c)
+            fc = check_clipped_evaluation(cache, c, raw, held,
                                           cache._trial(c, k, l))
             moved = cache.try_entry(c, k, l)
             check_commit(cache, c, fc, before, moved, column_step(cache, l))
@@ -1056,9 +1105,10 @@ class TestGuards:
         cache._gather(0)
         raw, before = unclipped_rows(cache, 0, 0, 0), cache._f[0].copy()
         assert raw[0, 0] < 0.0 and (raw[:, 1:4] > 0.0).all()
+        held = held_pieces(cache, 0)
         trial = cache._trial(0, 0, 0)
         assert (0, 0) in set(zip(*trial[2]))
-        fc = check_clipped_evaluation(cache, 0, raw, trial)
+        fc = check_clipped_evaluation(cache, 0, raw, held, trial)
         assert fc[0, 0] == 0.0
         moved = cache.try_entry(0, 0, 0)
         check_commit(cache, 0, fc, before, moved, 0.3)
@@ -1082,8 +1132,10 @@ class TestGuards:
             n, width = problem.samples.shape[0], cache._f.shape[1]
             for c in range(3):
                 cache._gather(c)
-                lo, hi = pieces_from_values(cache, c, np.arange(width),
-                                            cache._f[c])[:2]
+                # both rows hold the pieces of f_c, put back before each
+                # evaluation, which stores the pieces of its rows
+                held, stored = held_pieces(cache, c), cache._piece.copy()
+                lo, hi = held[:2, 0]
                 f = cache._f[c]
                 candidates = [lo, np.nextafter(lo, -np.inf),
                               np.nextafter(lo, np.inf), hi,
@@ -1097,10 +1149,11 @@ class TestGuards:
                 for up, down in itertools.product(candidates, repeat=2):
                     raw = np.stack([up, down])
                     raw[:, n:] = 0.0
+                    cache._piece[...] = stored
                     cache._fc[...] = raw
                     trial = (cache._fc, *cache._evaluate())
                     flagged += trial[2] is not None
-                    check_clipped_evaluation(cache, c, raw, trial)
+                    check_clipped_evaluation(cache, c, raw, held, trial)
                 assert flagged > 0
 
     @pytest.mark.parametrize("alpha", [0.0, 0.4])
@@ -1133,6 +1186,7 @@ SAMPLE_ARRAYS = ("_xa", "_r", "_f", "_weight", "_never", "_block", "_fc",
 SAMPLE_MASKS = ("_bounds", "_mask")
 
 
+@pytest.mark.bitwise
 class TestLayout:
     @pytest.mark.parametrize("sizes", [(13,), (407, 407), (3838,)],
                              ids=["13", "814", "3838"])
@@ -1186,7 +1240,7 @@ class TestLayout:
             for _ in range(120):
                 c = int(rng.integers(0, 3))
                 k, l = int(rng.integers(0, 2)), int(rng.integers(0, 4))
-                fc, _, left, _ = cache._trial(c, k, l)
+                fc, _, left = cache._trial(c, k, l)
                 assert not fc[:, n:].any() and not cache._value[:, n:].any()
                 if left is not None:
                     relocated += 1
@@ -1295,6 +1349,7 @@ class TestCpmOptimize:
         assert problem_state(cache, 0) == problem_state(alone, 0)
         assert problem_state(cache, 1) == state
 
+    @pytest.mark.bitwise
     def test_cache_consistent_after_every_sweep(self):
         rng = np.random.default_rng(31)
         problem = from_member_sets(
@@ -1368,9 +1423,9 @@ def model_bytes(model):
 
 
 def problem_state(cache, i):
-    """The bytes of everything a commit changes for problem i: its member
-    functions and tracked loss, the member values, residuals and pieces
-    of its segment, and its sum of the terms involving f_c."""
+    """The bytes of problem i's state: its member functions and tracked
+    loss, the member values, residuals and loss pieces of its segment,
+    and its sum of the terms involving f_c."""
     seg = cache._segments[i]
     return (model_bytes(QmsModel(cache.members(i), cache.hp)),
             cache.losses[i], cache._f[:, seg].tobytes(),
@@ -1383,6 +1438,7 @@ def loss_bytes(moves):
 
 
 class TestCpmOptimizeMany:
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("shapes", [
         [(211, 150, 40)],
         [(211, 150, 40), (212, 171, 35), (213, 139, 44), (214, 160, 41),
@@ -1429,6 +1485,7 @@ class TestCpmOptimizeMany:
         for model, again in zip(models, checked):
             assert model_bytes(again) == model_bytes(model)
 
+    @pytest.mark.bitwise
     def test_per_problem_commits_bitwise_equal_to_problems_alone(self):
         # four problems in one cache, random member functions and steps
         # that often move f_c out of its piece. Some trials split the
@@ -1467,6 +1524,7 @@ class TestCpmOptimizeMany:
             assert model_bytes(QmsModel(shared.members(i), hp)) == \
                 model_bytes(QmsModel(a.members(), hp))
 
+    @pytest.mark.bitwise
     def test_mixed_widths_bitwise_equal_to_one_problem_at_a_time(self):
         # p = 1, 2 and 3 each train in a cache of their own, and the two
         # problems of p = 5 together
@@ -1602,9 +1660,33 @@ class TestOverflowGuard:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             cpm_optimize_many(problems, hp, on_accept=fail)
 
-    def test_floating_point_error_leaves_as_value_error(self):
-        # a class weight of 1e300 takes w_j * f_j past the largest double
-        # when that class is a denominator, which the bound does not see
+    @pytest.mark.parametrize("c", [0, 1])
+    def test_huge_class_weight_rejected_before_training(self, c):
+        # a class weight of 1e300 would take w_j * f_j past the largest
+        # double when that class is a denominator
+        rng = np.random.default_rng(275)
+        good = from_member_sets([rng.normal(size=(5, 2)) for _ in range(3)])
+        weights = [1.0] * 3
+        weights[c] = 1e300
+        bad = from_member_sets([rng.normal(size=(5, 2)) for _ in range(3)],
+                               weights)
+        hp = HyperParams(m=3, q=2, iterations=1)
+
+        def fail(*move):
+            raise AssertionError("trained before every problem was checked")
+
+        with pytest.raises(ValueError) as raised:
+            cpm_optimize_many([good, bad], hp, on_accept=fail)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == (f"problem 1, class {c}: weight 1e+300 "
+                                     f"could overflow training: its weighted "
+                                     f"loss bound is inf")
+
+    def test_floating_point_error_leaves_as_value_error(self, monkeypatch):
+        # with the guard switched off, a class weight of 1e300 takes
+        # w_j * f_j past the largest double when that class is a
+        # denominator, and the errstate backstop catches it
+        monkeypatch.setattr(core, "_check_bounded", lambda *args: None)
         rng = np.random.default_rng(275)
         good = from_member_sets([rng.normal(size=(5, 2)) for _ in range(3)])
         bad = from_member_sets([rng.normal(size=(5, 2)) for _ in range(3)],

@@ -23,6 +23,8 @@ from qms22.ssad import SsadProblem, build_member_sets, outlier_scores
 
 from oracles import from_member_sets
 
+pytestmark = pytest.mark.bitwise
+
 GOLDEN = Path(__file__).parent / "data" / "golden_cpm.json"
 
 # name -> (seed, m, q, p, set sizes, alpha, iterations, step_a, step_b, b_init)

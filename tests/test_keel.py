@@ -325,9 +325,12 @@ class TestPreprocessor:
                 "-2, a, negative\n"
                 "4, b, positive\n")
         data = parse_keel_text(text)
-        x, y = Preprocessor.fit(data).transform(data)
+        prep = Preprocessor.fit(data)
+        x, y = prep.transform(data)
         assert x[1].tolist() == [255.0, 0.0, 1.0, 0.0]
         assert y.tolist() == [False, True]
+        assert prep.columns == (("V", None), ("Color", "a"), ("Color", "b"),
+                                ("Color", "c"))
 
     def test_one_hot_blocks_sum_to_one(self):
         rng = np.random.default_rng(3)
